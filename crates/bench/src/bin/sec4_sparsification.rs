@@ -66,12 +66,13 @@ fn part_a(cfg: &ParallelConfig, verify: bool) {
     );
     let case = clock_case(Scale::Small);
     let l = &case.par.partial_l;
+    let full = stability_report(l.matrix());
     println!(
         "full matrix: {} elements, {} mutual terms, min eig {:.3e} H (PD: {})\n",
         l.len(),
         l.mutual_count(),
-        stability_report(l.matrix()).min_eigenvalue,
-        stability_report(l.matrix()).positive_definite,
+        full.min_eigenvalue,
+        full.positive_definite,
     );
 
     // Truncation threshold: scan for ~50 % retention.

@@ -48,6 +48,13 @@ pub enum NumericError {
         /// Number of iterations performed before giving up.
         iterations: usize,
     },
+    /// An input entry was NaN or infinite, so no finite answer exists.
+    NonFinite {
+        /// Row of the first offending entry.
+        row: usize,
+        /// Column of the first offending entry.
+        col: usize,
+    },
     /// An index was out of range for the container it addressed.
     IndexOutOfRange {
         /// The offending index.
@@ -104,7 +111,10 @@ impl fmt::Display for NumericError {
                 "entry ({row},{col}) lies outside the declared band (kl={kl}, ku={ku})"
             ),
             Self::NoConvergence { iterations } => {
-                write!(f, "iteration failed to converge after {iterations} sweeps")
+                write!(f, "failed to converge after {iterations} iterations")
+            }
+            Self::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row},{col}) is not finite")
             }
             Self::IndexOutOfRange { index, len } => {
                 write!(f, "index {index} out of range for length {len}")

@@ -5,7 +5,8 @@
 //!
 //! * **dense symmetric solvers** — partial-inductance matrices are dense
 //!   and symmetric positive definite (Cholesky), and sparsified variants
-//!   must be *checked* for positive definiteness (Jacobi eigenvalues);
+//!   must be *checked* for positive definiteness (Householder-tridiagonal
+//!   QL eigenvalues);
 //! * **banded/general LU** — modified-nodal-analysis (MNA) matrices of the
 //!   PEEC circuit are sparse and, after reverse Cuthill–McKee reordering,
 //!   tightly banded; AC analysis needs the same factorization over
@@ -58,7 +59,6 @@ pub mod partition;
 mod qr;
 mod scalar;
 mod sparse;
-mod sparse_cholesky;
 mod sparse_lu;
 mod supernode;
 mod toeplitz;
@@ -72,7 +72,7 @@ pub use cholesky::CholeskyFactor;
 pub use complex::Complex64;
 pub use condition::RefinedSolve;
 pub use dense::Matrix;
-pub use eigen::{jacobi_eigenvalues, jacobi_eigenvectors, SymmetricEigen};
+pub use eigen::{jacobi_eigenvectors, symmetric_eigenvalues, SymmetricEigen};
 pub use error::NumericError;
 pub use fft::Fft;
 pub use gemm::gemm_into;
@@ -91,7 +91,6 @@ pub use partition::ParallelConfig;
 pub use qr::{mgs_orthonormalize, orthonormalize_against};
 pub use scalar::Scalar;
 pub use sparse::{CsrMatrix, Triplets};
-pub use sparse_cholesky::{SparseCholesky, SymbolicCholesky};
 pub use sparse_lu::{SparseLu, SparseLuStats, SymbolicLu};
 pub use supernode::SupernodePartition;
 pub use toeplitz::ToeplitzOperator2D;

@@ -2,7 +2,7 @@
 //! flows actually produce.
 
 use ind101_numeric::{
-    bandwidth, jacobi_eigenvalues, reverse_cuthill_mckee, BandedMatrix, Complex64, Matrix,
+    bandwidth, reverse_cuthill_mckee, symmetric_eigenvalues, BandedMatrix, Complex64, Matrix,
     Triplets,
 };
 
@@ -75,7 +75,7 @@ fn dense_lu_and_cholesky_agree_on_spd_system() {
 }
 
 #[test]
-fn jacobi_handles_clustered_spectrum() {
+fn symmetric_eigenvalues_handle_clustered_spectrum() {
     // Nearly-degenerate eigenvalues (a hard case for rotations).
     let n = 20;
     let mut a = Matrix::zeros(n, n);
@@ -86,7 +86,7 @@ fn jacobi_handles_clustered_spectrum() {
             a[(i + 1, i)] = 1e-9;
         }
     }
-    let ev = jacobi_eigenvalues(&a).unwrap();
+    let ev = symmetric_eigenvalues(&a).unwrap();
     assert_eq!(ev.len(), n);
     for w in ev.windows(2) {
         assert!(w[1] >= w[0] - 1e-15, "sorted ascending");

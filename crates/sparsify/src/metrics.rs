@@ -1,6 +1,6 @@
 //! Shared result types and quality metrics for sparsification.
 
-use ind101_numeric::{jacobi_eigenvalues, Matrix};
+use ind101_numeric::{symmetric_eigenvalues, Matrix};
 use std::fmt;
 
 /// Typed error from coupling-coefficient evaluation.
@@ -175,9 +175,10 @@ pub fn stability_report(m: &Matrix<f64>) -> StabilityReport {
             positive_definite: true,
         };
     }
-    // `jacobi_eigenvalues` only fails on non-square input; report that
-    // degenerate case as "not positive definite" rather than panicking.
-    match jacobi_eigenvalues(m)
+    // `symmetric_eigenvalues` fails on non-square input and on a NaN or
+    // infinite entry; neither has a meaningful spectrum, so report "not
+    // positive definite" rather than panicking or trusting NaN arithmetic.
+    match symmetric_eigenvalues(m)
         .ok()
         .and_then(|ev| Some((*ev.first()?, *ev.last()?)))
     {
@@ -236,6 +237,35 @@ mod tests {
         assert!(!r.positive_definite);
         assert!(r.min_eigenvalue < 0.0);
         assert!(r.max_eigenvalue > r.min_eigenvalue);
+    }
+
+    /// Asserts `m` is reported as not positive definite with a NaN
+    /// spectrum: a non-finite entry has no meaningful eigenvalues.
+    fn assert_non_finite_is_not_pd(m: &Matrix<f64>) {
+        let r = stability_report(m);
+        assert!(!r.positive_definite, "{r:?}");
+        assert!(
+            r.min_eigenvalue.is_nan() && r.max_eigenvalue.is_nan(),
+            "{r:?}"
+        );
+    }
+
+    #[test]
+    fn nan_off_diagonal_is_not_positive_definite() {
+        assert_non_finite_is_not_pd(&Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]));
+    }
+
+    #[test]
+    fn infinite_off_diagonal_is_not_positive_definite() {
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_non_finite_is_not_pd(&Matrix::from_rows(&[&[1.0, inf], &[inf, 1.0]]));
+        }
+    }
+
+    #[test]
+    fn nan_diagonal_is_not_positive_definite() {
+        assert_non_finite_is_not_pd(&Matrix::from_rows(&[&[1.0, 0.0], &[0.0, f64::NAN]]));
+        assert_non_finite_is_not_pd(&Matrix::from_rows(&[&[f64::NAN, 0.5], &[0.5, 1.0]]));
     }
 
     #[test]

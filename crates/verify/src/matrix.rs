@@ -20,7 +20,7 @@
 //!    restores definiteness, or the advice to switch screens.
 
 use crate::diagnostic::{Severity, VerifyReport};
-use ind101_numeric::{jacobi_eigenvalues, Matrix, NumericError};
+use ind101_numeric::{symmetric_eigenvalues, Matrix, NumericError};
 use ind101_sparsify::{coupling_coefficient, CouplingError, Sparsified};
 
 /// Tunables of the matrix audit.
@@ -274,7 +274,9 @@ pub fn audit_matrix(m: &Matrix<f64>, label: &str, cfg: &MatrixAuditConfig) -> Ma
         Ok(_) => MatrixAudit::clean(report),
         Err(NumericError::NotPositiveDefinite { pivot, value }) => {
             // 7. Eigenvalue post-mortem → verified repair suggestion.
-            let min_eig = jacobi_eigenvalues(m).ok().and_then(|ev| ev.first().copied());
+            let min_eig = symmetric_eigenvalues(m)
+                .ok()
+                .and_then(|ev| ev.first().copied());
             let shift = min_eig.map(|lam| {
                 if lam >= 0.0 {
                     // Semi-definite edge: nudge by the matrix scale.
