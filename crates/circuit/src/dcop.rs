@@ -68,14 +68,15 @@ struct NewtonOutcome {
     residuals: Vec<f64>,
 }
 
-/// Damped Newton from `x0`: each iteration solves the exact linearized
-/// system (via Woodbury) and applies the update with a per-component
-/// clamp of [`DAMP_LIMIT`]. Identical arithmetic to the historical
-/// `dc_op` loop, so a converged plain run is bit-for-bit reproducible.
 /// Source-stepping gives up when the bisected ramp step shrinks below
 /// this fraction of the full ramp — further halving cannot converge.
 const MIN_ALPHA_STEP: f64 = 1e-6;
 
+/// Damped Newton from `x0`: one base solve of `rhs`, then each
+/// iteration solves the exact linearized system (via Woodbury) and
+/// applies the update with a per-component clamp of [`DAMP_LIMIT`]. A
+/// singular Jacobian ends the run as a failed iteration, so plain
+/// `dc_op` reports divergence and the rescue ladder moves on.
 fn damped_newton(
     wb: &WoodburySolver,
     mosfets: &[Mosfet],
@@ -84,10 +85,20 @@ fn damped_newton(
     max_iter: usize,
 ) -> Result<NewtonOutcome> {
     let n = x.len();
+    let y0 = wb.base_solve(rhs)?;
     let mut residuals = Vec::new();
     let mut final_delta = f64::INFINITY;
     for iter in 0..max_iter {
-        let x_new = wb.solve(mosfets, &x, rhs)?;
+        let Some(x_new) = wb.newton_update(mosfets, &x, &y0) else {
+            residuals.push(f64::INFINITY);
+            return Ok(NewtonOutcome {
+                x,
+                converged: false,
+                iterations: iter + 1,
+                final_delta: f64::INFINITY,
+                residuals,
+            });
+        };
         let mut delta_inf = 0.0f64;
         for i in 0..n {
             let d = (x_new[i] - x[i]).clamp(-DAMP_LIMIT, DAMP_LIMIT);
@@ -187,8 +198,15 @@ impl Circuit {
                 _ => None,
             })
             .collect();
-        let wb = WoodburySolver::build_with(&static_t, &layout, &mosfets, false, self.effective_backend())
-            .map_err(|e| annotate_singular(self, &layout, e))?;
+        let wb = WoodburySolver::build_with(
+            &static_t,
+            &layout,
+            &mosfets,
+            false,
+            self.effective_backend(),
+            None,
+        )
+        .map_err(|e| annotate_singular(self, &layout, e))?;
 
         let mut rungs: Vec<RungTrace> = Vec::new();
         let mut total_iterations = 0usize;
@@ -245,9 +263,14 @@ impl Circuit {
                         t.push(i, i, extra);
                     }
                 }
-                let Ok(wb_g) =
-                    WoodburySolver::build_with(&t, &layout, &mosfets, true, self.effective_backend())
-                else {
+                let Ok(wb_g) = WoodburySolver::build_with(
+                    &t,
+                    &layout,
+                    &mosfets,
+                    true,
+                    self.effective_backend(),
+                    None,
+                ) else {
                     solved = None;
                     break;
                 };
@@ -283,9 +306,15 @@ impl Circuit {
         if policy.source_stepping {
             // Refinement enabled: homotopy steps may pass through
             // marginal bias points where the plain solve loses digits.
-            let wb_s =
-                WoodburySolver::build_with(&static_t, &layout, &mosfets, true, self.effective_backend())
-                    .map_err(|e| annotate_singular(self, &layout, e))?;
+            let wb_s = WoodburySolver::build_with(
+                &static_t,
+                &layout,
+                &mosfets,
+                true,
+                self.effective_backend(),
+                None,
+            )
+            .map_err(|e| annotate_singular(self, &layout, e))?;
             let mut trace = RungTrace {
                 rung: RescueRung::SourceStepping,
                 converged: false,

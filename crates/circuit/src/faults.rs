@@ -15,7 +15,11 @@
 //!   pivot → node-name diagnostic mapping;
 //! * [`inject_tran_newton_stalls`] — the next `n` transient Newton
 //!   solves pretend not to converge, exercising fixed-step divergence
-//!   errors and adaptive-step rejection/halving.
+//!   errors and adaptive-step rejection/halving;
+//! * [`inject_singular_jacobians`] — the next `n` Woodbury Newton
+//!   updates (DC or transient) find a singular Jacobian, exercising the
+//!   failed-iteration path through the rescue ladder and the adaptive
+//!   step controller.
 //!
 //! All state is process-global and atomic; fault-injection tests must
 //! run single-threaded or reset state per test (`#[serial]`-style
@@ -26,6 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 static FAIL_PLAIN_NEWTON: AtomicBool = AtomicBool::new(false);
 static SINGULAR_PIVOT: AtomicUsize = AtomicUsize::new(usize::MAX);
 static TRAN_NEWTON_STALLS: AtomicUsize = AtomicUsize::new(0);
+static SINGULAR_JACOBIANS: AtomicUsize = AtomicUsize::new(0);
 
 /// Forces the plain DC Newton rung to report divergence while active.
 pub fn force_plain_newton_failure(on: bool) {
@@ -53,7 +58,22 @@ pub fn inject_tran_newton_stalls(n: usize) {
 }
 
 pub(crate) fn take_tran_newton_stall() -> bool {
-    TRAN_NEWTON_STALLS
+    take_one(&TRAN_NEWTON_STALLS)
+}
+
+/// Makes the next `n` Woodbury Newton updates report a singular
+/// Jacobian.
+pub fn inject_singular_jacobians(n: usize) {
+    SINGULAR_JACOBIANS.store(n, Ordering::SeqCst);
+}
+
+pub(crate) fn take_singular_jacobian() -> bool {
+    take_one(&SINGULAR_JACOBIANS)
+}
+
+/// Consumes one armed fault from a countdown; `false` once it is spent.
+fn take_one(count: &AtomicUsize) -> bool {
+    count
         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
         .is_ok()
 }
@@ -66,5 +86,6 @@ pub fn reset() {
     force_plain_newton_failure(false);
     inject_singular_pivot(None);
     inject_tran_newton_stalls(0);
+    inject_singular_jacobians(0);
     ind101_numeric::faults::reset();
 }

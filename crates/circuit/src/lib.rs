@@ -18,10 +18,11 @@
 //!   peaks ([`measure`]).
 //!
 //! The linear solver self-selects between banded LU after reverse
-//! Cuthill–McKee ordering (sparse circuits: RC grids) and dense LU
-//! (circuits with large dense mutual-inductance blocks). This mirrors
-//! the paper's observation that the dense PEEC matrix is the simulation
-//! bottleneck — and makes the Table 1 run-time comparison meaningful.
+//! Cuthill–McKee ordering (RC grids), a KLU-class sparse LU (wide or
+//! block-reducible patterns, including the PEEC-RLC systems with their
+//! dense mutual-inductance blocks) and dense LU for small or
+//! irreducibly dense systems. The mutual blocks fill the sparse factor,
+//! which is why PEEC-RLC stays the slow Table 1 model, as in the paper.
 //!
 //! # Example
 //!

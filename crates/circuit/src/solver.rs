@@ -2,10 +2,14 @@
 //!
 //! RC-dominated circuits (grids) reorder into tight bands under reverse
 //! Cuthill–McKee and factor in near-linear time; wide but still sparse
-//! patterns route to the AMD-ordered sparse LU; circuits carrying a
-//! dense mutual-inductance block fall back to dense LU.
-//! This split *is* the paper's run-time story: PEEC-RC fast, PEEC-RLC
-//! slow, loop-model fast again.
+//! patterns route to the AMD-ordered sparse LU, and so do denser
+//! patterns whose block-triangular form splits into small blocks; only
+//! what is left takes dense LU. A dense mutual-inductance block does
+//! not force the dense rung: on the Table-1 Medium clock net `Auto`
+//! puts the PEEC-RC step matrix (379 unknowns) on the banded rung and
+//! the PEEC-RLC (1 021) and block-diagonal (901) step matrices on the
+//! sparse rung. PEEC-RLC is slower than PEEC-RC there because its
+//! mutual block fills the sparse factor, not because it changes rung.
 //!
 //! The [`SolverBackend`] knob picks the family: `Dense` keeps the dense
 //! kernel as the differential oracle, `Sparse` forces the sparse direct

@@ -12,8 +12,11 @@
 //!
 //! Two step-control modes ([`StepControl`]):
 //!
-//! * **Fixed** (the default) — the historical path, preserved
-//!   bit-for-bit: every step is exactly `dt`, a Newton failure is fatal.
+//! * **Fixed** (the default) — every step is exactly `dt`, a Newton
+//!   failure is fatal. For linear circuits the historical arithmetic is
+//!   preserved bit-for-bit; nonlinear circuits share one base solve per
+//!   time point across their Newton iterations (see `crate::nonlinear`),
+//!   which moves their waveforms at rounding level only.
 //! * **Adaptive** — each trapezoidal step is checked against a linear
 //!   predictor; when the predictor–corrector difference (an LTE proxy)
 //!   exceeds tolerance, or Newton fails to converge, the step is
@@ -30,7 +33,7 @@ use crate::rescue::{RescuePolicy, RescueReport};
 use crate::solver::{Solver, SolverBackend};
 use crate::waveform::Trace;
 use crate::Result;
-use ind101_numeric::{SymbolicLu, Triplets};
+use ind101_numeric::{dot, SymbolicLu, Triplets};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -260,7 +263,7 @@ impl StepSolver {
     ) -> Result<Self> {
         Ok(if nonlinear {
             Self::Woodbury(WoodburySolver::build_with(
-                static_t, layout, mosfets, refine, backend,
+                static_t, layout, mosfets, refine, backend, hint,
             )?)
         } else {
             let mut s = Solver::build_with(static_t, backend, hint)?;
@@ -271,12 +274,12 @@ impl StepSolver {
         })
     }
 
-    /// Sparse symbolic pattern of the linear backend, for reuse by the
-    /// next same-structure build.
+    /// Sparse symbolic pattern of the (base) linear system, for reuse
+    /// by the next same-structure build.
     fn symbolic_hint(&self) -> Option<Arc<SymbolicLu>> {
         match self {
             Self::Linear(s) => s.symbolic_hint(),
-            Self::Woodbury(_) => None,
+            Self::Woodbury(wb) => wb.symbolic_hint(),
         }
     }
 
@@ -304,13 +307,20 @@ impl StepSolver {
                         last_delta: f64::INFINITY,
                     });
                 }
+                let y0 = wb.base_solve(rhs)?;
                 let mut guess = x_guess.to_vec();
                 let mut converged = false;
                 let mut iterations = 0usize;
                 let mut last_delta = f64::INFINITY;
                 for _ in 0..max_newton {
                     iterations += 1;
-                    let sol = wb.solve(mosfets, &guess, rhs)?;
+                    // A singular Jacobian fails the time point like a
+                    // stalled Newton run: fatal in fixed mode, a rejected
+                    // step in adaptive mode.
+                    let Some(sol) = wb.newton_update(mosfets, &guess, &y0) else {
+                        last_delta = f64::INFINITY;
+                        break;
+                    };
                     let mut delta = 0.0f64;
                     for i in 0..guess.len() {
                         delta = delta.max((sol[i] - guess[i]).abs());
@@ -417,15 +427,11 @@ impl TranState {
         }
         for (s, sys) in ckt.inductor_systems().iter().enumerate() {
             let off = layout.ind_offsets[s];
-            for j in 0..sys.len() {
-                let mut acc = 0.0;
-                for jj in 0..sys.len() {
-                    let m = sys.m[(j, jj)];
-                    if m != 0.0 {
-                        acc += m * self.ind_state[s][jj].0;
-                    }
-                }
-                rhs[off + j] = -k * acc - if trap { self.ind_state[s][j].1 } else { 0.0 };
+            let hist = &self.ind_state[s];
+            let cur: Vec<f64> = hist.iter().map(|&(i, _)| i).collect();
+            for (j, &(_, v)) in hist.iter().enumerate() {
+                let flux = dot(sys.m.row(j), &cur);
+                rhs[off + j] = -k * flux - if trap { v } else { 0.0 };
             }
         }
         rhs
@@ -485,7 +491,8 @@ impl Circuit {
         }
     }
 
-    /// The historical fixed-step path, arithmetic untouched.
+    /// The fixed-step path: every step exactly `dt`, Newton failure
+    /// fatal.
     fn transient_fixed(&self, opts: &TranOptions) -> Result<TranResult> {
         let layout = MnaLayout::build(self);
         let h = opts.dt;
@@ -965,6 +972,57 @@ mod tests {
         // τ equals the pulse width, so the exact response peaks near
         // 1 − e⁻¹ ≈ 0.63 V; far less means the pulse was stepped over.
         assert!(v.max() > 0.5, "pulse missed: max {}", v.max());
+    }
+
+    /// The BE start and the trapezoidal steps share one MNA pattern, so
+    /// a nonlinear sparse-rung transient analyzes it once: the Woodbury
+    /// base hands its symbolic factorization on to the next build.
+    #[test]
+    fn nonlinear_step_solver_hands_on_its_symbolic_pattern() {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let inp = c.node("in");
+        c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+        c.vsrc(
+            inp,
+            Circuit::GND,
+            SourceWave::step(0.0, 1.8, 20e-12, 20e-12),
+        );
+        let mut prev = c.node("n0");
+        c.inverter(inp, prev, vdd, Circuit::GND, InverterParams::default());
+        for k in 1..60 {
+            let n = c.node(format!("n{k}"));
+            c.resistor(prev, n, 20.0);
+            c.capacitor(n, Circuit::GND, 2e-15);
+            prev = n;
+        }
+        let layout = MnaLayout::build(&c);
+        let mosfets = TranState::new(&c, &layout, &vec![0.0; layout.n]).mosfets;
+        let build = |scheme, hint| {
+            let st = assemble_static(&c, &layout, scheme, 1e-12);
+            StepSolver::build(
+                &st,
+                &layout,
+                &mosfets,
+                true,
+                false,
+                SolverBackend::Sparse,
+                hint,
+            )
+            .unwrap()
+        };
+        let be = build(Scheme::Be, None);
+        let hint = be
+            .symbolic_hint()
+            .expect("sparse Woodbury base exposes its pattern");
+        let trap = build(Scheme::Trap, Some(&hint));
+        let handed_on = trap
+            .symbolic_hint()
+            .expect("sparse Woodbury base exposes its pattern");
+        assert!(
+            Arc::ptr_eq(&hint, &handed_on),
+            "trapezoidal build re-analyzed the pattern"
+        );
     }
 
     #[test]

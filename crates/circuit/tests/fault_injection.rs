@@ -4,8 +4,9 @@
 //! on demand; these tests arm the deterministic fault hooks in
 //! [`ind101_circuit::faults`] and check that every recovery path does
 //! what it claims: the rescue ladder escalates past a failed plain
-//! rung, singular pivots map to circuit-level names, and the adaptive
-//! controller rejects stalled steps (or gives up cleanly at `dt_min`).
+//! rung, singular pivots map to circuit-level names, the adaptive
+//! controller rejects stalled steps (or gives up cleanly at `dt_min`),
+//! and a singular Jacobian counts as a failed Newton iteration.
 
 #![cfg(feature = "solver-faults")]
 
@@ -135,4 +136,64 @@ fn persistent_stalls_underflow_the_step_floor() {
         }
         other => panic!("expected step underflow, got {other:?}"),
     }
+}
+
+#[test]
+fn singular_jacobian_fails_plain_dc_as_divergence() {
+    let _g = exclusive();
+    let (c, _) = inverter_rc();
+    faults::inject_singular_jacobians(1);
+    let err = c.dc_op().unwrap_err();
+    faults::reset();
+    match err {
+        CircuitError::NewtonDiverged {
+            iterations,
+            residual,
+            ..
+        } => {
+            assert_eq!(iterations, 1);
+            assert!(residual.is_infinite());
+        }
+        other => panic!("expected divergence, got {other:?}"),
+    }
+}
+
+#[test]
+fn singular_jacobian_mid_ladder_lets_later_rungs_run() {
+    let _g = exclusive();
+    let (c, out) = inverter_rc();
+    // The first update of the plain rung and of the first gmin step.
+    faults::inject_singular_jacobians(2);
+    let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+    faults::reset();
+    assert_eq!(report.rungs[0].rung, RescueRung::PlainNewton);
+    assert_eq!(report.rungs[1].rung, RescueRung::GminStepping);
+    assert!(!report.rungs[0].converged && !report.rungs[1].converged);
+    assert_eq!(report.converged_by, RescueRung::SourceStepping);
+    let plain = c.dc_op().unwrap();
+    assert!(
+        (op.voltage(out) - plain.voltage(out)).abs() < 1e-6,
+        "rescued {} vs plain {}",
+        op.voltage(out),
+        plain.voltage(out)
+    );
+}
+
+#[test]
+fn adaptive_controller_rejects_singular_jacobian_steps() {
+    let _g = exclusive();
+    let (c, out) = inverter_rc();
+    // Start from zero state so the seeding DC solve does not use up
+    // the injected faults.
+    let mut opts = TranOptions::new(1e-12, 200e-12).adaptive();
+    opts.start_from_dc = false;
+    faults::inject_singular_jacobians(3);
+    let res = c.transient(&opts).unwrap();
+    faults::reset();
+    assert!(
+        res.steps_rejected >= 3,
+        "rejected only {} steps",
+        res.steps_rejected
+    );
+    assert!(res.voltage(out).last_value() < 0.1);
 }

@@ -6,8 +6,9 @@
 //! asserts the crate's hardening contract:
 //!
 //! 1. no panic, ever (checked under `catch_unwind`);
-//! 2. every rejection is a typed [`NetlistError`] whose [`Span`]
-//!    points at a real line/column (`is_valid()`).
+//! 2. every rejection is a typed [`NetlistError`] whose
+//!    [`Span`](ind101_netlist::Span) points at a real line/column
+//!    (`is_valid()`).
 //!
 //! ```text
 //! cargo run -p ind101-netlist --bin fuzz_netlist -- --iters 20000

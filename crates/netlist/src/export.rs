@@ -1,6 +1,6 @@
 //! Circuit → deck export.
 //!
-//! The inverse of [`crate::lower`]: renders a linear
+//! The inverse of [`crate::lower()`]: renders a linear
 //! [`ind101_circuit::Circuit`] as a deck whose re-lowered form
 //! reproduces the original analyses to solver precision. Node names
 //! are taken from the circuit verbatim; uncoupled element values

@@ -16,8 +16,8 @@
 //!
 //! Every deck is hardened through the [`ind101_verify`] gate before
 //! it is solved (unless the job opts out), and each job's
-//! [`SolveBudget`] / [`FailurePolicy`] ride through the resilient
-//! sweep unchanged.
+//! [`SolveBudget`](ind101_numeric::SolveBudget) / [`FailurePolicy`]
+//! ride through the resilient sweep unchanged.
 //!
 //! Concurrency lives at the job level: inside a job the solvers run
 //! with [`ParallelConfig::serial`] so `threads` workers never
