@@ -3,6 +3,17 @@
 //! Used by the loop-inductance flow (paper Section 5): a current probe
 //! at the driver port with all capacitance removed gives the loop
 //! impedance `Z(jω)`, from which `R(f) = Re Z` and `L(f) = Im Z / ω`.
+//!
+//! A sweep plans once. The complex MNA pattern does not depend on the
+//! frequency (for `f > 0` every `jωC`/`jωM` stamp is structurally
+//! nonzero), so the first frequency's assembled matrix is planned — the
+//! rung decision, the banded rung's RCM order, the sparse rung's
+//! symbolic analysis ([`crate::solver`]) — and then factored, and every
+//! later frequency runs only the numeric phase on that plan, shared
+//! read-only across the worker threads. A frequency whose pattern
+//! differs (a stamp that underflows to an exact zero is dropped) is
+//! planned again on its own, so every frequency gets exactly the
+//! factorization a fresh per-frequency build would give.
 
 use crate::elements::Element;
 use crate::error::CircuitError;
@@ -12,7 +23,7 @@ use crate::resilience::{
     FailurePolicy, FrequencyRecovery, FrequencyStatus, RecoveryReport, ResilienceOptions,
     ResilientAcSweep,
 };
-use crate::solver::{Solver, SolverBackend, SMALL_DENSE};
+use crate::solver::{SolvePlan, Solver, SolverBackend};
 use crate::dcop::DcOperatingPoint;
 use crate::Result;
 use ind101_numeric::partition::{collect_row_blocks, collect_row_blocks_until, uniform_row_blocks};
@@ -173,11 +184,12 @@ impl Circuit {
     }
 
     /// [`Circuit::ac_sweep`] with an explicit parallelism configuration:
-    /// the per-frequency complex solves are independent, so the sweep is
-    /// split into contiguous frequency blocks across `cfg.threads` scoped
-    /// worker threads. Results (and the choice of reported error, if
-    /// any) are in deterministic frequency order regardless of thread
-    /// count.
+    /// the first frequency plans the sweep and is solved first; the
+    /// remaining per-frequency complex solves are independent, so they
+    /// are split into contiguous frequency blocks across `cfg.threads`
+    /// scoped worker threads that share the plan read-only. Results (and
+    /// the choice of reported error, if any) are in deterministic
+    /// frequency order regardless of thread count.
     ///
     /// # Errors
     ///
@@ -193,33 +205,22 @@ impl Circuit {
             None
         };
 
-        // The complex MNA pattern is frequency-independent (for f > 0
-        // every jωC/jωM stamp is structurally nonzero), so one symbolic
-        // factorization serves the whole sweep. Analyzed up front —
-        // pattern only, no numeric work — and shared read-only across
-        // the worker threads.
+        // The first frequency plans the sweep; its error, if any, is the
+        // first in frequency order and wins — same as the serial loop.
         let backend = self.effective_backend();
-        let sym_hint = opts
-            .freqs_hz
-            .first()
-            .and_then(|&f0| self.ac_symbolic_for(&layout, op.as_ref(), backend, f0));
-
-        let nf = opts.freqs_hz.len();
-        let ranges = uniform_row_blocks(nf, cfg.blocks_for(nf));
+        let (&f0, rest) = split_sweep(opts)?;
+        let (plan, first) = self.ac_plan_first(&layout, op.as_ref(), f0, backend, None);
+        let first = first?;
+        let ranges = uniform_row_blocks(rest.len(), cfg.blocks_for(rest.len()));
         let per_freq = collect_row_blocks(&ranges, |rows| {
             rows.map(|i| {
-                self.ac_solve_one(
-                    &layout,
-                    op.as_ref(),
-                    opts.freqs_hz[i],
-                    backend,
-                    sym_hint.as_ref(),
-                )
+                self.ac_solve_planned(&layout, op.as_ref(), rest[i], plan.as_ref(), backend)
             })
             .collect()
         });
-        // First error in frequency order wins — same as the serial loop.
-        let data = per_freq.into_iter().collect::<Result<Vec<_>>>()?;
+        let data = std::iter::once(Ok(first))
+            .chain(per_freq)
+            .collect::<Result<Vec<_>>>()?;
         Ok(AcResult {
             freqs_hz: opts.freqs_hz.clone(),
             data,
@@ -264,12 +265,15 @@ impl Circuit {
     /// sparse sweep. Obtain a pattern from [`Circuit::ac_symbolic`] and
     /// pass it to sweeps over structurally identical circuits.
     ///
-    /// Safety of a wrong hint: the sparse solver validates the pattern
-    /// against each assembled matrix and silently re-analyzes on
-    /// mismatch, so a stale hint costs the analysis it tried to save —
-    /// it can never produce wrong numbers. `None` recovers the
-    /// self-analyzing behavior of [`Circuit::ac_sweep_resilient`]
-    /// exactly.
+    /// The hint only seeds the sweep's plan: it is used when the plan
+    /// lands on the sparse rung and is ignored on the dense and banded
+    /// rungs. Safety of a wrong hint: the sparse solver compares the
+    /// hint's stored pattern exactly (row pointers and column indices)
+    /// with the first frequency's assembled matrix and analyzes afresh
+    /// on any difference, so a stale hint costs the analysis it tried
+    /// to save and is never applied to a pattern it was not made for.
+    /// `None` recovers the self-analyzing behavior of
+    /// [`Circuit::ac_sweep_resilient`] exactly.
     ///
     /// # Errors
     ///
@@ -289,11 +293,6 @@ impl Circuit {
             None
         };
         let backend = self.effective_backend();
-        let sym_hint = external_hint.or_else(|| {
-            opts.freqs_hz
-                .first()
-                .and_then(|&f0| self.ac_symbolic_for(&layout, op.as_ref(), backend, f0))
-        });
 
         enum FreqItem {
             Solved(Vec<Complex64>, f64),
@@ -307,101 +306,95 @@ impl Circuit {
         // skipped wholesale and running blocks cut at their next
         // frequency boundary.
         let stop = CancelToken::new();
-        let nf = opts.freqs_hz.len();
-        let ranges = uniform_row_blocks(nf, cfg.blocks_for(nf));
+        let attempt = |solve: &mut dyn FnMut() -> Result<Vec<Complex64>>| {
+            if stop.is_cancelled() {
+                return FreqItem::Stopped;
+            }
+            if guard.check().is_err() {
+                stop.cancel();
+                return FreqItem::Stopped;
+            }
+            let started = guard.elapsed_seconds();
+            let outcome = solve();
+            let elapsed = guard.elapsed_seconds() - started;
+            match outcome {
+                Ok(x) => FreqItem::Solved(x, elapsed),
+                Err(e) => FreqItem::Failed(e, elapsed),
+            }
+        };
+        // The first frequency plans the sweep, seeded by the hint.
+        let (&f0, rest) = split_sweep(opts)?;
+        let mut plan = None;
+        let first = attempt(&mut || {
+            let (p, x) =
+                self.ac_plan_first(&layout, op.as_ref(), f0, backend, external_hint.as_ref());
+            plan = p;
+            x
+        });
+        let ranges = uniform_row_blocks(rest.len(), cfg.blocks_for(rest.len()));
         let per_block: Vec<Option<Vec<FreqItem>>> =
             collect_row_blocks_until(&ranges, &stop, |rows| {
                 rows.map(|i| {
-                    if stop.is_cancelled() {
-                        return FreqItem::Stopped;
-                    }
-                    if guard.check().is_err() {
-                        stop.cancel();
-                        return FreqItem::Stopped;
-                    }
-                    let started = guard.elapsed_seconds();
-                    let outcome = self.ac_solve_one(
-                        &layout,
-                        op.as_ref(),
-                        opts.freqs_hz[i],
-                        backend,
-                        sym_hint.as_ref(),
-                    );
-                    let elapsed = guard.elapsed_seconds() - started;
-                    match outcome {
-                        Ok(x) => FreqItem::Solved(x, elapsed),
-                        Err(e) => FreqItem::Failed(e, elapsed),
-                    }
+                    attempt(&mut || {
+                        self.ac_solve_planned(&layout, op.as_ref(), rest[i], plan.as_ref(), backend)
+                    })
                 })
                 .collect()
             });
+        // Per frequency, in order; `None` for a block that never started.
+        let items = std::iter::once(Some(first)).chain(ranges.iter().zip(per_block).flat_map(
+            |(range, block)| match block {
+                Some(items) => items.into_iter().map(Some).collect::<Vec<_>>(),
+                None => range.clone().map(|_| None).collect(),
+            },
+        ));
 
+        let nf = opts.freqs_hz.len();
         let mut records: Vec<FrequencyRecovery> = Vec::with_capacity(nf);
         let mut solutions: Vec<Option<Vec<Complex64>>> = Vec::with_capacity(nf);
         let mut any_stopped = false;
-        for (range, block) in ranges.iter().zip(per_block) {
-            match block {
-                None => {
-                    any_stopped = true;
-                    for i in range.clone() {
-                        records.push(FrequencyRecovery {
-                            freq_hz: opts.freqs_hz[i],
-                            status: FrequencyStatus::NotAttempted,
-                            iterations: 0,
-                            rungs_attempted: 0,
-                            trajectory: String::new(),
-                            elapsed_seconds: 0.0,
-                        });
-                        solutions.push(None);
-                    }
+        for (&f, item) in opts.freqs_hz.iter().zip(items) {
+            match item {
+                Some(FreqItem::Solved(x, elapsed)) => {
+                    records.push(FrequencyRecovery {
+                        freq_hz: f,
+                        status: FrequencyStatus::Solved,
+                        iterations: 1,
+                        rungs_attempted: 1,
+                        trajectory: "direct(converged)".to_owned(),
+                        elapsed_seconds: elapsed,
+                    });
+                    solutions.push(Some(x));
                 }
-                Some(items) => {
-                    for (i, item) in range.clone().zip(items) {
-                        let f = opts.freqs_hz[i];
-                        match item {
-                            FreqItem::Solved(x, elapsed) => {
-                                records.push(FrequencyRecovery {
-                                    freq_hz: f,
-                                    status: FrequencyStatus::Solved,
-                                    iterations: 1,
-                                    rungs_attempted: 1,
-                                    trajectory: "direct(converged)".to_owned(),
-                                    elapsed_seconds: elapsed,
-                                });
-                                solutions.push(Some(x));
-                            }
-                            FreqItem::Failed(e, elapsed) => {
-                                if resilience.policy == FailurePolicy::Abort {
-                                    // First failure in frequency order
-                                    // wins — same as the plain sweep.
-                                    return Err(e);
-                                }
-                                records.push(FrequencyRecovery {
-                                    freq_hz: f,
-                                    status: FrequencyStatus::Skipped {
-                                        error: e.to_string(),
-                                    },
-                                    iterations: 1,
-                                    rungs_attempted: 1,
-                                    trajectory: "direct(failed)".to_owned(),
-                                    elapsed_seconds: elapsed,
-                                });
-                                solutions.push(None);
-                            }
-                            FreqItem::Stopped => {
-                                any_stopped = true;
-                                records.push(FrequencyRecovery {
-                                    freq_hz: f,
-                                    status: FrequencyStatus::NotAttempted,
-                                    iterations: 0,
-                                    rungs_attempted: 0,
-                                    trajectory: String::new(),
-                                    elapsed_seconds: 0.0,
-                                });
-                                solutions.push(None);
-                            }
-                        }
+                Some(FreqItem::Failed(e, elapsed)) => {
+                    if resilience.policy == FailurePolicy::Abort {
+                        // First failure in frequency order wins — same
+                        // as the plain sweep.
+                        return Err(e);
                     }
+                    records.push(FrequencyRecovery {
+                        freq_hz: f,
+                        status: FrequencyStatus::Skipped {
+                            error: e.to_string(),
+                        },
+                        iterations: 1,
+                        rungs_attempted: 1,
+                        trajectory: "direct(failed)".to_owned(),
+                        elapsed_seconds: elapsed,
+                    });
+                    solutions.push(None);
+                }
+                Some(FreqItem::Stopped) | None => {
+                    any_stopped = true;
+                    records.push(FrequencyRecovery {
+                        freq_hz: f,
+                        status: FrequencyStatus::NotAttempted,
+                        iterations: 0,
+                        rungs_attempted: 0,
+                        trajectory: String::new(),
+                        elapsed_seconds: 0.0,
+                    });
+                    solutions.push(None);
                 }
             }
         }
@@ -416,17 +409,17 @@ impl Circuit {
             None
         };
 
-        let mut freqs = Vec::new();
+        let mut solved = Vec::new();
         let mut data = Vec::new();
         for (rec, sol) in records.iter().zip(solutions) {
             if let Some(x) = sol {
-                freqs.push(rec.freq_hz);
+                solved.push(rec.freq_hz);
                 data.push(x);
             }
         }
         Ok(ResilientAcSweep {
             ac: AcResult {
-                freqs_hz: freqs,
+                freqs_hz: solved,
                 data,
                 layout,
             },
@@ -437,57 +430,77 @@ impl Circuit {
         })
     }
 
-    /// Analyzes the circuit's complex MNA sparsity pattern at a probe
-    /// frequency, for reuse across sweeps (and across structurally
-    /// identical circuits) via
+    /// The symbolic analysis an AC sweep of this circuit plans, for
+    /// reuse across structurally identical circuits via
     /// [`Circuit::ac_sweep_resilient_with_symbolic`].
     ///
-    /// Returns `None` when a symbolic factorization would not be used
-    /// anyway: dense backend, system at or below the small-dense
-    /// floor, or a probe at which analysis fails. The pattern is
+    /// The circuit's complex MNA system is assembled at `probe_hz` and
+    /// planned exactly as a sweep would plan it. Returns `None` when
+    /// that plan has no symbolic analysis — its rung is dense (the dense
+    /// backend, a system at or below the small-dense floor, a pattern
+    /// too dense for the sparse rung) or banded — and when planning
+    /// fails or `probe_hz` is not positive. The pattern is
     /// frequency-independent for `probe_hz > 0` (every jωC/jωM stamp
     /// is structurally nonzero), so any in-band probe yields the same
     /// pattern.
     #[must_use]
     pub fn ac_symbolic(&self, probe_hz: f64) -> Option<Arc<SymbolicLu>> {
+        if !(probe_hz > 0.0) {
+            return None;
+        }
         let layout = MnaLayout::build(self);
         let op = if self.is_nonlinear() {
             self.dc_op().ok()
         } else {
             None
         };
-        self.ac_symbolic_for(&layout, op.as_ref(), self.effective_backend(), probe_hz)
+        let (t, _) = self.ac_assemble(&layout, op.as_ref(), probe_hz);
+        SolvePlan::new(&t, self.effective_backend())
+            .ok()?
+            .symbolic()
+            .cloned()
     }
 
-    /// Shared symbolic-analysis step of the AC sweeps: pattern-only AMD
-    /// analysis of the first frequency's assembled system, skipped
-    /// whenever the solver would not consult it.
-    fn ac_symbolic_for(
-        &self,
-        layout: &MnaLayout,
-        op: Option<&DcOperatingPoint>,
-        backend: SolverBackend,
-        f0: f64,
-    ) -> Option<Arc<SymbolicLu>> {
-        if backend == SolverBackend::Dense || layout.n <= SMALL_DENSE || !(f0 > 0.0) {
-            return None;
-        }
-        let (t0, _) = self.ac_assemble(layout, op, f0);
-        SymbolicLu::analyze(&t0.to_csr()).ok().map(Arc::new)
-    }
-
-    /// Assembles and solves the complex MNA system at one frequency.
-    fn ac_solve_one(
+    /// Plans a sweep from frequency `f`'s assembled system (seeding the
+    /// sparse rung with `hint`) and solves `f` with the new plan. The
+    /// plan is `None` when planning failed; the error is then `f`'s.
+    fn ac_plan_first(
         &self,
         layout: &MnaLayout,
         op: Option<&DcOperatingPoint>,
         f: f64,
         backend: SolverBackend,
         hint: Option<&Arc<SymbolicLu>>,
+    ) -> (Option<SolvePlan>, Result<Vec<Complex64>>) {
+        let (t, rhs) = self.ac_assemble(layout, op, f);
+        let annotate = |e| crate::mna::annotate_singular(self, layout, e);
+        match SolvePlan::first(&t, backend, hint) {
+            Ok((plan, solver)) => {
+                let x = solver.and_then(|s| s.solve(&rhs)).map_err(annotate);
+                (Some(plan), x)
+            }
+            Err(e) => (None, Err(annotate(e))),
+        }
+    }
+
+    /// Assembles and solves frequency `f` with the sweep's plan. A sweep
+    /// whose plan failed plans every frequency afresh, so each one
+    /// reports its own failure, as a per-frequency build would.
+    fn ac_solve_planned(
+        &self,
+        layout: &MnaLayout,
+        op: Option<&DcOperatingPoint>,
+        f: f64,
+        plan: Option<&SolvePlan>,
+        backend: SolverBackend,
     ) -> Result<Vec<Complex64>> {
         let (t, rhs) = self.ac_assemble(layout, op, f);
         let annotate = |e| crate::mna::annotate_singular(self, layout, e);
-        let solver = Solver::build_with(&t, backend, hint).map_err(annotate)?;
+        let solver = match plan {
+            Some(plan) => plan.factor(&t),
+            None => Solver::build_with(&t, backend, None),
+        }
+        .map_err(annotate)?;
         solver.solve(&rhs).map_err(annotate)
     }
 
@@ -609,6 +622,16 @@ impl Circuit {
     }
 }
 
+/// A validated sweep's first frequency, which plans the sweep, and the
+/// frequencies after it.
+fn split_sweep(opts: &AcOptions) -> Result<(&f64, &[f64])> {
+    opts.freqs_hz
+        .split_first()
+        .ok_or_else(|| CircuitError::InvalidOptions {
+            what: "empty frequency list".to_owned(),
+        })
+}
+
 #[inline]
 fn stamp_admittance(
     t: &mut Triplets<Complex64>,
@@ -708,6 +731,214 @@ mod tests {
         let vv = res.voltage(v, 0).abs();
         let expected = 2.0 * std::f64::consts::PI * 1e9 * 0.4e-9;
         assert!((vv - expected).abs() / expected < 0.05, "v = {vv}");
+    }
+
+    /// An RC ladder of `n` nodes driven by a 1 A AC probe, with a
+    /// coupled inductor system from the first `k` nodes to ground whose
+    /// single off-diagonal pair is `m01` (the rest uncoupled): well past
+    /// the small-dense floor, and banded under `Auto`.
+    fn coupled_ladder(n: usize, k: usize, m01: f64) -> Circuit {
+        use ind101_numeric::Matrix;
+        let mut c = Circuit::new();
+        let nodes: Vec<NodeId> = (0..n).map(|i| c.node(format!("n{i}"))).collect();
+        c.isrc_ac(Circuit::GND, nodes[0], SourceWave::dc(0.0), 1.0);
+        for (i, w) in nodes.windows(2).enumerate() {
+            c.resistor(w[0], w[1], 2.0 + 0.1 * i as f64);
+            c.capacitor(w[1], Circuit::GND, 1e-13);
+        }
+        let mut m = Matrix::from_fn(k, k, |i, j| if i == j { 1e-9 } else { 0.0 });
+        m[(0, 1)] = m01;
+        m[(1, 0)] = m01;
+        c.add_inductor_system(crate::netlist::InductorSystem {
+            branches: nodes[..k].iter().map(|&nd| (nd, Circuit::GND)).collect(),
+            m,
+        })
+        .unwrap();
+        c
+    }
+
+    /// Sweep frequencies spanning four decades.
+    fn sweep() -> AcOptions {
+        AcOptions {
+            freqs_hz: vec![1e7, 3e8, 1e9, 4e9, 2e10],
+        }
+    }
+
+    /// Asserts one symbolic analysis for the whole call and one sparse
+    /// factorization per frequency, all on that analysis.
+    fn assert_planned_once(analyses: usize, factors: &[Arc<SymbolicLu>], nf: usize) {
+        assert_eq!(analyses, 1, "one SymbolicLu::analyze per sweep");
+        assert_eq!(factors.len(), nf, "one sparse factorization per frequency");
+        assert!(
+            factors.iter().all(|s| Arc::ptr_eq(s, &factors[0])),
+            "every frequency factors on the plan's symbolic analysis"
+        );
+    }
+
+    #[test]
+    fn plain_and_resilient_sweeps_analyze_once() {
+        let mut c = coupled_ladder(40, 20, 0.3e-9);
+        c.set_solver_backend(SolverBackend::Sparse);
+        let opts = sweep();
+        let cfg = ParallelConfig::serial();
+        let (plain, analyses, factors) =
+            crate::solver::probe::record(|| c.ac_sweep_with(&opts, &cfg).unwrap());
+        assert_planned_once(analyses, &factors, opts.freqs_hz.len());
+        let (res, analyses, factors) = crate::solver::probe::record(|| {
+            c.ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+                .unwrap()
+        });
+        assert_planned_once(analyses, &factors, opts.freqs_hz.len());
+        let out = NodeId(0);
+        for i in 0..opts.freqs_hz.len() {
+            assert!(plain.voltage(out, i) == res.ac.voltage(out, i));
+        }
+        // The server's hint source hands out the plan's analysis, and a
+        // sweep seeded with it analyzes nothing.
+        let hint = c.ac_symbolic(opts.freqs_hz[0]).unwrap();
+        let (_, analyses, factors) = crate::solver::probe::record(|| {
+            c.ac_sweep_resilient_with_symbolic(
+                &opts,
+                &cfg,
+                &ResilienceOptions::default(),
+                Some(Arc::clone(&hint)),
+            )
+            .unwrap()
+        });
+        assert_eq!(analyses, 0);
+        assert!(factors.iter().all(|s| Arc::ptr_eq(s, &hint)));
+    }
+
+    #[test]
+    fn stale_hint_is_replaced_by_the_plan_of_the_swept_pattern() {
+        let mut c = coupled_ladder(40, 20, 0.3e-9);
+        c.set_solver_backend(SolverBackend::Sparse);
+        let mut other = coupled_ladder(41, 20, 0.3e-9);
+        other.set_solver_backend(SolverBackend::Sparse);
+        let stale = other.ac_symbolic(1e9).unwrap();
+        let opts = sweep();
+        let cfg = ParallelConfig::serial();
+        let (res, analyses, factors) = crate::solver::probe::record(|| {
+            c.ac_sweep_resilient_with_symbolic(
+                &opts,
+                &cfg,
+                &ResilienceOptions::default(),
+                Some(Arc::clone(&stale)),
+            )
+            .unwrap()
+        });
+        assert_planned_once(analyses, &factors, opts.freqs_hz.len());
+        assert!(!Arc::ptr_eq(&factors[0], &stale));
+        let plain = c.ac_sweep_with(&opts, &cfg).unwrap();
+        for i in 0..opts.freqs_hz.len() {
+            assert!(plain.voltage(NodeId(3), i) == res.ac.voltage(NodeId(3), i));
+        }
+    }
+
+    #[test]
+    fn ac_symbolic_is_none_off_the_sparse_rung() {
+        // Auto plans the ladder banded: no symbolic analysis to hand out
+        // (and none is made) — unless `IND101_SOLVER_BACKEND` forces the
+        // sparse family onto `Auto`.
+        let c = coupled_ladder(40, 20, 0.3e-9);
+        let (sym, analyses, _) = crate::solver::probe::record(|| c.ac_symbolic(1e9));
+        let forced_sparse = SolverBackend::Auto.resolve() == SolverBackend::Sparse;
+        assert_eq!(sym.is_some(), forced_sparse);
+        assert_eq!(analyses, usize::from(forced_sparse));
+        let mut dense = coupled_ladder(40, 20, 0.3e-9);
+        dense.set_solver_backend(SolverBackend::Dense);
+        assert!(dense.ac_symbolic(1e9).is_none());
+        let mut sparse = coupled_ladder(40, 20, 0.3e-9);
+        sparse.set_solver_backend(SolverBackend::Sparse);
+        assert!(sparse.ac_symbolic(1e9).is_some());
+        assert!(sparse.ac_symbolic(0.0).is_none());
+    }
+
+    #[test]
+    fn underflowing_mutual_stamp_is_planned_again() {
+        // ω·M₀₁ is a subnormal at 1 GHz but underflows to an exact zero
+        // at 1 mHz, where `Triplets::push` drops the two stamps: that
+        // frequency's pattern is not the planned one.
+        let m01 = 5e-324;
+        let opts = AcOptions {
+            freqs_hz: vec![1e9, 1e-3, 5e8],
+        };
+        for backend in [
+            SolverBackend::Auto,
+            SolverBackend::Sparse,
+            SolverBackend::Dense,
+        ] {
+            let mut c = coupled_ladder(40, 20, m01);
+            c.set_solver_backend(backend);
+            let cfg = ParallelConfig::serial();
+            let (swept, analyses, factors) =
+                crate::solver::probe::record(|| c.ac_sweep_with(&opts, &cfg).unwrap());
+            if backend == SolverBackend::Sparse {
+                // The plan, plus one analysis of the underflowed pattern;
+                // the last frequency is back on the plan's analysis.
+                assert_eq!(analyses, 2);
+                assert!(!Arc::ptr_eq(&factors[0], &factors[1]));
+                assert!(Arc::ptr_eq(&factors[0], &factors[2]));
+            }
+            let resilient = c
+                .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+                .unwrap();
+            for (i, &f) in opts.freqs_hz.iter().enumerate() {
+                let fresh = c.ac_sweep(&AcOptions { freqs_hz: vec![f] }).unwrap();
+                for node in 0..40 {
+                    let v = fresh.voltage(NodeId(node), 0);
+                    assert!(swept.voltage(NodeId(node), i) == v, "{backend:?} f = {f}");
+                    assert!(
+                        resilient.ac.voltage(NodeId(node), i) == v,
+                        "{backend:?} f = {f}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_plan_is_reported_at_every_frequency() {
+        // Two voltage sources across the same node: their two rows share
+        // one column, so the pattern is structurally singular and a
+        // forced sparse plan fails. Every frequency reports the error a
+        // one-frequency sweep reports, under both thread counts.
+        let mut c = coupled_ladder(40, 20, 0.3e-9);
+        let n0 = NodeId(0);
+        c.vsrc_ac(n0, Circuit::GND, SourceWave::dc(0.0), 1.0);
+        c.vsrc_ac(n0, Circuit::GND, SourceWave::dc(0.0), 1.0);
+        let opts = sweep();
+        for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
+            c.set_solver_backend(backend);
+            for threads in [1, 3] {
+                let cfg = ParallelConfig::with_threads(threads);
+                let res = c
+                    .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+                    .unwrap();
+                assert_eq!(res.report.skipped_count(), opts.freqs_hz.len());
+                for (rec, &f) in res.report.frequencies.iter().zip(&opts.freqs_hz) {
+                    let alone = c.ac_sweep(&AcOptions { freqs_hz: vec![f] }).unwrap_err();
+                    assert_eq!(
+                        rec.status,
+                        FrequencyStatus::Skipped {
+                            error: alone.to_string()
+                        }
+                    );
+                }
+                let err = c.ac_sweep_with(&opts, &cfg).unwrap_err();
+                if backend == SolverBackend::Sparse {
+                    assert!(
+                        matches!(
+                            err,
+                            CircuitError::Numeric(
+                                ind101_numeric::NumericError::StructurallySingular { .. }
+                            )
+                        ),
+                        "{err:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * the preconditioner is an exact direct factorization of the same
 //!   MNA system with the overridden blocks reduced to their diagonal
 //!   `−jωL` stamps — sparse, frequency-dependent, and close enough to
-//!   the true matrix that GMRES converges in a handful of iterations;
+//!   the true matrix that GMRES converges in a handful of iterations.
+//!   Its pattern does not depend on the frequency, so the sweep plans
+//!   it once ([`crate::solver`]), from the first frequency whose plan
+//!   succeeds, and refactors it numerically per frequency;
 //! * frequencies are swept sequentially, each solve warm-started from
 //!   the previous frequency's solution (impedance varies smoothly in
 //!   `ω`, so the previous solution is an excellent initial guess).
@@ -34,13 +37,12 @@ use crate::resilience::{
     FailurePolicy, FrequencyRecovery, FrequencyStatus, RecoveryReport, ResilienceOptions,
     ResilientAcSweep,
 };
-use crate::solver::{Solver, SMALL_DENSE};
+use crate::solver::{SolvePlan, Solver, SolverBackend};
 use crate::Result;
 use ind101_numeric::{
     gmres, solve_with_rescue, Complex64, CsrMatrix, KrylovOptions, LinearOperator, Matrix,
-    NumericError, Preconditioner, RescueProvider, SolveGuard, SymbolicLu,
+    NumericError, Preconditioner, RescueProvider, SolveGuard, Triplets,
 };
-use std::sync::Arc;
 
 /// Tuning for the matrix-free AC sweep's Krylov solves.
 #[derive(Clone, Debug, PartialEq)]
@@ -164,9 +166,7 @@ impl Circuit {
 
         let mut data: Vec<Vec<Complex64>> = Vec::with_capacity(opts.freqs_hz.len());
         let mut prev: Option<Vec<Complex64>> = None;
-        // The preconditioner pattern is frequency-independent: reuse
-        // its symbolic factorization across the sweep.
-        let mut hint: Option<Arc<SymbolicLu>> = None;
+        let mut plan: Option<SolvePlan> = None;
         for &f in &opts.freqs_hz {
             let jw = Complex64::jomega(2.0 * std::f64::consts::PI * f);
             let (t_op, rhs) = self.ac_assemble_mode(
@@ -186,10 +186,7 @@ impl Circuit {
                 },
             );
             let annotate = |e| crate::mna::annotate_singular(self, &layout, e);
-            let solver = Solver::build_with(&t_pre, backend, hint.as_ref()).map_err(annotate)?;
-            if hint.is_none() && layout.n > SMALL_DENSE {
-                hint = solver.symbolic_hint();
-            }
+            let solver = factor_preconditioner(&mut plan, &t_pre, backend).map_err(annotate)?;
             let precond = SolverPreconditioner { solver };
             let operator = MnaAcOperator {
                 csr: t_op.to_csr(),
@@ -308,7 +305,7 @@ impl Circuit {
         let mut solutions: Vec<Option<Vec<Complex64>>> = Vec::with_capacity(opts.freqs_hz.len());
         let mut stopped: Option<String> = None;
         let mut prev: Option<Vec<Complex64>> = None;
-        let mut hint: Option<Arc<SymbolicLu>> = None;
+        let mut plan: Option<SolvePlan> = None;
 
         for &f in &opts.freqs_hz {
             if stopped.is_some() {
@@ -346,7 +343,7 @@ impl Circuit {
                 },
             );
             let annotate = |e| crate::mna::annotate_singular(self, &layout, e);
-            let solver = match Solver::build_with(&t_pre, backend, hint.as_ref()) {
+            let solver = match factor_preconditioner(&mut plan, &t_pre, backend) {
                 Ok(s) => s,
                 Err(e) => {
                     let err = annotate(e);
@@ -370,9 +367,6 @@ impl Circuit {
                     continue;
                 }
             };
-            if hint.is_none() && layout.n > SMALL_DENSE {
-                hint = solver.symbolic_hint();
-            }
             let precond = SolverPreconditioner { solver };
             let operator = MnaAcOperator {
                 csr: t_op.to_csr(),
@@ -463,6 +457,22 @@ impl Circuit {
     }
 }
 
+/// Factors one frequency's preconditioner system with the sweep's plan,
+/// planning it from this system when the sweep has none yet (the first
+/// frequency, or every frequency so far failed to plan).
+fn factor_preconditioner(
+    plan: &mut Option<SolvePlan>,
+    t_pre: &Triplets<Complex64>,
+    backend: SolverBackend,
+) -> Result<Solver<Complex64>> {
+    if let Some(plan) = plan {
+        return plan.factor(t_pre);
+    }
+    let (first, solver) = SolvePlan::first(t_pre, backend, None)?;
+    *plan = Some(first);
+    solver
+}
+
 fn not_attempted(freq_hz: f64) -> FrequencyRecovery {
     FrequencyRecovery {
         freq_hz,
@@ -501,6 +511,7 @@ mod tests {
     use crate::netlist::InductorSystem;
     use crate::waveform::SourceWave;
     use ind101_numeric::Matrix;
+    use std::sync::Arc;
 
     /// Dense L-matrix as an operator: the simplest override, used to
     /// check the matrix-free plumbing independent of FFT operators.
@@ -548,6 +559,38 @@ mod tests {
                 (a - b).abs() <= 1e-8 * a.abs().max(1e-12),
                 "f[{idx}]: {a:?} vs {b:?}"
             );
+        }
+    }
+
+    #[test]
+    fn preconditioner_is_planned_once_per_sweep() {
+        // 60 branches: 120 unknowns, past the small-dense floor.
+        let (mut c, m) = coupled_circuit(60);
+        c.set_solver_backend(SolverBackend::Sparse);
+        let opts = AcOptions {
+            freqs_hz: vec![1e8, 1e9, 5e9, 2e10],
+        };
+        let nf = opts.freqs_hz.len();
+        let ops = [(0usize, &m as &dyn LinearOperator<Complex64>)];
+        let mf = MatrixFreeAcOptions::default();
+        let (plain, analyses, factors) =
+            crate::solver::probe::record(|| c.ac_sweep_matrix_free(&opts, &ops, &mf).unwrap());
+        let (resilient, analyses_r, factors_r) = crate::solver::probe::record(|| {
+            c.ac_sweep_matrix_free_resilient(&opts, &ops, &mf, &ResilienceOptions::strict())
+                .unwrap()
+        });
+        for (analyses, factors) in [(analyses, factors), (analyses_r, factors_r)] {
+            assert_eq!(analyses, 1, "one SymbolicLu::analyze per sweep");
+            assert_eq!(
+                factors.len(),
+                nf,
+                "one preconditioner factorization per frequency"
+            );
+            assert!(factors.iter().all(|s| Arc::ptr_eq(s, &factors[0])));
+        }
+        for idx in 0..nf {
+            let node = crate::netlist::NodeId(5);
+            assert!(plain.voltage(node, idx) == resilient.ac.voltage(node, idx));
         }
     }
 

@@ -20,12 +20,16 @@
 //! honours the `IND101_SOLVER_BACKEND` environment variable so CI can
 //! run the whole suite under either family without code changes.
 //!
-//! The sparse backend splits factorization into a one-time **symbolic**
-//! phase (ordering + fill pattern) and a per-matrix **numeric** phase;
-//! callers that re-factor a fixed structure (transient stepping, Newton
-//! iterations, AC frequency points) pass the previous factorization's
-//! [`SymbolicLu`] back in via `build_with` so only the numeric phase
-//! re-runs.
+//! Every factorization is **plan, then factor**. A [`SolvePlan`] is the
+//! structural half of a solve, decided once per sparsity pattern: the
+//! rung, the RCM permutation and band of the banded rung, and the
+//! shared [`SymbolicLu`] of the sparse rung. [`SolvePlan::factor`] runs
+//! only the numeric phase on a matrix with the planned pattern, checked
+//! exactly once per call, and plans afresh any matrix whose pattern
+//! differs. One-shot callers (DC rungs, transient steps) go through
+//! [`Solver::build_with`], which plans and factors in one call and may
+//! seed the sparse rung with a previous build's [`SymbolicLu`]; AC
+//! sweeps keep the plan of their first frequency for the whole sweep.
 //!
 //! Robustness layer: the dense backend keeps the assembled matrix and a
 //! Hager 1-norm condition estimate; a solver built with
@@ -42,8 +46,8 @@
 
 use crate::Result;
 use ind101_numeric::{
-    bandwidth, reverse_cuthill_mckee, BandedMatrix, BtfForm, CsrMatrix, LuFactors, Matrix,
-    NumericError, Permutation, Scalar, SparseLu, SymbolicLu, Triplets,
+    bandwidth, reverse_cuthill_mckee, BandedMatrix, BtfForm, CsrMatrix, CsrPattern, LuFactors,
+    Matrix, NumericError, Permutation, Scalar, SparseLu, SymbolicLu, Triplets,
 };
 use std::sync::Arc;
 
@@ -131,6 +135,248 @@ impl SolverBackend {
     }
 }
 
+/// The structural half of a solve, decided once per sparsity pattern.
+///
+/// Planning runs the `Auto` rung decision (RCM bandwidth, density, BTF
+/// block sizes) — the only place it is made — and the structural setup
+/// of the chosen rung: the RCM permutation and band of the banded rung,
+/// the symbolic analysis of the sparse rung. [`SolvePlan::factor`] then
+/// runs only the numeric phase for each matrix with that pattern.
+#[derive(Clone, Debug)]
+pub(crate) struct SolvePlan {
+    /// Backend the plan was made under; a differing pattern is planned
+    /// again under the same one.
+    backend: SolverBackend,
+    rung: Rung,
+}
+
+/// The planned rung and its structural data.
+#[derive(Clone, Debug)]
+enum Rung {
+    /// Dense partial-pivot LU. `pattern` is the pattern `Auto` found
+    /// neither banded nor sparse enough; `None` when the size floor or a
+    /// forced dense backend chose dense whatever the pattern.
+    Dense { pattern: Option<CsrPattern> },
+    /// Banded LU in the RCM order `perm`, half-bandwidths `kl`/`ku`.
+    Banded {
+        pattern: CsrPattern,
+        perm: Permutation,
+        kl: usize,
+        ku: usize,
+    },
+    /// KLU-class sparse LU on a shared symbolic analysis (which keeps
+    /// the pattern it was made for). Under `Auto`, a singular static
+    /// pivot retries with dense partial pivoting.
+    Sparse {
+        sym: Arc<SymbolicLu>,
+        dense_retry: bool,
+    },
+}
+
+/// What the numeric phase made of one matrix under a plan.
+enum Numeric<T: Scalar> {
+    /// Factored (or failed to) under the plan.
+    Done(Result<Solver<T>>),
+    /// The matrix does not have the planned pattern; its CSR form is
+    /// handed back for planning.
+    Mismatch(CsrMatrix<T>),
+}
+
+impl SolvePlan {
+    /// Plans `t`'s pattern under `backend`, and factors `t` with the new
+    /// plan. A `hint` becomes the sparse rung's symbolic analysis when
+    /// it matches `t`'s pattern (a stale one is dropped and the pattern
+    /// analyzed afresh). `t` is converted to CSR at most once.
+    ///
+    /// # Errors
+    ///
+    /// The outer error is a failed plan (a structurally singular
+    /// pattern under a forced sparse backend); a plan whose first
+    /// factorization fails is returned with that error inside.
+    pub(crate) fn first<T: Scalar>(
+        t: &Triplets<T>,
+        backend: SolverBackend,
+        hint: Option<&Arc<SymbolicLu>>,
+    ) -> Result<(Self, Result<Solver<T>>)> {
+        Self::first_from(t, None, backend, hint)
+    }
+
+    /// Plans `t`'s pattern without factoring it.
+    ///
+    /// # Errors
+    ///
+    /// As the outer error of [`SolvePlan::first`].
+    pub(crate) fn new<T: Scalar>(t: &Triplets<T>, backend: SolverBackend) -> Result<Self> {
+        Self::plan(t, None, backend, None).map(|(plan, _)| plan)
+    }
+
+    /// Factors `t` under this plan: the numeric phase only when `t` has
+    /// the planned pattern. A matrix with another pattern — a stamp that
+    /// underflowed to an exact zero is dropped by `Triplets::push` — is
+    /// planned afresh, so the result is always the one a fresh
+    /// [`Solver::build_with`] would give.
+    pub(crate) fn factor<T: Scalar>(&self, t: &Triplets<T>) -> Result<Solver<T>> {
+        match self.numeric(t, None) {
+            Numeric::Done(solver) => solver,
+            Numeric::Mismatch(csr) => Self::first_from(t, Some(csr), self.backend, None)?.1,
+        }
+    }
+
+    /// The sparse rung's symbolic analysis; `None` on the dense and
+    /// banded rungs, which never consult one.
+    pub(crate) fn symbolic(&self) -> Option<&Arc<SymbolicLu>> {
+        match &self.rung {
+            Rung::Sparse { sym, .. } => Some(sym),
+            Rung::Dense { .. } | Rung::Banded { .. } => None,
+        }
+    }
+
+    fn first_from<T: Scalar>(
+        t: &Triplets<T>,
+        mut csr: Option<CsrMatrix<T>>,
+        backend: SolverBackend,
+        mut hint: Option<&Arc<SymbolicLu>>,
+    ) -> Result<(Self, Result<Solver<T>>)> {
+        loop {
+            let (plan, planned_csr) = Self::plan(t, csr, backend, hint)?;
+            match plan.numeric(t, planned_csr) {
+                Numeric::Done(solver) => return Ok((plan, solver)),
+                // Only a stale hint gets here, and only once: a plan
+                // made from `t`'s own pattern always matches it.
+                Numeric::Mismatch(c) => {
+                    csr = Some(c);
+                    hint = None;
+                }
+            }
+        }
+    }
+
+    /// The rung decision. Returns the CSR form of `t` when planning
+    /// built (or was given) one, for the first factorization to reuse.
+    fn plan<T: Scalar>(
+        t: &Triplets<T>,
+        csr: Option<CsrMatrix<T>>,
+        backend: SolverBackend,
+        hint: Option<&Arc<SymbolicLu>>,
+    ) -> Result<(Self, Option<CsrMatrix<T>>)> {
+        let n = t.nrows();
+        if n <= SMALL_DENSE || backend == SolverBackend::Dense {
+            let rung = Rung::Dense { pattern: None };
+            return Ok((Self { backend, rung }, csr));
+        }
+        let csr = csr.unwrap_or_else(|| t.to_csr());
+        let symbolic = || -> Result<Arc<SymbolicLu>> {
+            match hint {
+                Some(sym) => Ok(Arc::clone(sym)),
+                None => {
+                    #[cfg(test)]
+                    probe::note_analysis();
+                    Ok(Arc::new(SymbolicLu::analyze(&csr)?))
+                }
+            }
+        };
+        let rung = if backend == SolverBackend::Sparse {
+            Rung::Sparse {
+                sym: symbolic()?,
+                dense_retry: false,
+            }
+        } else {
+            // Structural analysis: RCM + bandwidth.
+            let perm = reverse_cuthill_mckee(&csr.adjacency());
+            let (kl, ku) = bandwidth(&csr_positions(&csr), &perm);
+            // Banded factorization costs ~ n·(kl+ku)²; dense ~ n³/3.
+            // Prefer banded when the band is comfortably below n.
+            if (kl + ku + 1) * 3 < n {
+                Rung::Banded {
+                    pattern: CsrPattern::of(&csr),
+                    perm,
+                    kl,
+                    ku,
+                }
+            } else if csr.density() <= SPARSE_DENSITY || btf_prefers_sparse(&csr) {
+                // Wide-band but sparse pattern — or a denser pattern
+                // whose BTF decomposes into small independent blocks:
+                // the sparse direct kernel. A *structurally* singular
+                // pattern plans dense, so the error the caller sees
+                // names a numeric pivot, as the dense oracle always has.
+                match symbolic() {
+                    Ok(sym) => Rung::Sparse {
+                        sym,
+                        dense_retry: true,
+                    },
+                    Err(crate::CircuitError::Numeric(NumericError::StructurallySingular {
+                        ..
+                    })) => Rung::Dense {
+                        pattern: Some(CsrPattern::of(&csr)),
+                    },
+                    Err(e) => return Err(e),
+                }
+            } else {
+                Rung::Dense {
+                    pattern: Some(CsrPattern::of(&csr)),
+                }
+            }
+        };
+        Ok((Self { backend, rung }, Some(csr)))
+    }
+
+    /// The numeric phase of one matrix, with one pattern check.
+    fn numeric<T: Scalar>(&self, t: &Triplets<T>, csr: Option<CsrMatrix<T>>) -> Numeric<T> {
+        #[cfg(feature = "solver-faults")]
+        if let Some(pivot) = crate::faults::take_singular_pivot() {
+            return Numeric::Done(Err(NumericError::Singular { pivot }.into()));
+        }
+        let pattern = match &self.rung {
+            Rung::Dense { pattern: None } => return Numeric::Done(Solver::build_dense(t)),
+            Rung::Dense { pattern: Some(p) } | Rung::Banded { pattern: p, .. } => Some(p),
+            Rung::Sparse { .. } => None,
+        };
+        let csr = csr.unwrap_or_else(|| t.to_csr());
+        if pattern.is_some_and(|p| !p.matches(&csr)) {
+            return Numeric::Mismatch(csr);
+        }
+        Numeric::Done(match &self.rung {
+            Rung::Dense { .. } => Solver::build_dense(t),
+            Rung::Banded { perm, kl, ku, .. } => Solver::build_banded(t, perm, *kl, *ku),
+            Rung::Sparse { sym, dense_retry } => {
+                // `factor_with` is the sparse rung's pattern check.
+                match SparseLu::factor_with(Arc::clone(sym), &csr) {
+                    Ok(lu) => {
+                        #[cfg(test)]
+                        probe::note_sparse_factor(sym);
+                        Ok(Solver::Sparse { lu, a: csr })
+                    }
+                    Err(NumericError::PatternMismatch { .. }) => return Numeric::Mismatch(csr),
+                    // A static-pivot singularity is not proof of a
+                    // singular matrix, so `Auto` retries densely
+                    // (partial pivoting) before giving up.
+                    Err(NumericError::Singular { .. }) if *dense_retry => Solver::build_dense(t),
+                    Err(e) => Err(e.into()),
+                }
+            }
+        })
+    }
+}
+
+/// Every stored `(row, col)` position of `csr`.
+fn csr_positions<T: Scalar>(csr: &CsrMatrix<T>) -> Vec<(usize, usize)> {
+    (0..csr.nrows())
+        .flat_map(|i| csr.row_iter(i).map(move |(j, _)| (i, j)))
+        .collect()
+}
+
+/// BTF-structure clause of the `Auto` heuristic: `true` when the
+/// pattern decomposes into irreducible blocks small enough (largest ≤
+/// `dim / BTF_SMALL_BLOCK_DIVISOR`) that block-by-block factorization
+/// beats a dense solve regardless of density. An unmatchable
+/// (structurally singular) pattern reports `false` and lets the dense
+/// path produce the canonical pivot error.
+fn btf_prefers_sparse<T: Scalar>(csr: &CsrMatrix<T>) -> bool {
+    BtfForm::analyze(csr)
+        .map(|f| f.max_block_dim() * BTF_SMALL_BLOCK_DIVISOR <= f.dim())
+        .unwrap_or(false)
+}
+
 /// A factored linear system `A·x = b`.
 #[derive(Clone, Debug)]
 pub(crate) enum Solver<T: Scalar> {
@@ -167,91 +413,40 @@ impl<T: Scalar> Solver<T> {
         Self::build_with(t, SolverBackend::Auto, None)
     }
 
-    /// Factors under an explicit backend choice, optionally reusing a
-    /// sparse symbolic factorization from a previous same-pattern build
-    /// (the hint is validated and silently ignored on mismatch).
+    /// Plans and factors under an explicit backend choice, optionally
+    /// reusing a sparse symbolic factorization from a previous
+    /// same-pattern build (a stale hint is dropped and the pattern
+    /// analyzed afresh).
     pub(crate) fn build_with(
         t: &Triplets<T>,
         backend: SolverBackend,
         hint: Option<&Arc<SymbolicLu>>,
     ) -> Result<Self> {
-        #[cfg(feature = "solver-faults")]
-        if let Some(pivot) = crate::faults::take_singular_pivot() {
-            return Err(NumericError::Singular { pivot }.into());
-        }
-        let n = t.nrows();
-        if n <= SMALL_DENSE {
-            return Self::build_dense(t);
-        }
-        match backend {
-            SolverBackend::Dense => return Self::build_dense(t),
-            SolverBackend::Sparse => return Self::build_sparse(t.to_csr(), hint),
-            SolverBackend::Auto => {}
-        }
-        // Structural analysis: RCM + bandwidth.
-        let csr = t.to_csr();
-        let adj = csr.adjacency();
-        let perm = reverse_cuthill_mckee(&adj);
-        let pattern: Vec<(usize, usize)> = t.entries().iter().map(|&(i, j, _)| (i, j)).collect();
-        let (kl, ku) = bandwidth(&pattern, &perm);
-        // Banded factorization costs ~ n·(kl+ku)²; dense ~ n³/3.
-        // Prefer banded when the band is comfortably below n.
-        let band = kl + ku + 1;
-        if band * 3 < n {
-            let mut pt = Triplets::new(n, n);
-            for &(i, j, v) in t.entries() {
-                pt.push(perm.new_of(i), perm.new_of(j), v);
-            }
-            let mut fac = BandedMatrix::from_triplets(&pt, kl, ku)?;
-            if let Err(e) = fac.factor() {
-                // Pivot indices inside the banded kernel live in RCM
-                // coordinates; translate back before reporting.
-                return Err(match e {
-                    NumericError::Singular { pivot } => NumericError::Singular {
-                        pivot: perm.old_of(pivot),
-                    }
-                    .into(),
-                    other => other.into(),
-                });
-            }
-            Ok(Self::Banded { fac, perm })
-        } else if csr.density() <= SPARSE_DENSITY || Self::btf_prefers_sparse(&csr) {
-            // Wide-band but sparse pattern — or a denser pattern whose
-            // BTF decomposes into small independent blocks: the sparse
-            // direct kernel. A static-pivot singularity is not proof of
-            // a singular matrix, so Auto retries densely (partial
-            // pivoting) before giving up; a *structurally* singular
-            // pattern also retries densely so the error the caller sees
-            // names a numeric pivot, as the dense oracle always has.
-            match Self::build_sparse(csr, hint) {
-                Err(crate::CircuitError::Numeric(
-                    NumericError::Singular { .. } | NumericError::StructurallySingular { .. },
-                )) => Self::build_dense(t),
-                other => other,
-            }
-        } else {
-            Self::build_dense(t)
-        }
+        SolvePlan::first(t, backend, hint)?.1
     }
 
-    /// BTF-structure clause of the `Auto` heuristic: `true` when the
-    /// pattern decomposes into irreducible blocks small enough
-    /// (largest ≤ `dim / BTF_SMALL_BLOCK_DIVISOR`) that block-by-block
-    /// factorization beats a dense solve regardless of density. An
-    /// unmatchable (structurally singular) pattern reports `false` and
-    /// lets the dense path produce the canonical pivot error.
-    fn btf_prefers_sparse(csr: &CsrMatrix<T>) -> bool {
-        BtfForm::analyze(csr)
-            .map(|f| f.max_block_dim() * BTF_SMALL_BLOCK_DIVISOR <= f.dim())
-            .unwrap_or(false)
-    }
-
-    fn build_sparse(csr: CsrMatrix<T>, hint: Option<&Arc<SymbolicLu>>) -> Result<Self> {
-        let lu = match hint {
-            Some(sym) if sym.matches(&csr) => SparseLu::factor_with(Arc::clone(sym), &csr)?,
-            _ => SparseLu::factor(&csr)?,
-        };
-        Ok(Self::Sparse { lu, a: csr })
+    /// Banded LU of `t` in the RCM order `perm`.
+    fn build_banded(t: &Triplets<T>, perm: &Permutation, kl: usize, ku: usize) -> Result<Self> {
+        let mut pt = Triplets::new(t.nrows(), t.ncols());
+        for &(i, j, v) in t.entries() {
+            pt.push(perm.new_of(i), perm.new_of(j), v);
+        }
+        let mut fac = BandedMatrix::from_triplets(&pt, kl, ku)?;
+        if let Err(e) = fac.factor() {
+            // Pivot indices inside the banded kernel live in RCM
+            // coordinates; translate back before reporting.
+            return Err(match e {
+                NumericError::Singular { pivot } => NumericError::Singular {
+                    pivot: perm.old_of(pivot),
+                }
+                .into(),
+                other => other.into(),
+            });
+        }
+        Ok(Self::Banded {
+            fac,
+            perm: perm.clone(),
+        })
     }
 
     fn build_dense(t: &Triplets<T>) -> Result<Self> {
@@ -348,6 +543,43 @@ impl<T: Scalar> Solver<T> {
 #[allow(dead_code)]
 pub(crate) fn to_dense<T: Scalar>(t: &Triplets<T>) -> Matrix<T> {
     t.to_dense()
+}
+
+/// Test-only log of the structural work done on the calling thread, so
+/// sweep tests can assert one symbolic analysis per sweep and one shared
+/// `Arc` across its frequencies.
+#[cfg(test)]
+pub(crate) mod probe {
+    use super::{Arc, SymbolicLu};
+    use std::cell::RefCell;
+
+    #[derive(Default)]
+    struct Log {
+        analyses: usize,
+        sparse_factors: Vec<Arc<SymbolicLu>>,
+    }
+
+    thread_local! {
+        static LOG: RefCell<Log> = RefCell::default();
+    }
+
+    pub(crate) fn note_analysis() {
+        LOG.with(|l| l.borrow_mut().analyses += 1);
+    }
+
+    pub(crate) fn note_sparse_factor(sym: &Arc<SymbolicLu>) {
+        LOG.with(|l| l.borrow_mut().sparse_factors.push(Arc::clone(sym)));
+    }
+
+    /// Runs `f` and returns its result with the `SymbolicLu::analyze`
+    /// calls planning made meanwhile and the symbolic analysis behind
+    /// each sparse factorization, in order.
+    pub(crate) fn record<R>(f: impl FnOnce() -> R) -> (R, usize, Vec<Arc<SymbolicLu>>) {
+        LOG.with(|l| *l.borrow_mut() = Log::default());
+        let r = f();
+        let log = LOG.with(|l| std::mem::take(&mut *l.borrow_mut()));
+        (r, log.analyses, log.sparse_factors)
+    }
 }
 
 #[cfg(test)]

@@ -80,6 +80,14 @@ pub enum NumericError {
         /// Dimension of the system.
         dim: usize,
     },
+    /// A numeric refactorization was handed a matrix whose sparsity
+    /// pattern is not the one its symbolic analysis was made for.
+    PatternMismatch {
+        /// Stored entries of the analyzed pattern.
+        expected_nnz: usize,
+        /// Stored entries of the matrix supplied.
+        found_nnz: usize,
+    },
     /// The solve was cooperatively cancelled via a
     /// [`crate::CancelToken`].
     Cancelled,
@@ -125,6 +133,14 @@ impl fmt::Display for NumericError {
             Self::StructurallySingular { row, matched, dim } => write!(
                 f,
                 "matrix is structurally singular: row {row} unmatched ({matched}/{dim} rows matched)"
+            ),
+            Self::PatternMismatch {
+                expected_nnz,
+                found_nnz,
+            } => write!(
+                f,
+                "sparsity pattern differs from the symbolic analysis \
+                 ({found_nnz} stored entries, analysis made for {expected_nnz})"
             ),
             Self::Cancelled => write!(f, "solve cancelled"),
             Self::BudgetExceeded { what } => {

@@ -90,7 +90,7 @@ pub use ordering::{bandwidth, reverse_cuthill_mckee, Permutation};
 pub use partition::ParallelConfig;
 pub use qr::{mgs_orthonormalize, orthonormalize_against};
 pub use scalar::Scalar;
-pub use sparse::{CsrMatrix, Triplets};
+pub use sparse::{CsrMatrix, CsrPattern, Triplets};
 pub use sparse_lu::{SparseLu, SparseLuStats, SymbolicLu};
 pub use supernode::SupernodePartition;
 pub use toeplitz::ToeplitzOperator2D;

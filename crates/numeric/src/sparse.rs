@@ -65,31 +65,53 @@ impl<T: Scalar> Triplets<T> {
         &self.entries
     }
 
-    /// Converts to CSR, merging duplicate coordinates by summation.
+    /// Converts to CSR, merging duplicate coordinates by summation in
+    /// push order.
+    ///
+    /// A stable counting sort buckets the entries by row; each row is
+    /// then stably sorted by column (most MNA rows arrive sorted and
+    /// skip the sort). That is `O(nnz + nrows)` plus the per-row sorts,
+    /// where one sort of every `(row, col)` key costs `O(nnz·log nnz)`.
+    /// Both orders keep duplicates in push order, so the sums — and
+    /// every output bit — are the same as a stable `(row, col)` sort's.
     pub fn to_csr(&self) -> CsrMatrix<T> {
-        let mut sorted = self.entries.clone();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
-        let mut counts = vec![0usize; self.nrows + 1];
-        let mut indices = Vec::with_capacity(sorted.len());
-        let mut data: Vec<T> = Vec::with_capacity(sorted.len());
-        let mut prev: Option<(usize, usize)> = None;
-        for &(r, c, v) in &sorted {
-            if prev == Some((r, c)) {
-                // Sorted order guarantees duplicates are adjacent, so a
-                // prior entry always exists here.
-                if let Some(last) = data.last_mut() {
-                    *last += v;
-                }
-            } else {
-                indices.push(c);
-                data.push(v);
-                counts[r + 1] += 1;
-                prev = Some((r, c));
-            }
+        let mut start = vec![0usize; self.nrows + 1];
+        for &(r, _, _) in &self.entries {
+            start[r + 1] += 1;
         }
-        let mut indptr = counts;
         for r in 0..self.nrows {
-            indptr[r + 1] += indptr[r];
+            start[r + 1] += start[r];
+        }
+        let mut fill = start.clone();
+        let mut by_row = vec![(0usize, T::zero()); self.entries.len()];
+        for &(r, c, v) in &self.entries {
+            by_row[fill[r]] = (c, v);
+            fill[r] += 1;
+        }
+        let mut indptr = Vec::with_capacity(self.nrows + 1);
+        let mut indices = Vec::with_capacity(by_row.len());
+        let mut data: Vec<T> = Vec::with_capacity(by_row.len());
+        indptr.push(0);
+        for r in 0..self.nrows {
+            let row = &mut by_row[start[r]..start[r + 1]];
+            if !row.is_sorted_by_key(|&(c, _)| c) {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            let mut prev = None;
+            for &(c, v) in row.iter() {
+                if prev == Some(c) {
+                    // Sorted order guarantees duplicates are adjacent, so
+                    // a prior entry always exists here.
+                    if let Some(last) = data.last_mut() {
+                        *last += v;
+                    }
+                } else {
+                    indices.push(c);
+                    data.push(v);
+                    prev = Some(c);
+                }
+            }
+            indptr.push(indices.len());
         }
         CsrMatrix {
             nrows: self.nrows,
@@ -249,6 +271,42 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 }
 
+/// The structure of a CSR matrix without its values: row pointers and
+/// column indices.
+///
+/// Structural work that is cached and reused — a sparse LU's symbolic
+/// analysis, a solve plan's backend decision — keeps the pattern it
+/// was made for and compares it exactly against each new matrix, so a
+/// cache never trusts a hash of the pattern.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CsrPattern {
+    ncols: usize,
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+}
+
+impl CsrPattern {
+    /// The pattern of `a`.
+    pub fn of<T: Scalar>(a: &CsrMatrix<T>) -> Self {
+        Self {
+            ncols: a.ncols,
+            indptr: a.indptr.clone(),
+            indices: a.indices.clone(),
+        }
+    }
+
+    /// Number of stored (structural) entries.
+    pub fn nnz(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Whether `a` has exactly this pattern: the same shape, row
+    /// pointers and column indices (`O(nnz)`, no allocation).
+    pub fn matches<T: Scalar>(&self, a: &CsrMatrix<T>) -> bool {
+        a.ncols == self.ncols && a.indptr == self.indptr && a.indices == self.indices
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +322,14 @@ mod tests {
         assert_eq!(a.get(0, 0), 3.5);
         assert_eq!(a.get(1, 1), -1.0);
         assert_eq!(a.get(0, 1), 0.0);
+        // Summed in push order, (1 + 1e16) − 1e16 = 0 in f64; summed in
+        // reverse, (−1e16 + 1e16) + 1 = 1.
+        let mut t = Triplets::new(2, 2);
+        t.push(1, 1, 1.0);
+        t.push(1, 0, 2.0);
+        t.push(1, 1, 1e16);
+        t.push(1, 1, -1e16);
+        assert_eq!(t.to_csr().get(1, 1), 0.0);
     }
 
     #[test]
@@ -358,6 +424,121 @@ mod tests {
         assert_eq!(csr.get(0, 0), 0.0);
         assert!(csr.contains(0, 0));
         assert!(!csr.contains(0, 1));
+    }
+
+    /// Oracle: one stable sort of every triplet by `(row, col)`, then a
+    /// left-to-right merge of duplicates.
+    fn to_csr_by_stable_sort<T: Scalar>(t: &Triplets<T>) -> CsrMatrix<T> {
+        let mut sorted = t.entries().to_vec();
+        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        let mut indptr = vec![0usize; t.nrows() + 1];
+        let mut indices = Vec::new();
+        let mut data: Vec<T> = Vec::new();
+        let mut prev = None;
+        for (r, c, v) in sorted {
+            if prev == Some((r, c)) {
+                *data.last_mut().unwrap() += v;
+            } else {
+                indices.push(c);
+                data.push(v);
+                indptr[r + 1] += 1;
+                prev = Some((r, c));
+            }
+        }
+        for r in 0..t.nrows() {
+            indptr[r + 1] += indptr[r];
+        }
+        CsrMatrix {
+            nrows: t.nrows(),
+            ncols: t.ncols(),
+            indptr,
+            indices,
+            data,
+        }
+    }
+
+    /// Random triplets with many duplicates whose magnitudes span 32
+    /// decades, so any change in summation order changes the sums.
+    fn random_triplets(seed: u64, nrows: usize, ncols: usize, len: usize) -> Triplets<f64> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut t = Triplets::new(nrows, ncols);
+        for _ in 0..len {
+            // Few distinct columns per row, so duplicates are common.
+            let r = (next() % nrows as u64) as usize;
+            let c = (next() % ncols.min(4 + (next() % 9) as usize) as u64) as usize;
+            let mag = 10f64.powi((next() % 33) as i32 - 16);
+            let sign = if next() % 2 == 0 { 1.0 } else { -1.0 };
+            t.push(r, c, sign * mag * (1.0 + (next() % 1000) as f64 / 997.0));
+        }
+        t
+    }
+
+    fn assert_bitwise_equal<T: Scalar>(
+        got: &CsrMatrix<T>,
+        want: &CsrMatrix<T>,
+        bits: impl Fn(&T) -> Vec<u64>,
+    ) {
+        assert_eq!(got.indptr, want.indptr);
+        assert_eq!(got.indices, want.indices);
+        let g: Vec<Vec<u64>> = got.data.iter().map(&bits).collect();
+        let w: Vec<Vec<u64>> = want.data.iter().map(&bits).collect();
+        assert_eq!(g, w);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn to_csr_is_bitwise_the_stable_sort(
+            seed in 0u64..1_000_000,
+            nrows in 1usize..40,
+            ncols in 1usize..40,
+            len in 0usize..400,
+        ) {
+            let t = random_triplets(seed, nrows, ncols, len);
+            assert_bitwise_equal(&t.to_csr(), &to_csr_by_stable_sort(&t), |v| vec![v.to_bits()]);
+            // The same positions over complex values.
+            let mut tc: Triplets<crate::Complex64> = Triplets::new(nrows, ncols);
+            for (k, &(r, c, v)) in t.entries().iter().enumerate() {
+                tc.push(r, c, crate::Complex64::new(v, v * (k as f64 - 7.5)));
+            }
+            assert_bitwise_equal(&tc.to_csr(), &to_csr_by_stable_sort(&tc), |z| {
+                vec![z.re.to_bits(), z.im.to_bits()]
+            });
+        }
+    }
+
+    #[test]
+    fn pattern_matches_only_the_same_structure() {
+        let mut t = Triplets::new(3, 3);
+        t.push(0, 0, 1.0);
+        t.push(1, 2, 2.0);
+        t.push(2, 1, 3.0);
+        let a = t.to_csr();
+        let p = CsrPattern::of(&a);
+        assert_eq!(p.nnz(), 3);
+        // Same positions, other values: a match.
+        let mut t2 = Triplets::new(3, 3);
+        for &(r, c, v) in t.entries() {
+            t2.push(r, c, -v);
+        }
+        assert!(p.matches(&t2.to_csr()));
+        // Same nnz and row counts, one column moved: no match.
+        let mut t3 = Triplets::new(3, 3);
+        t3.push(0, 0, 1.0);
+        t3.push(1, 1, 2.0);
+        t3.push(2, 1, 3.0);
+        assert!(!p.matches(&t3.to_csr()));
+        // Same entries, one more column: no match.
+        let mut t4 = Triplets::new(3, 4);
+        for &(r, c, v) in t.entries() {
+            t4.push(r, c, v);
+        }
+        assert!(!p.matches(&t4.to_csr()));
     }
 
     #[test]

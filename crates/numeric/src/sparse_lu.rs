@@ -44,33 +44,13 @@ use crate::budget::{BudgetError, SolveBudget, SolveGuard};
 use crate::ordering::Permutation;
 use crate::partition::{collect_row_blocks, uniform_row_blocks, ParallelConfig};
 use crate::scalar::Scalar;
-use crate::sparse::CsrMatrix;
+use crate::sparse::{CsrMatrix, CsrPattern};
 use crate::supernode::{factor_supernodal, BlockFactorError, SupernodePartition};
 use crate::{NumericError, Result};
 use std::sync::Arc;
 
 /// Sentinel for "no next column" in the symbolic merge list.
 const NONE: usize = usize::MAX;
-
-/// Structural fingerprint of a CSR pattern: (nnz, FNV-1a over the row
-/// pointers and column indices). Used to decide whether a cached
-/// symbolic factorization applies to a new matrix.
-fn pattern_key<T: Scalar>(a: &CsrMatrix<T>) -> (usize, u64) {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: usize| {
-        for b in (x as u64).to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for &p in a.indptr() {
-        eat(p);
-    }
-    for &c in a.indices() {
-        eat(c);
-    }
-    (a.nnz(), h)
-}
 
 /// Structural statistics of a symbolic factorization — the quantities
 /// that predict numeric-phase cost and are reported by the
@@ -147,7 +127,8 @@ enum SymRepr {
 #[derive(Clone, Debug)]
 pub struct SymbolicLu {
     n: usize,
-    key: (usize, u64),
+    /// The analyzed pattern, compared exactly by [`SymbolicLu::matches`].
+    pattern: CsrPattern,
     repr: SymRepr,
 }
 
@@ -155,10 +136,24 @@ pub struct SymbolicLu {
 /// ascending): returns the exact `(l_cols, u_cols)` fill pattern of a
 /// static-pivot LU in the given order. `u_cols` rows lead with the
 /// diagonal, which is inserted if structurally absent.
+///
+/// Row `i` starts from its own pattern and, for every `L(i, j)` in
+/// ascending `j`, merges in `U(j, j+1..)`. Eisenstat–Liu symmetric
+/// pruning shortens those merges: once a row `k` finds both `L(k, j)`
+/// and `U(j, k)` nonzero, row `k` already holds `U(j, k+1..)`, and any
+/// later row that merges `U(j, ..=k)` picks up `k` and so merges row
+/// `k` in turn. Later rows therefore merge only `U(j, j+1..=k)`. The
+/// patterns come out the same; the work falls from the flop count
+/// towards the size of the factors on structurally symmetric blocks.
 fn symbolic_merge(rows_p: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let n = rows_p.len();
     let mut l_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
     let mut u_cols: Vec<Vec<usize>> = Vec::with_capacity(n);
+    // Per row `j`: how many leading entries of `u_cols[j]` (diagonal
+    // included) later rows merge, and whether that length is already
+    // pruned. Unpruned rows merge all of `u_cols[j]`.
+    let mut merge_len: Vec<usize> = Vec::with_capacity(n);
+    let mut pruned = vec![false; n];
     // Sorted singly-linked merge list over column indices; rebuilt
     // per row, so no reset pass is needed.
     let mut next = vec![NONE; n + 1];
@@ -191,14 +186,14 @@ fn symbolic_merge(rows_p: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
         }
 
         // Traverse: every list column below the diagonal is an L
-        // entry whose row of U merges in behind it.
+        // entry whose (pruned) row of U merges in behind it.
         let mut lc = Vec::new();
         let mut j = head;
         while j != NONE && j < i {
             lc.push(j);
             let mut prev = j;
             let mut cursor = next[j];
-            for &c in &u_cols[j][1..] {
+            for &c in &u_cols[j][1..merge_len[j]] {
                 while cursor != NONE && cursor < c {
                     prev = cursor;
                     cursor = next[cursor];
@@ -220,6 +215,17 @@ fn symbolic_merge(rows_p: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
             j = next[j];
         }
         debug_assert_eq!(uc.first().copied(), Some(i), "diagonal must lead U row");
+        // Prune every row `j` with `L(i, j)` and `U(j, i)` both nonzero,
+        // the first time such an `i` appears.
+        for &j in &lc {
+            if !pruned[j] {
+                if let Ok(p) = u_cols[j].binary_search(&i) {
+                    merge_len[j] = p + 1;
+                    pruned[j] = true;
+                }
+            }
+        }
+        merge_len.push(uc.len());
         l_cols.push(lc);
         u_cols.push(uc);
     }
@@ -474,7 +480,7 @@ impl SymbolicLu {
         };
         Ok(Self {
             n,
-            key: pattern_key(a),
+            pattern: CsrPattern::of(a),
             repr: SymRepr::Klu(KluSym {
                 rperm: Permutation::from_forward(rfor)?,
                 cperm: Permutation::from_forward(cfor)?,
@@ -546,7 +552,7 @@ impl SymbolicLu {
         let (l_cols, u_cols) = symbolic_merge(&rows_p);
         Ok(Self {
             n,
-            key: pattern_key(a),
+            pattern: CsrPattern::of(a),
             repr: SymRepr::Reference(RefSym {
                 perm,
                 l_cols,
@@ -599,11 +605,12 @@ impl SymbolicLu {
         }
     }
 
-    /// Whether this symbolic factorization applies to `a` (identical
-    /// structural pattern). Matching is by dimension + nnz + a pattern
-    /// hash, so it is O(nnz) with no allocation.
+    /// Whether this symbolic factorization applies to `a`: its row
+    /// pointers and column indices equal the analyzed pattern's,
+    /// compared exactly (`O(nnz)`, no allocation), so a pattern that
+    /// merely hashes alike is never accepted.
     pub fn matches<T: Scalar>(&self, a: &CsrMatrix<T>) -> bool {
-        a.nrows() == self.n && a.ncols() == self.n && pattern_key(a) == self.key
+        self.pattern.matches(a)
     }
 }
 
@@ -790,9 +797,9 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// # Errors
     ///
-    /// [`NumericError::DimensionMismatch`] if `a`'s pattern differs from
-    /// the one `sym` was analyzed on; [`NumericError::Singular`] on a
-    /// zero/non-finite pivot.
+    /// [`NumericError::PatternMismatch`] if `a`'s pattern differs from
+    /// the one `sym` was analyzed on (the only pattern check of the
+    /// call); [`NumericError::Singular`] on a zero/non-finite pivot.
     pub fn factor_with(sym: Arc<SymbolicLu>, a: &CsrMatrix<T>) -> Result<Self> {
         Self::factor_with_budget(sym, a, &SolveBudget::unlimited(), &ParallelConfig::default())
     }
@@ -868,9 +875,9 @@ impl<T: Scalar> SparseLu<T> {
         cfg: &ParallelConfig,
     ) -> Result<()> {
         if !self.sym.matches(a) {
-            return Err(NumericError::DimensionMismatch {
-                expected: self.sym.key.0,
-                found: a.nnz(),
+            return Err(NumericError::PatternMismatch {
+                expected_nnz: self.sym.pattern.nnz(),
+                found_nnz: a.nnz(),
             });
         }
         let sym = Arc::clone(&self.sym);
@@ -1111,6 +1118,143 @@ mod tests {
         let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
         assert!(!sym.matches(&b));
         assert!(SparseLu::factor_with(sym, &b).is_err());
+    }
+
+    #[test]
+    fn same_size_pattern_with_one_entry_moved_is_rejected() {
+        // Same dimension, same nnz, same row counts: only the column of
+        // one off-diagonal pair differs. The exact comparison refuses it
+        // with the typed mismatch, before any numeric work.
+        let a = grid_laplacian(6, 6);
+        let mut moved = Triplets::new(a.nrows(), a.ncols());
+        for &(i, j, v) in a.entries() {
+            let j = match (i, j) {
+                (0, 1) => 2,
+                _ => j,
+            };
+            moved.push(i, j, v);
+        }
+        let (a, moved) = (a.to_csr(), moved.to_csr());
+        assert_eq!(a.nnz(), moved.nnz());
+        assert_eq!(a.indptr(), moved.indptr());
+        let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
+        assert!(sym.matches(&a));
+        assert!(!sym.matches(&moved));
+        match SparseLu::factor_with(Arc::clone(&sym), &moved) {
+            Err(NumericError::PatternMismatch {
+                expected_nnz,
+                found_nnz,
+            }) => assert_eq!((expected_nnz, found_nnz), (a.nnz(), moved.nnz())),
+            other => panic!("expected PatternMismatch, got {other:?}"),
+        }
+        let mut lu = SparseLu::factor_with(sym, &a).unwrap();
+        assert!(matches!(
+            lu.refactor(&moved),
+            Err(NumericError::PatternMismatch { .. })
+        ));
+    }
+
+    /// Oracle for [`symbolic_merge`]: dense boolean Gaussian elimination
+    /// in the given order (diagonal always present), no pruning.
+    fn dense_fill(rows_p: &[Vec<usize>]) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let n = rows_p.len();
+        let mut b = vec![vec![false; n]; n];
+        for (i, row) in rows_p.iter().enumerate() {
+            b[i][i] = true;
+            for &c in row {
+                b[i][c] = true;
+            }
+        }
+        for k in 0..n {
+            for i in k + 1..n {
+                if b[i][k] {
+                    for j in k + 1..n {
+                        if b[k][j] {
+                            b[i][j] = true;
+                        }
+                    }
+                }
+            }
+        }
+        let l = (0..n)
+            .map(|i| (0..i).filter(|&j| b[i][j]).collect())
+            .collect();
+        let u = (0..n)
+            .map(|i| (i..n).filter(|&j| b[i][j]).collect())
+            .collect();
+        (l, u)
+    }
+
+    /// Random sorted structural rows: each off-diagonal position is
+    /// present with probability `density`, mirrored across the diagonal
+    /// when `symmetric`; each diagonal is present with probability 1/2.
+    fn random_rows(seed: u64, n: usize, density: f64, symmetric: bool) -> Vec<Vec<usize>> {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut coin = move |p: f64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            ((s >> 11) as f64) / ((1u64 << 53) as f64) < p
+        };
+        let mut b = vec![vec![false; n]; n];
+        for i in 0..n {
+            b[i][i] = coin(0.5);
+            for j in 0..n {
+                if i != j && (!symmetric || j > i) && coin(density) {
+                    b[i][j] = true;
+                    if symmetric {
+                        b[j][i] = true;
+                    }
+                }
+            }
+        }
+        b.iter()
+            .map(|row| (0..n).filter(|&j| row[j]).collect())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pruned_merge_matches_dense_elimination(
+            seed in 0u64..1_000_000,
+            n in 1usize..61,
+            density in 0.0f64..0.3,
+            symmetric in proptest::prelude::prop::bool::ANY,
+        ) {
+            let rows = random_rows(seed, n, density, symmetric);
+            let got = symbolic_merge(&rows);
+            proptest::prop_assert!(got == dense_fill(&rows), "n = {n}, rows = {rows:?}");
+        }
+    }
+
+    #[test]
+    fn pruned_merge_matches_dense_elimination_on_mna_shapes() {
+        // Grid Laplacians (structurally symmetric, heavy pruning) and a
+        // vsrc-bordered chain (missing diagonals), in natural order.
+        for t in [grid_laplacian(7, 8), grid_laplacian(1, 30)] {
+            let a = t.to_csr();
+            let rows: Vec<Vec<usize>> = (0..a.nrows())
+                .map(|i| a.row_iter(i).map(|(c, _)| c).collect())
+                .collect();
+            assert_eq!(symbolic_merge(&rows), dense_fill(&rows));
+        }
+        let n = 40;
+        let mut rows: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                let mut r = vec![i];
+                if i > 0 {
+                    r.insert(0, i - 1);
+                }
+                if i + 1 < n - 1 {
+                    r.push(i + 1);
+                }
+                r
+            })
+            .collect();
+        rows[n - 1] = vec![0, n / 2];
+        rows[0].push(n - 1);
+        rows[n / 2].push(n - 1);
+        assert_eq!(symbolic_merge(&rows), dense_fill(&rows));
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! Feeds [`ind101_netlist`] job files (JSON or TOML) through a fixed
 //! worker pool and three layers of reuse:
 //!
-//! 1. a **content-addressed result cache** — jobs are keyed by an
-//!    FNV-1a hash of their payload (deck text or spec) plus
-//!    [`JobOptions::cache_token`], so identical submissions solve
-//!    once and changing a single token re-solves;
+//! 1. a **content-addressed result cache** — jobs are keyed by the
+//!    SHA-256 digest of their canonical payload (kind tag, deck text or
+//!    spec, and [`JobOptions::cache_token`]), compared whole, so
+//!    identical submissions solve once, changing a single token
+//!    re-solves, and two different payloads could share a slot only
+//!    through a SHA-256 collision, of which none is known;
 //! 2. a shared **GMD cache** — every filament-grid job draws from one
 //!    [`GmdCache`], so geometry repeated across jobs is computed once;
 //! 3. a **symbolic-LU pattern cache** — deck AC sweeps keyed by the
 //!    circuit's structural hash reuse the AMD analysis across jobs
-//!    whose matrices share a sparsity pattern (the solver re-checks
-//!    the pattern, so a stale hint is merely ignored).
+//!    whose matrices share a sparsity pattern (the solver compares the
+//!    analyzed pattern exactly, so a stale hint is merely replaced).
 //!
 //! Every deck is hardened through the [`ind101_verify`] gate before
 //! it is solved (unless the job opts out), and each job's
@@ -41,9 +43,14 @@ use ind101_netlist::{
 };
 use ind101_numeric::{CancelToken, ParallelConfig, SymbolicLu};
 use ind101_verify::GateOptions;
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::{Arc, Condvar, Mutex};
+
+mod sha256;
 
 pub use ind101_circuit::{FailurePolicy, SolverBackend};
 pub use ind101_core::PeecParasitics;
@@ -193,11 +200,66 @@ enum CacheSlot {
     Done(Arc<JobOutcome>),
 }
 
-#[derive(Default)]
-struct ResultCache {
-    slots: HashMap<u64, CacheSlot>,
+/// A job's content key: the SHA-256 digest of its canonical payload
+/// (see [`payload_key`]). The map compares whole digests with `Eq`;
+/// its own hash only picks the bucket.
+type PayloadKey = [u8; 32];
+
+/// What a result-cache lookup found.
+enum Lookup {
+    /// A finished result.
+    Hit(Arc<JobOutcome>),
+    /// Another worker is solving this payload.
+    InFlight,
+    /// The slot was free and is now claimed by the caller, who must
+    /// [`ResultCache::settle`] it.
+    Claimed,
+}
+
+struct ResultCache<S = RandomState> {
+    slots: HashMap<PayloadKey, CacheSlot, S>,
     hits: u64,
     misses: u64,
+}
+
+impl<S: BuildHasher> ResultCache<S> {
+    fn with_hasher(hasher: S) -> Self {
+        Self {
+            slots: HashMap::with_hasher(hasher),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Looks `key` up, counting a finished result as a hit and a free
+    /// slot — which the caller now holds — as a miss.
+    fn lookup(&mut self, key: PayloadKey) -> Lookup {
+        match self.slots.get(&key) {
+            Some(CacheSlot::Done(res)) => {
+                self.hits += 1;
+                Lookup::Hit(Arc::clone(res))
+            }
+            Some(CacheSlot::InFlight) => Lookup::InFlight,
+            None => {
+                self.slots.insert(key, CacheSlot::InFlight);
+                self.misses += 1;
+                Lookup::Claimed
+            }
+        }
+    }
+
+    /// Settles a claim: a result is stored for later identical jobs; a
+    /// failure frees the slot, so a later identical job retries.
+    fn settle(&mut self, key: PayloadKey, res: &Result<Arc<JobOutcome>, ServeError>) {
+        match res {
+            Ok(outcome) => {
+                self.slots.insert(key, CacheSlot::Done(Arc::clone(outcome)));
+            }
+            Err(_) => {
+                self.slots.remove(&key);
+            }
+        }
+    }
 }
 
 /// GMD cache capacity: comfortably above the distinct cross-section
@@ -225,7 +287,7 @@ impl JobServer {
     pub fn new() -> Self {
         Self {
             gmd: GmdCache::new(GMD_CAPACITY),
-            results: Mutex::new(ResultCache::default()),
+            results: Mutex::new(ResultCache::with_hasher(RandomState::new())),
             done: Condvar::new(),
             patterns: Mutex::new(HashMap::new()),
         }
@@ -323,7 +385,7 @@ impl JobServer {
         job: &JobRequest,
         cancel: Option<&CancelToken>,
     ) -> (Result<Arc<JobOutcome>, ServeError>, bool) {
-        let key = match content_key(job) {
+        let key = match payload_key(job) {
             Ok(k) => k,
             Err(e) => return (Err(e), false),
         };
@@ -334,23 +396,15 @@ impl JobServer {
             #[allow(clippy::unwrap_used)]
             let mut cache = self.results.lock().unwrap();
             loop {
-                match cache.slots.get(&key) {
-                    Some(CacheSlot::Done(res)) => {
-                        let res = Arc::clone(res);
-                        cache.hits += 1;
-                        return (Ok(res), true);
-                    }
-                    Some(CacheSlot::InFlight) => {
+                match cache.lookup(key) {
+                    Lookup::Hit(res) => return (Ok(res), true),
+                    Lookup::InFlight => {
                         #[allow(clippy::unwrap_used)]
                         {
                             cache = self.done.wait(cache).unwrap();
                         }
                     }
-                    None => {
-                        cache.slots.insert(key, CacheSlot::InFlight);
-                        cache.misses += 1;
-                        break;
-                    }
+                    Lookup::Claimed => break,
                 }
             }
         }
@@ -358,14 +412,7 @@ impl JobServer {
         {
             #[allow(clippy::unwrap_used)]
             let mut cache = self.results.lock().unwrap();
-            match &res {
-                Ok(outcome) => {
-                    cache.slots.insert(key, CacheSlot::Done(Arc::clone(outcome)));
-                }
-                Err(_) => {
-                    cache.slots.remove(&key);
-                }
-            }
+            cache.settle(key, &res);
         }
         self.done.notify_all();
         (res, false)
@@ -460,9 +507,10 @@ impl JobServer {
     }
 
     /// Looks up (or computes and caches) the symbolic analysis for
-    /// this circuit's sparsity pattern. A hash collision at worst
-    /// hands the solver a non-matching hint, which it verifies and
-    /// discards.
+    /// this circuit's sparsity pattern; `None` when the circuit's AC
+    /// plan is dense or banded. A structure-hash collision at worst
+    /// hands the sweep a non-matching hint, which the solver's exact
+    /// pattern comparison refuses before any numeric work.
     fn symbolic_hint(&self, c: &Circuit, f0: Option<f64>) -> Option<Arc<SymbolicLu>> {
         let key = structure_hash(c);
         {
@@ -590,7 +638,7 @@ fn resilience_for(options: &JobOptions, cancel: Option<&CancelToken>) -> Resilie
     }
 }
 
-/// FNV-1a 64-bit.
+/// FNV-1a 64-bit (the pattern cache's structure hash).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -614,36 +662,31 @@ impl Fnv {
     }
 }
 
-/// Content key: payload text (deck text for deck jobs — a file-backed
-/// deck is keyed by its *contents*, so editing the file invalidates)
-/// plus the options token. The job name is deliberately excluded:
+/// Content key: the SHA-256 digest of the job's canonical payload —
+/// kind tag, payload text (deck text for deck jobs — a file-backed deck
+/// is keyed by its *contents*, so editing the file invalidates — or the
+/// spec's debug form) and the options token, each length-prefixed so
+/// the encoding is unambiguous. The job name is deliberately excluded:
 /// two differently named but identical jobs share one solve.
-fn content_key(job: &JobRequest) -> Result<u64, ServeError> {
-    let mut h = Fnv::new();
-    match &job.spec {
-        JobSpec::Deck(DeckSource::Inline(text)) => {
-            h.write_str("deck");
-            h.write_str(text);
-        }
-        JobSpec::Deck(DeckSource::Path(path)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| ServeError::Io {
+fn payload_key(job: &JobRequest) -> Result<PayloadKey, ServeError> {
+    let (kind, payload): (&str, Cow<'_, str>) = match &job.spec {
+        JobSpec::Deck(DeckSource::Inline(text)) => ("deck", Cow::Borrowed(text)),
+        JobSpec::Deck(DeckSource::Path(path)) => (
+            "deck",
+            Cow::Owned(std::fs::read_to_string(path).map_err(|e| ServeError::Io {
                 job: job.name.clone(),
                 what: format!("{path}: {e}"),
-            })?;
-            h.write_str("deck");
-            h.write_str(&text);
-        }
-        JobSpec::FilamentGrid(g) => {
-            h.write_str("grid");
-            h.write_str(&format!("{g:?}"));
-        }
-        JobSpec::LoopBus(b) => {
-            h.write_str("loop_bus");
-            h.write_str(&format!("{b:?}"));
-        }
+            })?),
+        ),
+        JobSpec::FilamentGrid(g) => ("grid", Cow::Owned(format!("{g:?}"))),
+        JobSpec::LoopBus(b) => ("loop_bus", Cow::Owned(format!("{b:?}"))),
+    };
+    let mut h = sha256::Sha256::new();
+    for field in [kind, &payload, &job.options.cache_token()] {
+        h.update(&(field.len() as u64).to_le_bytes());
+        h.update(field.as_bytes());
     }
-    h.write_str(&job.options.cache_token());
-    Ok(h.0)
+    Ok(h.finish())
 }
 
 /// Structural hash of a circuit's MNA pattern: element topology and
@@ -702,14 +745,14 @@ mod tests {
     fn name_is_not_part_of_the_key() {
         let a = deck_job("a", "t\nR1 x 0 1\n.OP\n");
         let b = deck_job("b", "t\nR1 x 0 1\n.OP\n");
-        assert_eq!(content_key(&a).unwrap(), content_key(&b).unwrap());
+        assert_eq!(payload_key(&a).unwrap(), payload_key(&b).unwrap());
     }
 
     #[test]
     fn one_character_changes_the_key() {
         let a = deck_job("a", "t\nR1 x 0 1\n.OP\n");
         let b = deck_job("a", "t\nR1 x 0 2\n.OP\n");
-        assert_ne!(content_key(&a).unwrap(), content_key(&b).unwrap());
+        assert_ne!(payload_key(&a).unwrap(), payload_key(&b).unwrap());
     }
 
     #[test]
@@ -717,7 +760,66 @@ mod tests {
         let mut b = deck_job("a", "t\nR1 x 0 1\n.OP\n");
         b.options.verify = false;
         let a = deck_job("a", "t\nR1 x 0 1\n.OP\n");
-        assert_ne!(content_key(&a).unwrap(), content_key(&b).unwrap());
+        assert_ne!(payload_key(&a).unwrap(), payload_key(&b).unwrap());
+    }
+
+    /// Hashes every key to the same value, so every key lands in one
+    /// bucket of the map.
+    #[derive(Default)]
+    struct ConstHasher;
+
+    impl std::hash::Hasher for ConstHasher {
+        fn finish(&self) -> u64 {
+            7
+        }
+
+        fn write(&mut self, _bytes: &[u8]) {}
+    }
+
+    #[test]
+    fn equal_hashes_never_share_a_slot() {
+        use std::hash::BuildHasherDefault;
+        let hasher = BuildHasherDefault::<ConstHasher>::default();
+        let a = payload_key(&deck_job("a", "t\nR1 x 0 1\n.OP\n")).unwrap();
+        let b = payload_key(&deck_job("b", "t\nR1 x 0 2\n.OP\n")).unwrap();
+        assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
+        let outcome = |nodes| {
+            Arc::new(JobOutcome::Deck(DeckReport {
+                nodes,
+                op_max_v: None,
+                ac_solved: None,
+                ac_peak: None,
+                tran_steps: None,
+            }))
+        };
+        let mut cache = ResultCache::with_hasher(hasher);
+        assert!(matches!(cache.lookup(a), Lookup::Claimed));
+        cache.settle(a, &Ok(outcome(1)));
+        // `b` hashes like `a` but is another payload: a miss, not `a`'s
+        // result.
+        assert!(matches!(cache.lookup(b), Lookup::Claimed));
+        cache.settle(b, &Ok(outcome(2)));
+        for (key, nodes) in [(a, 1), (b, 2)] {
+            match cache.lookup(key) {
+                Lookup::Hit(res) => assert_eq!(*res, *outcome(nodes)),
+                _ => panic!("expected a hit"),
+            }
+        }
+        assert_eq!(cache.slots.len(), 2);
+        assert_eq!((cache.hits, cache.misses), (2, 2));
+        // A failed claim frees its slot for a retry and leaves the other.
+        let c = payload_key(&deck_job("c", "t\nR1 x 0 3\n.OP\n")).unwrap();
+        assert!(matches!(cache.lookup(c), Lookup::Claimed));
+        assert!(matches!(cache.lookup(c), Lookup::InFlight));
+        cache.settle(
+            c,
+            &Err(ServeError::Solve {
+                job: "c".to_owned(),
+                what: "singular".to_owned(),
+            }),
+        );
+        assert!(matches!(cache.lookup(c), Lookup::Claimed));
+        assert!(matches!(cache.lookup(a), Lookup::Hit(_)));
     }
 
     #[test]
