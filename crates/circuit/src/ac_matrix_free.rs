@@ -115,11 +115,11 @@ struct SolverPreconditioner {
 
 impl Preconditioner<Complex64> for SolverPreconditioner {
     fn apply(&self, r: &[Complex64]) -> Vec<Complex64> {
-        // A preconditioner must not fail mid-iteration; the solver was
-        // factored successfully at build time, so a solve error is
-        // unreachable — degrade to the identity if it ever happens
-        // (GMRES then converges more slowly but stays correct).
-        self.solver.solve(r).unwrap_or_else(|_| r.to_vec())
+        // An approximate inverse is all GMRES needs, so the sparse
+        // rung's refined iterate is used whatever its backward error.
+        // The only error left is a wrong-length `r`, which GMRES never
+        // passes; the identity would then keep it correct, only slower.
+        self.solver.solve_approx(r).unwrap_or_else(|_| r.to_vec())
     }
 }
 
@@ -535,6 +535,31 @@ mod tests {
         })
         .unwrap();
         (c, m)
+    }
+
+    #[test]
+    fn preconditioner_uses_the_refined_iterate_whatever_its_berr() {
+        // On a system where static pivoting stalls refinement, a forced
+        // sparse solve is a typed error; the preconditioner must still
+        // apply the refined iterate, not fall back to the identity.
+        let t = crate::solver::tests::stalling_system::<Complex64>();
+        let csr = t.to_csr();
+        let r: Vec<Complex64> = (0..t.nrows())
+            .map(|i| Complex64::new(1.0 + (0.3 * i as f64).sin(), 0.2))
+            .collect();
+        for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
+            let solver = Solver::build_with(&t, backend, None).unwrap();
+            assert!(solver.is_sparse());
+            if backend == SolverBackend::Sparse {
+                assert!(solver.solve(&r).is_err(), "premise: the solve misses");
+            }
+            let z = SolverPreconditioner { solver }.apply(&r);
+            let lu = ind101_numeric::SparseLu::factor(&csr).unwrap();
+            let refined = lu.solve_refined(&csr, &r).unwrap();
+            assert!(!refined.met());
+            assert_eq!(z, refined.x, "{backend:?}");
+            assert_ne!(z, r, "{backend:?}");
+        }
     }
 
     #[test]

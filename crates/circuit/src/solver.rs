@@ -31,6 +31,21 @@
 //! seed the sparse rung with a previous build's [`SymbolicLu`]; AC
 //! sweeps keep the plan of their first frequency for the whole sweep.
 //!
+//! Every sparse-rung solve is refined against the retained CSR matrix
+//! until its componentwise (Oettli–Prager) backward error meets
+//! [`ind101_numeric::REFINE_TOL`] = 1e-12, stops halving, or has taken
+//! [`ind101_numeric::REFINE_MAX_ROUNDS`] corrections (LAPACK xGERFS's
+//! rule, [`ind101_numeric::refine`]). On the Table-1 Medium step
+//! matrices most solves meet it with no correction at all. A solve that
+//! misses it under `Auto` factors the retained matrix once with dense
+//! partial pivoting, keeps that factor for every later solve, and
+//! refines its answer by the same rule; a miss there, or any miss under
+//! a forced sparse backend, is the typed
+//! [`NumericError::BackwardErrorAboveTolerance`]. No sparse answer above
+//! the tolerance is returned unreported. Preconditioners alone take
+//! the refined iterate whatever its backward error
+//! ([`Solver::solve_approx`]).
+//!
 //! Robustness layer: the dense backend keeps the assembled matrix and a
 //! Hager 1-norm condition estimate; a solver built with
 //! [`Solver::with_refinement`] gives every solve one round of iterative
@@ -46,10 +61,10 @@
 
 use crate::Result;
 use ind101_numeric::{
-    bandwidth, reverse_cuthill_mckee, BandedMatrix, BtfForm, CsrMatrix, CsrPattern, LuFactors,
-    Matrix, NumericError, Permutation, Scalar, SparseLu, SymbolicLu, Triplets,
+    bandwidth, refine, reverse_cuthill_mckee, BandedMatrix, BtfForm, CsrMatrix, CsrPattern,
+    LuFactors, Matrix, NumericError, Permutation, Scalar, SparseLu, SymbolicLu, Triplets,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Threshold below which a system is always solved densely — even under
 /// a forced `Sparse` backend, so tiny testbench results stay bit-for-bit
@@ -69,11 +84,6 @@ const SPARSE_DENSITY: f64 = 0.1;
 /// matrix factors block-by-block no matter how dense its overall
 /// pattern is, so the sparse kernel wins even above [`SPARSE_DENSITY`].
 const BTF_SMALL_BLOCK_DIVISOR: usize = 4;
-
-/// Iterative-refinement rounds every sparse solve performs. Static
-/// pivoting can shed digits on stiff MNA systems; two residual passes
-/// (cheap CSR matvecs) restore them deterministically.
-const SPARSE_REFINE_ROUNDS: usize = 2;
 
 /// Which linear-solver family the circuit engine uses.
 ///
@@ -166,7 +176,8 @@ enum Rung {
     },
     /// KLU-class sparse LU on a shared symbolic analysis (which keeps
     /// the pattern it was made for). Under `Auto`, a singular static
-    /// pivot retries with dense partial pivoting.
+    /// pivot, or a solve whose refinement misses its tolerance, retries
+    /// with dense partial pivoting.
     Sparse {
         sym: Arc<SymbolicLu>,
         dense_retry: bool,
@@ -344,7 +355,11 @@ impl SolvePlan {
                     Ok(lu) => {
                         #[cfg(test)]
                         probe::note_sparse_factor(sym);
-                        Ok(Solver::Sparse { lu, a: csr })
+                        Ok(Solver::Sparse {
+                            lu,
+                            a: csr,
+                            dense: dense_retry.then(OnceLock::new),
+                        })
                     }
                     Err(NumericError::PatternMismatch { .. }) => return Numeric::Mismatch(csr),
                     // A static-pivot singularity is not proof of a
@@ -395,8 +410,14 @@ pub(crate) enum Solver<T: Scalar> {
     },
     Sparse {
         lu: SparseLu<T>,
-        /// Assembled matrix, kept for the refinement matvecs.
+        /// Assembled matrix, kept for the refinement's residuals.
         a: CsrMatrix<T>,
+        /// `Some` under `Auto`: the dense partial-pivoting factor of `a`,
+        /// made by the first solve whose sparse refinement misses
+        /// [`ind101_numeric::REFINE_TOL`] and used by every later solve.
+        /// `None` under a forced sparse backend, where a miss is an
+        /// error.
+        dense: Option<OnceLock<std::result::Result<LuFactors<T>, NumericError>>>,
     },
 }
 
@@ -475,9 +496,19 @@ impl<T: Scalar> Solver<T> {
         self
     }
 
-    /// Solves for one right-hand side, iteratively refining dense
-    /// solutions when refinement is enabled and the system is
-    /// ill-conditioned.
+    /// Solves for one right-hand side. Dense solutions are iteratively
+    /// refined when refinement is enabled and the system is
+    /// ill-conditioned. Sparse solutions are refined until their
+    /// componentwise backward error meets [`ind101_numeric::REFINE_TOL`]
+    /// ([`ind101_numeric::refine`]); one that cannot is solved again
+    /// with the dense fallback under `Auto`.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::BackwardErrorAboveTolerance`] when a sparse solve
+    /// misses the tolerance under a forced sparse backend, or the dense
+    /// fallback misses it too; a [`NumericError::Singular`] dense
+    /// fallback.
     pub(crate) fn solve(&self, b: &[T]) -> Result<Vec<T>> {
         match self {
             Self::Dense {
@@ -497,10 +528,46 @@ impl<T: Scalar> Solver<T> {
                 let px = fac.solve(&pb)?;
                 Ok(perm.apply_inverse(&px))
             }
-            // Sparse solves always refine: static pivoting trades
-            // pivot-hunting for accuracy, and two CSR-matvec refinement
-            // rounds buy the digits back at negligible cost.
-            Self::Sparse { lu, a } => Ok(lu.solve_refined(a, b, SPARSE_REFINE_ROUNDS)?),
+            Self::Sparse { lu, a, dense } => {
+                // Once escalated, the dense factor answers directly.
+                if let Some(fac) = dense.as_ref().and_then(OnceLock::get) {
+                    return Self::solve_dense_fallback(fac, a, b);
+                }
+                let sol = lu.solve_refined(a, b)?;
+                match dense {
+                    Some(cell) if !sol.met() => {
+                        let fac = cell.get_or_init(|| {
+                            #[cfg(test)]
+                            probe::note_dense_fallback();
+                            a.to_dense().lu()
+                        });
+                        Self::solve_dense_fallback(fac, a, b)
+                    }
+                    _ => Ok(sol.into_met()?),
+                }
+            }
+        }
+    }
+
+    /// The dense fallback's answer, refined by the sparse rung's rule.
+    fn solve_dense_fallback(
+        fac: &std::result::Result<LuFactors<T>, NumericError>,
+        a: &CsrMatrix<T>,
+        b: &[T],
+    ) -> Result<Vec<T>> {
+        let fac = fac.as_ref().map_err(Clone::clone)?;
+        Ok(refine(a, b, |r| fac.solve(r))?.into_met()?)
+    }
+
+    /// Solves for one right-hand side as an approximate inverse: the
+    /// sparse rung's refined iterate is taken whatever its backward
+    /// error, and no dense fallback is made. Preconditioners use it,
+    /// where a near-inverse is enough and the outer iteration checks
+    /// the true residual.
+    pub(crate) fn solve_approx(&self, b: &[T]) -> Result<Vec<T>> {
+        match self {
+            Self::Sparse { lu, a, .. } => Ok(lu.solve_refined(a, b)?.x),
+            Self::Dense { .. } | Self::Banded { .. } => self.solve(b),
         }
     }
 
@@ -557,6 +624,7 @@ pub(crate) mod probe {
     struct Log {
         analyses: usize,
         sparse_factors: Vec<Arc<SymbolicLu>>,
+        dense_fallbacks: usize,
     }
 
     thread_local! {
@@ -571,6 +639,18 @@ pub(crate) mod probe {
         LOG.with(|l| l.borrow_mut().sparse_factors.push(Arc::clone(sym)));
     }
 
+    pub(crate) fn note_dense_fallback() {
+        LOG.with(|l| l.borrow_mut().dense_fallbacks += 1);
+    }
+
+    /// Runs `f` and returns its result with the dense fallback
+    /// factorizations sparse solves made meanwhile.
+    pub(crate) fn count_dense_fallbacks<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        LOG.with(|l| l.borrow_mut().dense_fallbacks = 0);
+        let r = f();
+        (r, LOG.with(|l| l.borrow().dense_fallbacks))
+    }
+
     /// Runs `f` and returns its result with the `SymbolicLu::analyze`
     /// calls planning made meanwhile and the symbolic analysis behind
     /// each sparse factorization, in order.
@@ -583,7 +663,7 @@ pub(crate) mod probe {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tridiag(n: usize) -> Triplets {
@@ -810,6 +890,101 @@ mod tests {
         for (u, v) in r.iter().zip(&b) {
             assert!((u - v).abs() < 1e-8);
         }
+    }
+
+    /// A real system on which static pivoting stalls refinement. Its
+    /// star-coupled chain has a wide band after RCM and a density below
+    /// `SPARSE_DENSITY`, so `Auto` plans the sparse rung. Unknowns 0–2
+    /// form the block `[[ε, 1, 1], [1, 1, 1], [1, 0.95, 1]]`, ε = 3e-15:
+    /// the static order pivots on ε first, the 1/ε fill swamps the
+    /// block's other entries, and refinement stops far above
+    /// `REFINE_TOL`, while partial pivoting solves the block stably.
+    pub(crate) fn stalling_system<T: Scalar>() -> Triplets<T> {
+        let n = 60;
+        let hub = n - 1;
+        let mut t = Triplets::new(n, n);
+        let mut push = |i, j, v: f64| t.push(i, j, T::from_f64(v));
+        for i in 3..hub {
+            push(i, i, 4.0);
+            if i + 1 < hub {
+                push(i, i + 1, -1.0);
+                push(i + 1, i, -1.0);
+            }
+            push(i, hub, -0.5);
+            push(hub, i, -0.5);
+        }
+        push(hub, hub, n as f64);
+        let block = [[3e-15, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 0.95, 1.0]];
+        for (i, row) in block.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                push(i, j, v);
+            }
+        }
+        t
+    }
+
+    /// The sparse rung's own refinement of `b` on `s`, bypassing any
+    /// fallback.
+    fn sparse_refinement(s: &Solver<f64>, b: &[f64]) -> ind101_numeric::Refined<f64> {
+        match s {
+            Solver::Sparse { lu, a, .. } => lu.solve_refined(a, b).unwrap(),
+            _ => panic!("expected the sparse rung"),
+        }
+    }
+
+    #[test]
+    fn stalled_refinement_escalates_once_to_dense_under_auto() {
+        let t = stalling_system::<f64>();
+        let n = t.nrows();
+        let csr = t.to_csr();
+        let s = Solver::build_with(&t, SolverBackend::Auto, None).unwrap();
+        assert!(s.is_sparse());
+        let rhs: Vec<Vec<f64>> = (0..3)
+            .map(|k| (0..n).map(|i| 1.0 + (0.3 * (i + k) as f64).sin()).collect())
+            .collect();
+        let miss = sparse_refinement(&s, &rhs[0]);
+        assert!(!miss.met(), "premise: static pivoting must stall here");
+        let (xs, fallbacks) = probe::count_dense_fallbacks(|| {
+            rhs.iter().map(|b| s.solve(b).unwrap()).collect::<Vec<_>>()
+        });
+        assert_eq!(fallbacks, 1, "one dense factor, reused by every solve");
+        for (x, b) in xs.iter().zip(&rhs) {
+            let berr = csr.backward_error(b, x).unwrap();
+            assert!(berr <= ind101_numeric::REFINE_TOL, "berr {berr:e}");
+        }
+        // A solver whose solves meet the tolerance never factors densely.
+        let (_, none) = probe::count_dense_fallbacks(|| {
+            Solver::build_with(&grid2d(14, 11), SolverBackend::Auto, None)
+                .unwrap()
+                .solve(&vec![1.0; 154])
+                .unwrap()
+        });
+        assert_eq!(none, 0);
+    }
+
+    #[test]
+    fn stalled_refinement_is_a_typed_error_under_forced_sparse() {
+        let t = stalling_system::<f64>();
+        let b: Vec<f64> = (0..t.nrows())
+            .map(|i| 1.0 + (0.3 * i as f64).sin())
+            .collect();
+        let s = Solver::build_with(&t, SolverBackend::Sparse, None).unwrap();
+        let miss = sparse_refinement(&s, &b);
+        let (res, fallbacks) = probe::count_dense_fallbacks(|| s.solve(&b));
+        assert_eq!(fallbacks, 0);
+        match res {
+            Err(crate::CircuitError::Numeric(NumericError::BackwardErrorAboveTolerance {
+                berr,
+                tol,
+            })) => {
+                assert_eq!(tol, ind101_numeric::REFINE_TOL);
+                assert_eq!(berr, miss.berr);
+                assert!(berr > tol, "berr {berr:e}");
+            }
+            other => panic!("expected the typed accuracy error, got {other:?}"),
+        }
+        // The approximate solve hands back the refined iterate instead.
+        assert_eq!(s.solve_approx(&b).unwrap(), miss.x);
     }
 
     #[test]

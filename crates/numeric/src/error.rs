@@ -88,6 +88,17 @@ pub enum NumericError {
         /// Stored entries of the matrix supplied.
         found_nnz: usize,
     },
+    /// Iterative refinement stopped with the componentwise
+    /// (Oettli–Prager) backward error of the answer above the tolerance
+    /// ([`crate::refine`]): the correction stalled or hit its round cap,
+    /// and the answer is not returned.
+    BackwardErrorAboveTolerance {
+        /// Backward error of the last iterate (NaN when it was not
+        /// finite).
+        berr: f64,
+        /// The tolerance it missed, [`crate::REFINE_TOL`].
+        tol: f64,
+    },
     /// The solve was cooperatively cancelled via a
     /// [`crate::CancelToken`].
     Cancelled,
@@ -141,6 +152,11 @@ impl fmt::Display for NumericError {
                 f,
                 "sparsity pattern differs from the symbolic analysis \
                  ({found_nnz} stored entries, analysis made for {expected_nnz})"
+            ),
+            Self::BackwardErrorAboveTolerance { berr, tol } => write!(
+                f,
+                "refined solve stopped at componentwise backward error {berr:e}, \
+                 above the tolerance {tol:e}"
             ),
             Self::Cancelled => write!(f, "solve cancelled"),
             Self::BudgetExceeded { what } => {

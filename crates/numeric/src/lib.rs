@@ -57,6 +57,7 @@ mod lu;
 mod ordering;
 pub mod partition;
 mod qr;
+mod refine;
 mod scalar;
 mod sparse;
 mod sparse_lu;
@@ -89,6 +90,7 @@ pub use lu::{LuFactors, LU_BLOCK};
 pub use ordering::{bandwidth, reverse_cuthill_mckee, Permutation};
 pub use partition::ParallelConfig;
 pub use qr::{mgs_orthonormalize, orthonormalize_against};
+pub use refine::{refine, Refined, REFINE_MAX_ROUNDS, REFINE_TOL};
 pub use scalar::Scalar;
 pub use sparse::{CsrMatrix, CsrPattern, Triplets};
 pub use sparse_lu::{SparseLu, SparseLuStats, SymbolicLu};

@@ -37,6 +37,10 @@ pub trait Scalar:
     fn from_f64(x: f64) -> Self;
     /// Magnitude used for pivot selection and convergence checks.
     fn abs_val(self) -> f64;
+    /// LAPACK's `cabs1`: `|re| + |im|` (`|x|` for reals). Within a
+    /// factor √2 of [`Scalar::abs_val`] and free of its square root,
+    /// so backward-error checks use it per stored entry.
+    fn abs1(self) -> f64;
     /// Complex conjugate (identity for reals).
     fn conj_val(self) -> Self;
     /// Real part (identity for reals). Hermitian factorizations pivot on
@@ -76,6 +80,10 @@ impl Scalar for f64 {
         self.abs()
     }
     #[inline]
+    fn abs1(self) -> f64 {
+        self.abs()
+    }
+    #[inline]
     fn conj_val(self) -> Self {
         self
     }
@@ -105,6 +113,10 @@ impl Scalar for Complex64 {
     #[inline]
     fn abs_val(self) -> f64 {
         self.abs()
+    }
+    #[inline]
+    fn abs1(self) -> f64 {
+        self.re.abs() + self.im.abs()
     }
     #[inline]
     fn conj_val(self) -> Self {

@@ -37,12 +37,20 @@
 //! (or non-finite) pivot surfaces as [`NumericError::Singular`] with the
 //! pivot mapped back to the *original* row index, so circuit-level
 //! diagnostics can name the offending unknown.
+//!
+//! Static pivoting can shed digits, so callers refine:
+//! [`SparseLu::solve_refined`] corrects the answer against the original
+//! matrix until its componentwise backward error meets
+//! [`crate::REFINE_TOL`], stops halving, or has taken
+//! [`crate::REFINE_MAX_ROUNDS`] corrections, and reports the rounds
+//! and the final backward error ([`crate::refine`]).
 
 use crate::amd::approximate_minimum_degree;
 use crate::btf::BtfForm;
 use crate::budget::{BudgetError, SolveBudget, SolveGuard};
 use crate::ordering::Permutation;
 use crate::partition::{collect_row_blocks, uniform_row_blocks, ParallelConfig};
+use crate::refine::{refine, Refined};
 use crate::scalar::Scalar;
 use crate::sparse::{CsrMatrix, CsrPattern};
 use crate::supernode::{factor_supernodal, BlockFactorError, SupernodePartition};
@@ -987,24 +995,18 @@ impl<T: Scalar> SparseLu<T> {
         klu.cperm.apply_inverse(&x)
     }
 
-    /// Solves with `rounds` of iterative refinement against the
-    /// original matrix (one CSR matvec plus one re-solve per round) —
-    /// the standard antidote to the digits static pivoting can lose.
+    /// Solves `A·x = b` and refines the answer against the original
+    /// matrix `a` until its componentwise backward error meets
+    /// [`crate::REFINE_TOL`], stops halving, or has taken
+    /// [`crate::REFINE_MAX_ROUNDS`] corrections ([`crate::refine`]) — the
+    /// antidote to the digits static pivoting can lose. The answer is
+    /// returned whatever its backward error; [`Refined::met`] judges it.
     ///
     /// # Errors
     ///
     /// Dimension mismatches between `a`, `b` and the factors.
-    pub fn solve_refined(&self, a: &CsrMatrix<T>, b: &[T], rounds: usize) -> Result<Vec<T>> {
-        let mut x = self.solve(b)?;
-        for _ in 0..rounds {
-            let ax = a.matvec(&x)?;
-            let r: Vec<T> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-            let dx = self.solve(&r)?;
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += *di;
-            }
-        }
-        Ok(x)
+    pub fn solve_refined(&self, a: &CsrMatrix<T>, b: &[T]) -> Result<Refined<T>> {
+        refine(a, b, |r| self.solve(r))
     }
 }
 
@@ -1368,8 +1370,9 @@ mod tests {
         let csr = t.to_csr();
         let lu = SparseLu::factor(&csr).unwrap();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let refined = lu.solve_refined(&csr, &b, 2).unwrap();
-        assert!(max_residual(&t, &refined, &b) < 1e-9);
+        let refined = lu.solve_refined(&csr, &b).unwrap();
+        assert!(refined.met(), "berr {:e}", refined.berr);
+        assert!(max_residual(&t, &refined.x, &b) < 1e-9);
     }
 
     #[test]
@@ -1546,7 +1549,7 @@ mod pivot_stability {
             "element growth {growth:e} exceeds {GROWTH_LIMIT:e}"
         );
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1).collect();
-        let x = lu.solve_refined(&csr, &b, 2).unwrap();
+        let x = lu.solve_refined(&csr, &b).unwrap().x;
         let ax = csr.matvec(&x).unwrap();
         let res = ax
             .iter()

@@ -48,7 +48,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 mod sha256;
 
@@ -89,12 +89,28 @@ pub enum ServeError {
         /// Which budget and by how much.
         what: String,
     },
-    /// The solver failed (singular system, non-convergence, …).
+    /// The solver failed (singular system, non-convergence, an answer
+    /// above its backward-error tolerance, …).
     Solve {
         /// Job name.
         job: String,
-        /// Solver detail.
-        what: String,
+        /// The typed solver error.
+        err: CircuitError,
+    },
+    /// A server lock was poisoned: a thread panicked while holding it,
+    /// so the state it guards cannot be trusted.
+    Poisoned {
+        /// Job name.
+        job: String,
+        /// Which lock: `"result cache"`, `"job queue"` or
+        /// `"result slot"`.
+        lock: &'static str,
+    },
+    /// A batch ended without a result for this job: the worker that
+    /// would have run it stopped first.
+    NoResult {
+        /// Job name.
+        job: String,
     },
     /// Geometry extraction failed (bad grid spec, portless layout).
     Extract {
@@ -112,13 +128,26 @@ impl fmt::Display for ServeError {
             Self::Parse { job, err } => write!(f, "job {job}: {err}"),
             Self::Rejected { job, what } => write!(f, "job {job}: rejected by verify gate: {what}"),
             Self::Budget { job, what } => write!(f, "job {job}: budget: {what}"),
-            Self::Solve { job, what } => write!(f, "job {job}: solve: {what}"),
+            Self::Solve { job, err } => write!(f, "job {job}: solve: {err}"),
+            Self::Poisoned { job, lock } => write!(
+                f,
+                "job {job}: the server's {lock} lock was poisoned by a panic"
+            ),
+            Self::NoResult { job } => write!(f, "job {job}: worker terminated without a result"),
             Self::Extract { job, what } => write!(f, "job {job}: extract: {what}"),
         }
     }
 }
 
-impl std::error::Error for ServeError {}
+impl std::error::Error for ServeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            Self::Parse { err, .. } => Some(err),
+            Self::Solve { err, .. } => Some(err),
+            _ => None,
+        }
+    }
+}
 
 /// Summary of one deck job: every analysis card, in deck order.
 #[derive(Clone, Debug, PartialEq)]
@@ -293,17 +322,12 @@ impl JobServer {
         }
     }
 
-    /// Snapshot of the reuse counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an internal lock was poisoned (a worker panicked).
+    /// Snapshot of the reuse counters. A poisoned lock is read through:
+    /// the counters are plain integers that a panic cannot leave torn.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        #[allow(clippy::unwrap_used)]
-        let r = self.results.lock().unwrap();
-        #[allow(clippy::unwrap_used)]
-        let p = self.patterns.lock().unwrap();
+        let r = self.results.lock().unwrap_or_else(PoisonError::into_inner);
+        let p = self.patterns.lock().unwrap_or_else(PoisonError::into_inner);
         ServeStats {
             cache_hits: r.hits,
             cache_misses: r.misses,
@@ -321,6 +345,10 @@ impl JobServer {
     /// [`Self::run_file`] with an external cancellation token folded
     /// into every job's solve budget.
     ///
+    /// A poisoned lock fails the jobs it touches with
+    /// [`ServeError::Poisoned`]; a job no worker reached reports
+    /// [`ServeError::NoResult`].
+    ///
     /// # Panics
     ///
     /// Panics if a worker thread panicked (propagated by the scope).
@@ -332,39 +360,49 @@ impl JobServer {
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
-                    let i = {
-                        #[allow(clippy::unwrap_used)]
-                        let mut g = next.lock().unwrap();
-                        let i = *g;
-                        if i >= n {
-                            return;
-                        }
-                        *g += 1;
-                        i
-                    };
+                    // A poisoned queue stops the worker; the jobs it
+                    // leaves are reported below.
+                    let Ok(mut queue) = next.lock() else { return };
+                    let i = *queue;
+                    if i >= n {
+                        return;
+                    }
+                    *queue += 1;
+                    drop(queue);
                     let job = &file.jobs[i];
                     let (outcome, cached) = self.run_job_with(job, cancel);
-                    #[allow(clippy::unwrap_used)]
-                    let mut slot = out[i].lock().unwrap();
-                    *slot = Some(JobResult {
-                        name: job.name.clone(),
-                        outcome,
-                        cached,
-                    });
+                    if let Ok(mut slot) = out[i].lock() {
+                        *slot = Some(JobResult {
+                            name: job.name.clone(),
+                            outcome,
+                            cached,
+                        });
+                    }
                 });
             }
         });
+        let queue_poisoned = next.is_poisoned();
         out.into_iter()
-            .map(|m| {
-                #[allow(clippy::unwrap_used)]
-                m.into_inner().unwrap().unwrap_or(JobResult {
-                    name: String::new(),
-                    outcome: Err(ServeError::Solve {
-                        job: String::new(),
-                        what: "worker terminated without a result".to_owned(),
-                    }),
+            .zip(&file.jobs)
+            .map(|(slot, job)| {
+                let failed = |err| JobResult {
+                    name: job.name.clone(),
+                    outcome: Err(err),
                     cached: false,
-                })
+                };
+                let job = job.name.clone();
+                match slot.into_inner() {
+                    Ok(Some(result)) => result,
+                    Ok(None) if queue_poisoned => failed(ServeError::Poisoned {
+                        job,
+                        lock: "job queue",
+                    }),
+                    Ok(None) => failed(ServeError::NoResult { job }),
+                    Err(_) => failed(ServeError::Poisoned {
+                        job,
+                        lock: "result slot",
+                    }),
+                }
             })
             .collect()
     }
@@ -377,9 +415,9 @@ impl JobServer {
 
     /// [`Self::run_job`] with an external cancellation token.
     ///
-    /// # Panics
-    ///
-    /// Panics if an internal lock was poisoned (a worker panicked).
+    /// A result cache poisoned before the job could claim its slot
+    /// fails the job with [`ServeError::Poisoned`]. One poisoned after
+    /// the solve leaves the answer uncached but still returns it.
     pub fn run_job_with(
         &self,
         job: &JobRequest,
@@ -389,29 +427,33 @@ impl JobServer {
             Ok(k) => k,
             Err(e) => return (Err(e), false),
         };
+        let poisoned = || {
+            let err = ServeError::Poisoned {
+                job: job.name.clone(),
+                lock: "result cache",
+            };
+            (Err(err), false)
+        };
         // Claim the key or wait for whoever holds it. Failures are
         // handed to current waiters by dropping the claim, so a later
         // identical submission retries instead of caching the failure.
         {
-            #[allow(clippy::unwrap_used)]
-            let mut cache = self.results.lock().unwrap();
+            let Ok(mut cache) = self.results.lock() else {
+                return poisoned();
+            };
             loop {
                 match cache.lookup(key) {
                     Lookup::Hit(res) => return (Ok(res), true),
-                    Lookup::InFlight => {
-                        #[allow(clippy::unwrap_used)]
-                        {
-                            cache = self.done.wait(cache).unwrap();
-                        }
-                    }
+                    Lookup::InFlight => match self.done.wait(cache) {
+                        Ok(woken) => cache = woken,
+                        Err(_) => return poisoned(),
+                    },
                     Lookup::Claimed => break,
                 }
             }
         }
         let res = self.solve(job, cancel);
-        {
-            #[allow(clippy::unwrap_used)]
-            let mut cache = self.results.lock().unwrap();
+        if let Ok(mut cache) = self.results.lock() {
             cache.settle(key, &res);
         }
         self.done.notify_all();
@@ -472,7 +514,7 @@ impl JobServer {
         for plan in &lowered.analyses {
             match plan {
                 AnalysisPlan::Op => {
-                    let op = c.dc_op().map_err(|e| solve_err(name, &e))?;
+                    let op = c.dc_op().map_err(|e| solve_err(name, e))?;
                     report.op_max_v = Some(
                         lowered
                             .nodes
@@ -486,7 +528,7 @@ impl JobServer {
                     let hint = self.symbolic_hint(&c, opts.freqs_hz.first().copied());
                     let sweep = c
                         .ac_sweep_resilient_with_symbolic(opts, &cfg, &resilience, hint)
-                        .map_err(|e| solve_err(name, &e))?;
+                        .map_err(|e| solve_err(name, e))?;
                     let solved = sweep.ac.freqs_hz.len();
                     report.ac_solved = Some((solved, opts.freqs_hz.len()));
                     report.ac_peak = (solved > 0).then(|| {
@@ -498,7 +540,7 @@ impl JobServer {
                     });
                 }
                 AnalysisPlan::Tran(opts) => {
-                    let res = c.transient(opts).map_err(|e| solve_err(name, &e))?;
+                    let res = c.transient(opts).map_err(|e| solve_err(name, e))?;
                     report.tran_steps = Some(res.len());
                 }
             }
@@ -514,7 +556,6 @@ impl JobServer {
     fn symbolic_hint(&self, c: &Circuit, f0: Option<f64>) -> Option<Arc<SymbolicLu>> {
         let key = structure_hash(c);
         {
-            #[allow(clippy::unwrap_used)]
             let patterns = self.patterns.lock().ok()?;
             if let Some(sym) = patterns.get(&key) {
                 return Some(Arc::clone(sym));
@@ -602,7 +643,7 @@ impl JobServer {
             backend,
             &resilience,
         )
-        .map_err(|e| solve_err(&job.name, &e))?;
+        .map_err(|e| solve_err(&job.name, e))?;
         Ok(JobOutcome::LoopBus(LoopBusReport {
             freqs_hz: got.extraction.freqs_hz,
             r_ohm: got.extraction.r_ohm,
@@ -612,17 +653,15 @@ impl JobServer {
 }
 
 /// Maps a solver failure, keeping budget exhaustion distinguishable.
-fn solve_err(job: &str, e: &CircuitError) -> ServeError {
-    if matches!(e, CircuitError::BudgetExceeded { .. }) {
+fn solve_err(job: &str, err: CircuitError) -> ServeError {
+    let job = job.to_owned();
+    if matches!(err, CircuitError::BudgetExceeded { .. }) {
         ServeError::Budget {
-            job: job.to_owned(),
-            what: e.to_string(),
+            job,
+            what: err.to_string(),
         }
     } else {
-        ServeError::Solve {
-            job: job.to_owned(),
-            what: e.to_string(),
-        }
+        ServeError::Solve { job, err }
     }
 }
 
@@ -815,11 +854,66 @@ mod tests {
             c,
             &Err(ServeError::Solve {
                 job: "c".to_owned(),
-                what: "singular".to_owned(),
+                err: CircuitError::SingularSystem {
+                    unknown: 0,
+                    what: "node 'x'".to_owned(),
+                },
             }),
         );
         assert!(matches!(cache.lookup(c), Lookup::Claimed));
         assert!(matches!(cache.lookup(a), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn poisoned_result_cache_is_a_typed_error() {
+        let server = JobServer::new();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = server.results.lock().unwrap();
+                panic!("poisoning the result cache on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(server.results.is_poisoned());
+        let job = deck_job("a", "t\nR1 x 0 1\n.OP\n");
+        let want = ServeError::Poisoned {
+            job: "a".to_owned(),
+            lock: "result cache",
+        };
+        let (res, cached) = server.run_job(&job);
+        assert_eq!(res.unwrap_err(), want);
+        assert!(!cached);
+        let file = JobFile {
+            threads: Some(2),
+            jobs: vec![job.clone(), deck_job("b", "t\nR1 x 0 2\n.OP\n")],
+        };
+        let results = server.run_file(&file);
+        assert_eq!(results.len(), 2);
+        assert_eq!(results[0].name, "a");
+        assert_eq!(results[0].outcome.as_ref().unwrap_err(), &want);
+        assert!(matches!(
+            &results[1].outcome,
+            Err(ServeError::Poisoned { job, lock: "result cache" }) if job == "b"
+        ));
+        // The counters stay readable through the poison.
+        assert_eq!(server.stats().cache_misses, 0);
+    }
+
+    #[test]
+    fn solver_errors_reach_the_client_typed() {
+        // Two voltage sources fight over one node: the solver's typed
+        // singular-system error is what the job reports, not a string.
+        let server = JobServer::new();
+        let mut job = deck_job("fight", "t\nV1 x 0 DC 1\nV2 x 0 DC 2\nR1 x 0 1\n.OP\n");
+        job.options.verify = false;
+        let (res, _) = server.run_job(&job);
+        match res {
+            Err(ServeError::Solve {
+                job,
+                err: CircuitError::SingularSystem { .. },
+            }) => assert_eq!(job, "fight"),
+            other => panic!("expected a typed singular system, got {other:?}"),
+        }
     }
 
     #[test]
