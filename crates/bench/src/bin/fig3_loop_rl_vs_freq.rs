@@ -5,7 +5,8 @@
 
 use ind101_bench::table::{eng, TextTable};
 use ind101_bench::{clock_case_with, parallel_config_from_args, Scale};
-use ind101_loop::{extract_loop_rl_with, LadderFit, LoopPortSpec};
+use ind101_circuit::ResilienceOptions;
+use ind101_loop::{extract_loop_rl_resilient, ExtractionBackend, LadderFit, LoopPortSpec};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -17,7 +18,16 @@ fn main() {
     let case = clock_case_with(Scale::Small, &cfg);
     let spec = LoopPortSpec::from_layout(&case.par).expect("clock ports");
     let freqs: Vec<f64> = (0..13).map(|k| 1e7 * 10f64.powf(k as f64 / 3.0)).collect();
-    let ext = extract_loop_rl_with(&case.par, &spec, &freqs, &cfg).expect("loop extraction");
+    let ext = extract_loop_rl_resilient(
+        &case.par,
+        &spec,
+        &freqs,
+        &cfg,
+        ExtractionBackend::Auto,
+        &ResilienceOptions::strict(),
+    )
+    .expect("loop extraction")
+    .extraction;
 
     // Ladder fit at two frequencies (one low, one high), as [5] does.
     let i1 = ext.nearest_index(1e8);

@@ -9,7 +9,7 @@
 //! same delay prediction, while the true (PEEC) delay shifts — the gap
 //! is the methodology's error.
 
-use ind101_bench::flows::run_loop_flow_with;
+use ind101_bench::flows::run_loop_flow;
 use ind101_bench::table::TextTable;
 use ind101_bench::{clock_case_with, parallel_config_from_args, Scale};
 use ind101_core::testbench::{build_testbench, TestbenchSpec};
@@ -27,7 +27,7 @@ fn main() {
     let dt = 2e-12;
     let t_stop = 900e-12;
     // The loop model is extracted once; it cannot react to decap.
-    let lp = run_loop_flow_with(&case, 2.5e9, dt, t_stop, &cfg).expect("loop flow");
+    let lp = run_loop_flow(&case, 2.5e9, dt, t_stop).expect("loop flow");
 
     let mut t = TextTable::new(vec![
         "decap total",

@@ -12,7 +12,7 @@
 //! passivity audit) gates the flows: a rejected model aborts the run
 //! with the audit summary instead of producing garbage waveforms.
 
-use ind101_bench::flows::{run_loop_flow_with, run_peec_block_diagonal_flow_with, run_peec_flow};
+use ind101_bench::flows::{run_loop_flow, run_peec_block_diagonal_flow_with, run_peec_flow};
 use ind101_bench::table::{eng, TextTable};
 use ind101_bench::{
     clock_case_with, parallel_config_from_args, verify_clock_case, verify_flag_from_args, Scale,
@@ -67,7 +67,7 @@ fn main() {
             .expect("PEEC RLC flow"),
         run_peec_block_diagonal_flow_with(&case, 3, 2, dt, t_stop, &cfg)
             .expect("accelerated flow"),
-        run_loop_flow_with(&case, 2.5e9, dt, t_stop, &cfg).expect("LOOP flow"),
+        run_loop_flow(&case, 2.5e9, dt, t_stop).expect("LOOP flow"),
     ];
 
     let mut t = TextTable::new(vec![

@@ -12,7 +12,7 @@ use ind101_circuit::{
 use ind101_core::testbench::{build_testbench, DriverKind, TestbenchSpec};
 use ind101_core::InductanceMode;
 use ind101_loop::{
-    build_loop_circuit, extract_loop_rl_with, LoopInterconnect, LoopNetlistSpec, LoopPortSpec,
+    build_loop_circuit, extract_loop_rl, LoopInterconnect, LoopNetlistSpec, LoopPortSpec,
 };
 use ind101_numeric::ParallelConfig;
 use ind101_sparsify::block_diagonal::{block_diagonal_with, rlc_mask, sections_by_signal_distance};
@@ -204,22 +204,6 @@ pub fn run_loop_flow(
     dt: f64,
     t_stop: f64,
 ) -> Result<FlowResult, CircuitError> {
-    run_loop_flow_with(case, freq_hz, dt, t_stop, &ParallelConfig::default())
-}
-
-/// [`run_loop_flow`] with an explicit parallelism configuration for the
-/// per-sink loop extractions (deterministic across thread counts).
-///
-/// # Errors
-///
-/// Propagates extraction/simulation failures.
-pub fn run_loop_flow_with(
-    case: &ClockCase,
-    freq_hz: f64,
-    dt: f64,
-    t_stop: f64,
-    cfg: &ParallelConfig,
-) -> Result<FlowResult, CircuitError> {
     let start = Instant::now();
     let spec = default_spec();
     // Total lumped capacitance: signal-net interconnect + one receiver.
@@ -246,7 +230,7 @@ pub fn run_loop_flow_with(
             driver_port: "clk_drv".to_owned(),
             receiver_ports: vec![sink.clone()],
         };
-        let ext = extract_loop_rl_with(&case.par, &port_spec, &[freq_hz], cfg)?;
+        let ext = extract_loop_rl(&case.par, &port_spec, &[freq_hz])?;
         let (r_loop, l_loop) = ext.at(0);
         let net_spec = LoopNetlistSpec {
             interconnect: LoopInterconnect::SingleFrequency {

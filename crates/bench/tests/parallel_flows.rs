@@ -3,7 +3,8 @@
 //! the extracted loop R(f)/L(f) curves.
 
 use ind101_bench::{clock_case_with, Scale};
-use ind101_loop::{extract_loop_rl_with, LoopPortSpec};
+use ind101_circuit::ResilienceOptions;
+use ind101_loop::{extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec};
 use ind101_numeric::ParallelConfig;
 
 #[test]
@@ -14,8 +15,19 @@ fn loop_extraction_is_thread_invariant() {
     let spec = LoopPortSpec::from_layout(&case.par).expect("clock ports");
     let freqs: Vec<f64> = (0..5).map(|k| 1e8 * 10f64.powi(k)).collect();
 
-    let a = extract_loop_rl_with(&case.par, &spec, &freqs, &serial).expect("serial");
-    let b = extract_loop_rl_with(&case.par, &spec, &freqs, &four).expect("parallel");
+    let extract = |cfg| {
+        extract_loop_rl_resilient(
+            &case.par,
+            &spec,
+            &freqs,
+            cfg,
+            ExtractionBackend::Auto,
+            &ResilienceOptions::strict(),
+        )
+        .map(|got| got.extraction)
+    };
+    let a = extract(&serial).expect("serial");
+    let b = extract(&four).expect("parallel");
 
     assert_eq!(a.freqs_hz, b.freqs_hz, "frequency order changed");
     assert_eq!(a.r_ohm, b.r_ohm, "R(f) diverged across thread counts");

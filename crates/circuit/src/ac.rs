@@ -4,6 +4,10 @@
 //! at the driver port with all capacitance removed gives the loop
 //! impedance `Z(jω)`, from which `R(f) = Re Z` and `L(f) = Im Z / ω`.
 //!
+//! The direct solver has one sweep, [`Circuit::ac_sweep_resilient`];
+//! [`Circuit::ac_sweep`] is its strict call (no rescue, no budget, abort
+//! on the first failure), so every caller runs the same loop.
+//!
 //! A sweep plans once. The complex MNA pattern does not depend on the
 //! frequency (for `f > 0` every `jωC`/`jωM` stamp is structurally
 //! nonzero), so the first frequency's assembled matrix is planned — the
@@ -20,13 +24,12 @@ use crate::error::CircuitError;
 use crate::mna::{MnaLayout, GMIN};
 use crate::netlist::{Circuit, NodeId};
 use crate::resilience::{
-    FailurePolicy, FrequencyRecovery, FrequencyStatus, RecoveryReport, ResilienceOptions,
-    ResilientAcSweep,
+    FailurePolicy, FrequencyRecovery, FrequencyStatus, ResilienceOptions, ResilientAcSweep,
 };
 use crate::solver::{SolvePlan, Solver, SolverBackend};
 use crate::dcop::DcOperatingPoint;
 use crate::Result;
-use ind101_numeric::partition::{collect_row_blocks, collect_row_blocks_until, uniform_row_blocks};
+use ind101_numeric::partition::{collect_row_blocks_until, uniform_row_blocks};
 use ind101_numeric::{CancelToken, Complex64, ParallelConfig, SolveGuard, SymbolicLu, Triplets};
 use std::sync::Arc;
 
@@ -100,8 +103,8 @@ impl AcResult {
         self.data[idx][self.layout.ind_offsets[sys] + branch]
     }
 
-    /// Assembles a result from per-frequency solution vectors (the
-    /// matrix-free sweep builds its solutions outside this module).
+    /// Assembles a result from per-frequency solution vectors (both
+    /// sweeps build it through [`ResilientAcSweep`]'s bookkeeping).
     pub(crate) fn from_parts(
         freqs_hz: Vec<f64>,
         data: Vec<Vec<Complex64>>,
@@ -176,117 +179,77 @@ impl Circuit {
     /// (time-domain waveforms are ignored). Nonlinear devices are
     /// linearized at the DC operating point.
     ///
+    /// This is the strict call of [`Circuit::ac_sweep_resilient`]: the
+    /// default [`ParallelConfig`], [`ResilienceOptions::strict`] and no
+    /// symbolic hint.
+    ///
     /// # Errors
     ///
-    /// Invalid options or singular systems.
+    /// Invalid options or singular systems: the first failure in
+    /// frequency order.
     pub fn ac_sweep(&self, opts: &AcOptions) -> Result<AcResult> {
-        self.ac_sweep_with(opts, &ParallelConfig::default())
+        self.ac_sweep_resilient(
+            opts,
+            &ParallelConfig::default(),
+            &ResilienceOptions::strict(),
+            None,
+        )
+        .map(|sweep| sweep.ac)
     }
 
-    /// [`Circuit::ac_sweep`] with an explicit parallelism configuration:
-    /// the first frequency plans the sweep and is solved first; the
+    /// Runs an AC sweep under the solve-resilience layer, the one sweep
+    /// of the direct solver.
+    ///
+    /// The first frequency plans the sweep and is solved first; the
     /// remaining per-frequency complex solves are independent, so they
     /// are split into contiguous frequency blocks across `cfg.threads`
     /// scoped worker threads that share the plan read-only. Results (and
     /// the choice of reported error, if any) are in deterministic
     /// frequency order regardless of thread count.
     ///
-    /// # Errors
-    ///
-    /// Invalid options or singular systems.
-    pub fn ac_sweep_with(&self, opts: &AcOptions, cfg: &ParallelConfig) -> Result<AcResult> {
-        opts.validate()?;
-        let layout = MnaLayout::build(self);
-
-        // DC operating point for device linearization, only if needed.
-        let op = if self.is_nonlinear() {
-            Some(self.dc_op()?)
-        } else {
-            None
-        };
-
-        // The first frequency plans the sweep; its error, if any, is the
-        // first in frequency order and wins — same as the serial loop.
-        let backend = self.effective_backend();
-        let (&f0, rest) = split_sweep(opts)?;
-        let (plan, first) = self.ac_plan_first(&layout, op.as_ref(), f0, backend, None);
-        let first = first?;
-        let ranges = uniform_row_blocks(rest.len(), cfg.blocks_for(rest.len()));
-        let per_freq = collect_row_blocks(&ranges, |rows| {
-            rows.map(|i| {
-                self.ac_solve_planned(&layout, op.as_ref(), rest[i], plan.as_ref(), backend)
-            })
-            .collect()
-        });
-        let data = std::iter::once(Ok(first))
-            .chain(per_freq)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(AcResult {
-            freqs_hz: opts.freqs_hz.clone(),
-            data,
-            layout,
-        })
-    }
-
-    /// [`Circuit::ac_sweep_with`] wrapped in the solve-resilience layer:
-    /// the sweep shares one [`ind101_numeric::SolveBudget`], workers
+    /// The sweep shares one [`ind101_numeric::SolveBudget`], workers
     /// poll its [`CancelToken`] (and the wall-clock deadline) before
-    /// every frequency inside the row-block parallel loop, and the
-    /// [`FailurePolicy`] decides whether a singular frequency aborts
-    /// the sweep or is skipped with a typed record.
-    ///
-    /// The dense path has no Krylov ladder, so
+    /// every frequency, and the [`FailurePolicy`] decides whether a
+    /// singular frequency aborts the sweep or is skipped with a typed
+    /// record. The direct solver has no Krylov ladder, so
     /// [`ResilienceOptions::rescue`] is ignored here and
     /// [`FailurePolicy::DegradeToDense`] behaves like
-    /// [`FailurePolicy::SkipAndReport`] (every solve is already
-    /// direct). With no budget set and no failures the solutions are
-    /// bit-identical to [`Circuit::ac_sweep_with`].
+    /// [`FailurePolicy::SkipAndReport`] (every solve is already direct).
+    /// With no budget set and no failures every policy gives the same
+    /// bits.
+    ///
+    /// `hint` seeds the plan with an externally held symbolic
+    /// factorization, the cross-circuit reuse hook for the job server:
+    /// circuits lowered from different decks often share one MNA
+    /// sparsity pattern (same topology, different values), and the AMD
+    /// analysis is the expensive frequency-independent part of a sparse
+    /// sweep. Obtain a pattern from [`Circuit::ac_symbolic`]. The hint
+    /// is used when the plan lands on the sparse rung and is ignored on
+    /// the dense and banded rungs. Safety of a wrong hint: the sparse
+    /// solver compares the hint's stored pattern exactly (row pointers
+    /// and column indices) with the first frequency's assembled matrix
+    /// and analyzes afresh on any difference, so a stale hint costs the
+    /// analysis it tried to save and is never applied to a pattern it
+    /// was not made for.
     ///
     /// # Errors
     ///
     /// Invalid options always abort. A per-frequency solve failure
     /// aborts — first in frequency order — only under
-    /// [`FailurePolicy::Abort`]; cancellation and budget exhaustion
-    /// stop the sweep early but still return the partial result.
+    /// [`FailurePolicy::Abort`], which returns a failed first frequency
+    /// before the rest are attempted; cancellation and budget
+    /// exhaustion stop the sweep early but still return the partial
+    /// result.
     pub fn ac_sweep_resilient(
         &self,
         opts: &AcOptions,
         cfg: &ParallelConfig,
         resilience: &ResilienceOptions,
-    ) -> Result<ResilientAcSweep> {
-        self.ac_sweep_resilient_with_symbolic(opts, cfg, resilience, None)
-    }
-
-    /// [`Circuit::ac_sweep_resilient`] seeded with an externally held
-    /// symbolic factorization, the cross-circuit reuse hook for the job
-    /// server: circuits lowered from different decks often share one
-    /// MNA sparsity pattern (same topology, different values), and the
-    /// AMD analysis is the expensive frequency-independent part of a
-    /// sparse sweep. Obtain a pattern from [`Circuit::ac_symbolic`] and
-    /// pass it to sweeps over structurally identical circuits.
-    ///
-    /// The hint only seeds the sweep's plan: it is used when the plan
-    /// lands on the sparse rung and is ignored on the dense and banded
-    /// rungs. Safety of a wrong hint: the sparse solver compares the
-    /// hint's stored pattern exactly (row pointers and column indices)
-    /// with the first frequency's assembled matrix and analyzes afresh
-    /// on any difference, so a stale hint costs the analysis it tried
-    /// to save and is never applied to a pattern it was not made for.
-    /// `None` recovers the self-analyzing behavior of
-    /// [`Circuit::ac_sweep_resilient`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Circuit::ac_sweep_resilient`].
-    pub fn ac_sweep_resilient_with_symbolic(
-        &self,
-        opts: &AcOptions,
-        cfg: &ParallelConfig,
-        resilience: &ResilienceOptions,
-        external_hint: Option<Arc<SymbolicLu>>,
+        hint: Option<Arc<SymbolicLu>>,
     ) -> Result<ResilientAcSweep> {
         opts.validate()?;
         let layout = MnaLayout::build(self);
+        // DC operating point for device linearization, only if needed.
         let op = if self.is_nonlinear() {
             Some(self.dc_op()?)
         } else {
@@ -326,11 +289,16 @@ impl Circuit {
         let (&f0, rest) = split_sweep(opts)?;
         let mut plan = None;
         let first = attempt(&mut || {
-            let (p, x) =
-                self.ac_plan_first(&layout, op.as_ref(), f0, backend, external_hint.as_ref());
+            let (p, x) = self.ac_plan_first(&layout, op.as_ref(), f0, backend, hint.as_ref());
             plan = p;
             x
         });
+        // Its error is the first in frequency order: under `Abort` it is
+        // the sweep's, and the rest need not be planned one by one.
+        let first = match first {
+            FreqItem::Failed(e, _) if resilience.policy == FailurePolicy::Abort => return Err(e),
+            item => item,
+        };
         let ranges = uniform_row_blocks(rest.len(), cfg.blocks_for(rest.len()));
         let per_block: Vec<Option<Vec<FreqItem>>> =
             collect_row_blocks_until(&ranges, &stop, |rows| {
@@ -349,90 +317,49 @@ impl Circuit {
             },
         ));
 
-        let nf = opts.freqs_hz.len();
-        let mut records: Vec<FrequencyRecovery> = Vec::with_capacity(nf);
-        let mut solutions: Vec<Option<Vec<Complex64>>> = Vec::with_capacity(nf);
+        let direct = |freq_hz, status, trajectory: &str, elapsed_seconds| FrequencyRecovery {
+            freq_hz,
+            status,
+            iterations: 1,
+            rungs_attempted: 1,
+            trajectory: trajectory.to_owned(),
+            elapsed_seconds,
+        };
+        let mut outcomes = Vec::with_capacity(opts.freqs_hz.len());
         let mut any_stopped = false;
         for (&f, item) in opts.freqs_hz.iter().zip(items) {
-            match item {
-                Some(FreqItem::Solved(x, elapsed)) => {
-                    records.push(FrequencyRecovery {
-                        freq_hz: f,
-                        status: FrequencyStatus::Solved,
-                        iterations: 1,
-                        rungs_attempted: 1,
-                        trajectory: "direct(converged)".to_owned(),
-                        elapsed_seconds: elapsed,
-                    });
-                    solutions.push(Some(x));
-                }
+            outcomes.push(match item {
+                Some(FreqItem::Solved(x, elapsed)) => (
+                    direct(f, FrequencyStatus::Solved, "direct(converged)", elapsed),
+                    Some(x),
+                ),
                 Some(FreqItem::Failed(e, elapsed)) => {
                     if resilience.policy == FailurePolicy::Abort {
-                        // First failure in frequency order wins — same
-                        // as the plain sweep.
                         return Err(e);
                     }
-                    records.push(FrequencyRecovery {
-                        freq_hz: f,
-                        status: FrequencyStatus::Skipped {
-                            error: e.to_string(),
-                        },
-                        iterations: 1,
-                        rungs_attempted: 1,
-                        trajectory: "direct(failed)".to_owned(),
-                        elapsed_seconds: elapsed,
-                    });
-                    solutions.push(None);
+                    let status = FrequencyStatus::Skipped {
+                        error: e.to_string(),
+                    };
+                    (direct(f, status, "direct(failed)", elapsed), None)
                 }
                 Some(FreqItem::Stopped) | None => {
                     any_stopped = true;
-                    records.push(FrequencyRecovery {
-                        freq_hz: f,
-                        status: FrequencyStatus::NotAttempted,
-                        iterations: 0,
-                        rungs_attempted: 0,
-                        trajectory: String::new(),
-                        elapsed_seconds: 0.0,
-                    });
-                    solutions.push(None);
+                    (FrequencyRecovery::not_attempted(f), None)
                 }
-            }
+            });
         }
-        let stopped = if any_stopped {
-            Some(
-                guard
-                    .check()
-                    .err()
-                    .map_or_else(|| "sweep stopped".to_owned(), |e| e.to_string()),
-            )
-        } else {
-            None
-        };
-
-        let mut solved = Vec::new();
-        let mut data = Vec::new();
-        for (rec, sol) in records.iter().zip(solutions) {
-            if let Some(x) = sol {
-                solved.push(rec.freq_hz);
-                data.push(x);
-            }
-        }
-        Ok(ResilientAcSweep {
-            ac: AcResult {
-                freqs_hz: solved,
-                data,
-                layout,
-            },
-            report: RecoveryReport {
-                frequencies: records,
-                stopped,
-            },
-        })
+        let stopped = any_stopped.then(|| {
+            guard
+                .check()
+                .err()
+                .map_or_else(|| "sweep stopped".to_owned(), |e| e.to_string())
+        });
+        Ok(ResilientAcSweep::from_outcomes(outcomes, layout, stopped))
     }
 
     /// The symbolic analysis an AC sweep of this circuit plans, for
-    /// reuse across structurally identical circuits via
-    /// [`Circuit::ac_sweep_resilient_with_symbolic`].
+    /// reuse across structurally identical circuits as the `hint` of
+    /// [`Circuit::ac_sweep_resilient`].
     ///
     /// The circuit's complex MNA system is assembled at `probe_hz` and
     /// planned exactly as a sweep would plan it. Returns `None` when
@@ -775,29 +702,37 @@ mod tests {
         );
     }
 
+    /// The strict sweep on `cfg`, unseeded.
+    fn strict(c: &Circuit, opts: &AcOptions, cfg: &ParallelConfig) -> Result<AcResult> {
+        c.ac_sweep_resilient(opts, cfg, &ResilienceOptions::strict(), None)
+            .map(|sweep| sweep.ac)
+    }
+
     #[test]
-    fn plain_and_resilient_sweeps_analyze_once() {
+    fn strict_and_default_sweeps_analyze_once() {
         let mut c = coupled_ladder(40, 20, 0.3e-9);
         c.set_solver_backend(SolverBackend::Sparse);
         let opts = sweep();
         let cfg = ParallelConfig::serial();
-        let (plain, analyses, factors) =
-            crate::solver::probe::record(|| c.ac_sweep_with(&opts, &cfg).unwrap());
+        let (strict, analyses, factors) =
+            crate::solver::probe::record(|| strict(&c, &opts, &cfg).unwrap());
         assert_planned_once(analyses, &factors, opts.freqs_hz.len());
+        // Rescue armed and skipping on, but nothing fails: same bits.
         let (res, analyses, factors) = crate::solver::probe::record(|| {
-            c.ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+            c.ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default(), None)
                 .unwrap()
         });
         assert_planned_once(analyses, &factors, opts.freqs_hz.len());
+        assert!(res.report.clean());
         let out = NodeId(0);
         for i in 0..opts.freqs_hz.len() {
-            assert!(plain.voltage(out, i) == res.ac.voltage(out, i));
+            assert!(strict.voltage(out, i) == res.ac.voltage(out, i));
         }
         // The server's hint source hands out the plan's analysis, and a
         // sweep seeded with it analyzes nothing.
         let hint = c.ac_symbolic(opts.freqs_hz[0]).unwrap();
         let (_, analyses, factors) = crate::solver::probe::record(|| {
-            c.ac_sweep_resilient_with_symbolic(
+            c.ac_sweep_resilient(
                 &opts,
                 &cfg,
                 &ResilienceOptions::default(),
@@ -819,7 +754,7 @@ mod tests {
         let opts = sweep();
         let cfg = ParallelConfig::serial();
         let (res, analyses, factors) = crate::solver::probe::record(|| {
-            c.ac_sweep_resilient_with_symbolic(
+            c.ac_sweep_resilient(
                 &opts,
                 &cfg,
                 &ResilienceOptions::default(),
@@ -829,9 +764,9 @@ mod tests {
         });
         assert_planned_once(analyses, &factors, opts.freqs_hz.len());
         assert!(!Arc::ptr_eq(&factors[0], &stale));
-        let plain = c.ac_sweep_with(&opts, &cfg).unwrap();
+        let unseeded = strict(&c, &opts, &cfg).unwrap();
         for i in 0..opts.freqs_hz.len() {
-            assert!(plain.voltage(NodeId(3), i) == res.ac.voltage(NodeId(3), i));
+            assert!(unseeded.voltage(NodeId(3), i) == res.ac.voltage(NodeId(3), i));
         }
     }
 
@@ -872,7 +807,7 @@ mod tests {
             c.set_solver_backend(backend);
             let cfg = ParallelConfig::serial();
             let (swept, analyses, factors) =
-                crate::solver::probe::record(|| c.ac_sweep_with(&opts, &cfg).unwrap());
+                crate::solver::probe::record(|| strict(&c, &opts, &cfg).unwrap());
             if backend == SolverBackend::Sparse {
                 // The plan, plus one analysis of the underflowed pattern;
                 // the last frequency is back on the plan's analysis.
@@ -881,7 +816,7 @@ mod tests {
                 assert!(Arc::ptr_eq(&factors[0], &factors[2]));
             }
             let resilient = c
-                .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+                .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default(), None)
                 .unwrap();
             for (i, &f) in opts.freqs_hz.iter().enumerate() {
                 let fresh = c.ac_sweep(&AcOptions { freqs_hz: vec![f] }).unwrap();
@@ -897,23 +832,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn failed_plan_is_reported_at_every_frequency() {
-        // Two voltage sources across the same node: their two rows share
-        // one column, so the pattern is structurally singular and a
-        // forced sparse plan fails. Every frequency reports the error a
-        // one-frequency sweep reports, under both thread counts.
+    /// The ladder with two voltage sources across the same node: their
+    /// two rows share one column, so the pattern is structurally
+    /// singular and a forced sparse plan fails.
+    fn two_vsrc_ladder() -> Circuit {
         let mut c = coupled_ladder(40, 20, 0.3e-9);
         let n0 = NodeId(0);
         c.vsrc_ac(n0, Circuit::GND, SourceWave::dc(0.0), 1.0);
         c.vsrc_ac(n0, Circuit::GND, SourceWave::dc(0.0), 1.0);
+        c
+    }
+
+    #[test]
+    fn failed_plan_is_reported_at_every_frequency() {
+        // Every frequency reports the error a one-frequency sweep
+        // reports, under both thread counts.
+        let mut c = two_vsrc_ladder();
         let opts = sweep();
         for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
             c.set_solver_backend(backend);
             for threads in [1, 3] {
                 let cfg = ParallelConfig::with_threads(threads);
                 let res = c
-                    .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+                    .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default(), None)
                     .unwrap();
                 assert_eq!(res.report.skipped_count(), opts.freqs_hz.len());
                 for (rec, &f) in res.report.frequencies.iter().zip(&opts.freqs_hz) {
@@ -925,7 +866,7 @@ mod tests {
                         }
                     );
                 }
-                let err = c.ac_sweep_with(&opts, &cfg).unwrap_err();
+                let err = strict(&c, &opts, &cfg).unwrap_err();
                 if backend == SolverBackend::Sparse {
                     assert!(
                         matches!(
@@ -939,6 +880,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn failed_first_plan_aborts_before_planning_the_rest() {
+        // Under `Abort` the first frequency's error is the sweep's: the
+        // other frequencies are not planned one by one before it returns.
+        let mut c = two_vsrc_ladder();
+        c.set_solver_backend(SolverBackend::Sparse);
+        let opts = sweep();
+        let (err, analyses, _) = crate::solver::probe::record(|| c.ac_sweep(&opts).unwrap_err());
+        assert_eq!(analyses, 1, "ac_sweep: {err}");
+        let (strict_err, analyses, _) = crate::solver::probe::record(|| {
+            strict(&c, &opts, &ParallelConfig::serial()).unwrap_err()
+        });
+        assert_eq!(analyses, 1, "strict sweep: {strict_err}");
+        assert_eq!(strict_err.to_string(), err.to_string());
     }
 
     #[test]

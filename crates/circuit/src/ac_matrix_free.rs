@@ -23,25 +23,28 @@
 //!   the previous frequency's solution (impedance varies smoothly in
 //!   `ω`, so the previous solution is an excellent initial guess).
 //!
+//! [`Circuit::ac_sweep_matrix_free_resilient`] is the only matrix-free
+//! sweep; with [`ResilienceOptions::strict`] it is one GMRES solve per
+//! frequency that aborts on the first failure.
+//!
 //! Convergence is residual-gated by the Krylov layer: a sweep either
 //! returns solutions matching the dense path to the requested
 //! tolerance or fails with a typed error — never a silently degraded
 //! result.
 
-use crate::ac::{AcOptions, AcResult, AcStampMode};
+use crate::ac::{AcOptions, AcStampMode};
 use crate::dcop::DcOperatingPoint;
 use crate::error::CircuitError;
 use crate::mna::MnaLayout;
 use crate::netlist::Circuit;
 use crate::resilience::{
-    FailurePolicy, FrequencyRecovery, FrequencyStatus, RecoveryReport, ResilienceOptions,
-    ResilientAcSweep,
+    FailurePolicy, FrequencyRecovery, FrequencyStatus, ResilienceOptions, ResilientAcSweep,
 };
 use crate::solver::{SolvePlan, Solver, SolverBackend};
 use crate::Result;
 use ind101_numeric::{
-    gmres, solve_with_rescue, Complex64, CsrMatrix, KrylovOptions, LinearOperator, Matrix,
-    NumericError, Preconditioner, RescueProvider, SolveGuard, Triplets,
+    solve_with_rescue, Complex64, CsrMatrix, KrylovOptions, LinearOperator, Matrix, NumericError,
+    Preconditioner, RescueProvider, SolveGuard, Triplets,
 };
 
 /// Tuning for the matrix-free AC sweep's Krylov solves.
@@ -124,88 +127,6 @@ impl Preconditioner<Complex64> for SolverPreconditioner {
 }
 
 impl Circuit {
-    /// AC sweep with the inductance blocks of selected inductor
-    /// systems applied matrix-free through [`LinearOperator`]s.
-    ///
-    /// `overrides` pairs an inductor-system index with the operator
-    /// that realizes its partial-inductance matrix; every other stamp
-    /// (and every non-overridden system) is assembled exactly as in
-    /// [`Circuit::ac_sweep`]. Results agree with the dense path to the
-    /// Krylov tolerance — the loop-extraction differential tests pin
-    /// this to ≤ 1e-8.
-    ///
-    /// # Errors
-    ///
-    /// Invalid options, an override index out of range or with a
-    /// mismatched operator dimension, a singular preconditioner
-    /// system, or Krylov non-convergence at some frequency (typed
-    /// through [`CircuitError::Numeric`]).
-    pub fn ac_sweep_matrix_free(
-        &self,
-        opts: &AcOptions,
-        overrides: &[(usize, &dyn LinearOperator<Complex64>)],
-        mf: &MatrixFreeAcOptions,
-    ) -> Result<AcResult> {
-        opts.validate()?;
-        let layout = MnaLayout::build(self);
-        self.validate_overrides(overrides)?;
-        let systems = self.inductor_systems();
-
-        let dc = if self.is_nonlinear() {
-            Some(self.dc_op()?)
-        } else {
-            None
-        };
-        let overridden: Vec<usize> = overrides.iter().map(|&(s, _)| s).collect();
-        let backend = self.effective_backend();
-        let kopts = KrylovOptions {
-            tol: mf.tol,
-            max_iters: mf.max_iters,
-            restart: mf.restart.max(1),
-        };
-
-        let mut data: Vec<Vec<Complex64>> = Vec::with_capacity(opts.freqs_hz.len());
-        let mut prev: Option<Vec<Complex64>> = None;
-        let mut plan: Option<SolvePlan> = None;
-        for &f in &opts.freqs_hz {
-            let jw = Complex64::jomega(2.0 * std::f64::consts::PI * f);
-            let (t_op, rhs) = self.ac_assemble_mode(
-                &layout,
-                dc.as_ref(),
-                f,
-                AcStampMode::OperatorPart {
-                    overridden: &overridden,
-                },
-            );
-            let (t_pre, _) = self.ac_assemble_mode(
-                &layout,
-                dc.as_ref(),
-                f,
-                AcStampMode::DiagonalPreconditioner {
-                    overridden: &overridden,
-                },
-            );
-            let annotate = |e| crate::mna::annotate_singular(self, &layout, e);
-            let solver = factor_preconditioner(&mut plan, &t_pre, backend).map_err(annotate)?;
-            let precond = SolverPreconditioner { solver };
-            let operator = MnaAcOperator {
-                csr: t_op.to_csr(),
-                blocks: overrides
-                    .iter()
-                    .map(|&(s, op)| (layout.ind_offsets[s], systems[s].len(), op, -jw))
-                    .collect(),
-            };
-            let x0 = if mf.warm_start { prev.as_deref() } else { None };
-            let sol = gmres(&operator, &rhs, x0, &precond, &kopts)
-                .map_err(|e| CircuitError::Numeric(NumericError::from(e)))?;
-            if mf.warm_start {
-                prev = Some(sol.x.clone());
-            }
-            data.push(sol.x);
-        }
-        Ok(AcResult::from_parts(opts.freqs_hz.clone(), data, layout))
-    }
-
     /// Checks that every override names an existing inductor system,
     /// matches its dimension, and appears at most once.
     fn validate_overrides(
@@ -242,8 +163,18 @@ impl Circuit {
         Ok(())
     }
 
-    /// [`Circuit::ac_sweep_matrix_free`] wrapped in the solve-resilience
-    /// layer: per-frequency Krylov failures climb the
+    /// AC sweep with the inductance blocks of selected inductor
+    /// systems applied matrix-free through [`LinearOperator`]s, under
+    /// the solve-resilience layer.
+    ///
+    /// `overrides` pairs an inductor-system index with the operator
+    /// that realizes its partial-inductance matrix; every other stamp
+    /// (and every non-overridden system) is assembled exactly as in
+    /// [`Circuit::ac_sweep`]. Results agree with the dense path to the
+    /// Krylov tolerance — the loop-extraction differential tests pin
+    /// this to ≤ 1e-8.
+    ///
+    /// Per-frequency Krylov failures climb the
     /// [`ind101_numeric::KrylovRescuePolicy`] ladder (grown restart →
     /// dense-direct fallback, the latter gated by the memory budget),
     /// the whole sweep shares one
@@ -251,11 +182,11 @@ impl Circuit {
     /// cancellation), and the [`FailurePolicy`] decides whether a
     /// frequency that still fails aborts the sweep or is skipped with a
     /// typed record. The returned [`ResilientAcSweep`] holds solutions
-    /// for every frequency that solved plus a [`RecoveryReport`] for
-    /// the full request.
-    ///
-    /// With [`ResilienceOptions::strict`] the results are bit-identical
-    /// to [`Circuit::ac_sweep_matrix_free`].
+    /// for every frequency that solved plus a
+    /// [`RecoveryReport`](crate::RecoveryReport) for the full request.
+    /// With [`ResilienceOptions::strict`] each frequency is one GMRES
+    /// solve and the first failure is the sweep's error; with no fault
+    /// and an unlimited budget every configuration gives the same bits.
     ///
     /// The GMRES warm start is reset whenever a frequency needed any
     /// rescue rung or was skipped — a guess that led to failure (or
@@ -264,10 +195,14 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Invalid options/overrides always abort. Per-frequency solve
-    /// failures abort only under [`FailurePolicy::Abort`]; cancellation
-    /// and sweep-wide budget exhaustion stop the sweep early but still
-    /// return the partial result.
+    /// Invalid options, an override index out of range or with a
+    /// mismatched operator dimension, or a duplicate override always
+    /// abort. Per-frequency failures — a singular preconditioner
+    /// system, Krylov non-convergence (typed through
+    /// [`CircuitError::Numeric`]) — abort only under
+    /// [`FailurePolicy::Abort`]; cancellation and sweep-wide budget
+    /// exhaustion stop the sweep early but still return the partial
+    /// result.
     pub fn ac_sweep_matrix_free_resilient(
         &self,
         opts: &AcOptions,
@@ -301,22 +236,17 @@ impl Circuit {
         // the remaining wall-clock allowance so the sweep-wide deadline
         // is enforced inside the Krylov iterations too.
         let guard = SolveGuard::new(resilience.budget.clone());
-        let mut records: Vec<FrequencyRecovery> = Vec::with_capacity(opts.freqs_hz.len());
-        let mut solutions: Vec<Option<Vec<Complex64>>> = Vec::with_capacity(opts.freqs_hz.len());
+        let mut outcomes = Vec::with_capacity(opts.freqs_hz.len());
         let mut stopped: Option<String> = None;
         let mut prev: Option<Vec<Complex64>> = None;
         let mut plan: Option<SolvePlan> = None;
 
         for &f in &opts.freqs_hz {
-            if stopped.is_some() {
-                records.push(not_attempted(f));
-                solutions.push(None);
-                continue;
+            if stopped.is_none() {
+                stopped = guard.check().err().map(|e| e.to_string());
             }
-            if let Err(e) = guard.check() {
-                stopped = Some(e.to_string());
-                records.push(not_attempted(f));
-                solutions.push(None);
+            if stopped.is_some() {
+                outcomes.push((FrequencyRecovery::not_attempted(f), None));
                 continue;
             }
             let freq_started = guard.elapsed_seconds();
@@ -352,7 +282,7 @@ impl Circuit {
                     }
                     // A singular diagonal-stamped system is almost
                     // certainly singular in full form too: skip.
-                    records.push(FrequencyRecovery {
+                    let rec = FrequencyRecovery {
                         freq_hz: f,
                         status: FrequencyStatus::Skipped {
                             error: err.to_string(),
@@ -361,8 +291,8 @@ impl Circuit {
                         rungs_attempted: 0,
                         trajectory: "preconditioner-build".to_owned(),
                         elapsed_seconds: guard.elapsed_seconds() - freq_started,
-                    });
-                    solutions.push(None);
+                    };
+                    outcomes.push((rec, None));
                     prev = None;
                     continue;
                 }
@@ -406,15 +336,15 @@ impl Circuit {
                     // Warm-start hygiene: only a plainly solved point
                     // seeds the next frequency.
                     prev = (mf.warm_start && initial).then(|| sol.x.clone());
-                    records.push(FrequencyRecovery {
+                    let rec = FrequencyRecovery {
                         freq_hz: f,
                         status,
                         iterations: report.total_iterations,
                         rungs_attempted: report.rungs.len(),
                         trajectory: report.summary(),
                         elapsed_seconds: guard.elapsed_seconds() - freq_started,
-                    });
-                    solutions.push(Some(sol.x));
+                    };
+                    outcomes.push((rec, Some(sol.x)));
                 }
                 Err(failure) => {
                     prev = None;
@@ -422,7 +352,7 @@ impl Circuit {
                     if resilience.policy == FailurePolicy::Abort {
                         return Err(err);
                     }
-                    records.push(FrequencyRecovery {
+                    let rec = FrequencyRecovery {
                         freq_hz: f,
                         status: FrequencyStatus::Skipped {
                             error: err.to_string(),
@@ -431,29 +361,14 @@ impl Circuit {
                         rungs_attempted: failure.report.rungs.len(),
                         trajectory: failure.report.summary(),
                         elapsed_seconds: guard.elapsed_seconds() - freq_started,
-                    });
-                    solutions.push(None);
+                    };
+                    outcomes.push((rec, None));
                     // The next loop iteration's guard poll converts a
                     // sweep-wide cancellation/deadline into a stop.
                 }
             }
         }
-
-        let mut freqs = Vec::new();
-        let mut data = Vec::new();
-        for (rec, sol) in records.iter().zip(solutions) {
-            if let Some(x) = sol {
-                freqs.push(rec.freq_hz);
-                data.push(x);
-            }
-        }
-        Ok(ResilientAcSweep {
-            ac: AcResult::from_parts(freqs, data, layout),
-            report: RecoveryReport {
-                frequencies: records,
-                stopped,
-            },
-        })
+        Ok(ResilientAcSweep::from_outcomes(outcomes, layout, stopped))
     }
 }
 
@@ -471,17 +386,6 @@ fn factor_preconditioner(
     let (first, solver) = SolvePlan::first(t_pre, backend, None)?;
     *plan = Some(first);
     solver
-}
-
-fn not_attempted(freq_hz: f64) -> FrequencyRecovery {
-    FrequencyRecovery {
-        freq_hz,
-        status: FrequencyStatus::NotAttempted,
-        iterations: 0,
-        rungs_attempted: 0,
-        trajectory: String::new(),
-        elapsed_seconds: 0.0,
-    }
 }
 
 /// Rescue provider for the matrix-free AC solve: the dense-direct rung
@@ -508,6 +412,7 @@ impl RescueProvider<Complex64> for FullStampProvider<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ac::AcResult;
     use crate::netlist::InductorSystem;
     use crate::waveform::SourceWave;
     use ind101_numeric::Matrix;
@@ -562,6 +467,17 @@ mod tests {
         }
     }
 
+    /// The strict matrix-free sweep.
+    fn strict(
+        c: &Circuit,
+        opts: &AcOptions,
+        overrides: &[(usize, &dyn LinearOperator<Complex64>)],
+        mf: &MatrixFreeAcOptions,
+    ) -> Result<AcResult> {
+        c.ac_sweep_matrix_free_resilient(opts, overrides, mf, &ResilienceOptions::strict())
+            .map(|sweep| sweep.ac)
+    }
+
     #[test]
     fn matrix_free_matches_dense_sweep() {
         let (c, m) = coupled_circuit(12);
@@ -569,13 +485,13 @@ mod tests {
             freqs_hz: vec![1e8, 1e9, 5e9, 2e10],
         };
         let dense = c.ac_sweep(&opts).unwrap();
-        let mf = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap();
+        let mf = strict(
+            &c,
+            &opts,
+            &[(0usize, &m as &dyn LinearOperator<Complex64>)],
+            &MatrixFreeAcOptions::default(),
+        )
+        .unwrap();
         let node = crate::netlist::NodeId(1);
         for idx in 0..opts.freqs_hz.len() {
             let a = dense.voltage(node, idx);
@@ -598,12 +514,14 @@ mod tests {
         let nf = opts.freqs_hz.len();
         let ops = [(0usize, &m as &dyn LinearOperator<Complex64>)];
         let mf = MatrixFreeAcOptions::default();
-        let (plain, analyses, factors) =
-            crate::solver::probe::record(|| c.ac_sweep_matrix_free(&opts, &ops, &mf).unwrap());
-        let (resilient, analyses_r, factors_r) = crate::solver::probe::record(|| {
-            c.ac_sweep_matrix_free_resilient(&opts, &ops, &mf, &ResilienceOptions::strict())
+        let (strict, analyses, factors) =
+            crate::solver::probe::record(|| strict(&c, &opts, &ops, &mf).unwrap());
+        // Rescue ladder armed but never fired.
+        let (armed, analyses_r, factors_r) = crate::solver::probe::record(|| {
+            c.ac_sweep_matrix_free_resilient(&opts, &ops, &mf, &ResilienceOptions::default())
                 .unwrap()
         });
+        assert!(armed.report.clean(), "{}", armed.report.summary());
         for (analyses, factors) in [(analyses, factors), (analyses_r, factors_r)] {
             assert_eq!(analyses, 1, "one SymbolicLu::analyze per sweep");
             assert_eq!(
@@ -615,7 +533,7 @@ mod tests {
         }
         for idx in 0..nf {
             let node = crate::netlist::NodeId(5);
-            assert!(plain.voltage(node, idx) == resilient.ac.voltage(node, idx));
+            assert!(strict.voltage(node, idx) == armed.ac.voltage(node, idx));
         }
     }
 
@@ -628,23 +546,18 @@ mod tests {
         let opts = AcOptions {
             freqs_hz: (1..=12).map(|k| 1e8 * 1.6f64.powi(k)).collect(),
         };
-        let warm = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap();
-        let cold = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions {
-                    warm_start: false,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let ops = [(0usize, &m as &dyn LinearOperator<Complex64>)];
+        let warm = strict(&c, &opts, &ops, &MatrixFreeAcOptions::default()).unwrap();
+        let cold = strict(
+            &c,
+            &opts,
+            &ops,
+            &MatrixFreeAcOptions {
+                warm_start: false,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let node = crate::netlist::NodeId(0);
         for idx in 0..opts.freqs_hz.len() {
             let a = warm.voltage(node, idx);
@@ -659,13 +572,13 @@ mod tests {
         let opts = AcOptions {
             freqs_hz: vec![1e9],
         };
-        let err = c
-            .ac_sweep_matrix_free(
-                &opts,
-                &[(3usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap_err();
+        let err = strict(
+            &c,
+            &opts,
+            &[(3usize, &m as &dyn LinearOperator<Complex64>)],
+            &MatrixFreeAcOptions::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CircuitError::InvalidOptions { .. }), "{err}");
     }
 
@@ -673,15 +586,15 @@ mod tests {
     fn mismatched_operator_dimension_is_typed_error() {
         let (c, _) = coupled_circuit(4);
         let wrong = Matrix::from_fn(3, 3, |i, j| if i == j { 1e-9 } else { 0.0 });
-        let err = c
-            .ac_sweep_matrix_free(
-                &AcOptions {
-                    freqs_hz: vec![1e9],
-                },
-                &[(0usize, &wrong as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap_err();
+        let err = strict(
+            &c,
+            &AcOptions {
+                freqs_hz: vec![1e9],
+            },
+            &[(0usize, &wrong as &dyn LinearOperator<Complex64>)],
+            &MatrixFreeAcOptions::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CircuitError::InvalidOptions { .. }), "{err}");
     }
 
@@ -689,35 +602,35 @@ mod tests {
     fn duplicate_override_rejected() {
         let (c, m) = coupled_circuit(4);
         let op: &dyn LinearOperator<Complex64> = &m;
-        let err = c
-            .ac_sweep_matrix_free(
-                &AcOptions {
-                    freqs_hz: vec![1e9],
-                },
-                &[(0usize, op), (0usize, op)],
-                &MatrixFreeAcOptions::default(),
-            )
-            .unwrap_err();
+        let err = strict(
+            &c,
+            &AcOptions {
+                freqs_hz: vec![1e9],
+            },
+            &[(0usize, op), (0usize, op)],
+            &MatrixFreeAcOptions::default(),
+        )
+        .unwrap_err();
         assert!(matches!(err, CircuitError::InvalidOptions { .. }));
     }
 
     #[test]
     fn impossible_tolerance_yields_typed_nonconvergence() {
         let (c, m) = coupled_circuit(6);
-        let err = c
-            .ac_sweep_matrix_free(
-                &AcOptions {
-                    freqs_hz: vec![1e9],
-                },
-                &[(0usize, &m as &dyn LinearOperator<Complex64>)],
-                &MatrixFreeAcOptions {
-                    tol: 1e-30,
-                    max_iters: 3,
-                    restart: 2,
-                    warm_start: true,
-                },
-            )
-            .unwrap_err();
+        let err = strict(
+            &c,
+            &AcOptions {
+                freqs_hz: vec![1e9],
+            },
+            &[(0usize, &m as &dyn LinearOperator<Complex64>)],
+            &MatrixFreeAcOptions {
+                tol: 1e-30,
+                max_iters: 3,
+                restart: 2,
+                warm_start: true,
+            },
+        )
+        .unwrap_err();
         assert!(
             matches!(err, CircuitError::Numeric(NumericError::NoConvergence { .. })),
             "{err}"

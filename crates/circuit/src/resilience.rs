@@ -1,16 +1,19 @@
 //! Shared types for resilient (partial-result) sweeps.
 //!
-//! The resilient AC entry points ([`crate::Circuit::ac_sweep_resilient`]
-//! and [`crate::Circuit::ac_sweep_matrix_free_resilient`]) and the
-//! loop-extraction layer on top of them all speak the same vocabulary:
-//! a [`FailurePolicy`] deciding what one bad frequency does to the
-//! other 199, a [`ind101_numeric::SolveBudget`] bounding wall-clock /
-//! memory / cancellation for the whole sweep, and a [`RecoveryReport`]
-//! recording per-frequency what was attempted, which rescue rung (if
-//! any) saved the solve, and what it cost.
+//! Each solve family has one sweep: [`crate::Circuit::ac_sweep_resilient`]
+//! for the direct solver and
+//! [`crate::Circuit::ac_sweep_matrix_free_resilient`] for the Krylov
+//! solver. [`crate::Circuit::ac_sweep`] is the direct sweep's strict call
+//! ([`ResilienceOptions::strict`]), and the loop-extraction layer on top
+//! speaks the same vocabulary: a [`FailurePolicy`] deciding what one bad
+//! frequency does to the other 199, a [`ind101_numeric::SolveBudget`]
+//! bounding wall-clock / memory / cancellation for the whole sweep, and a
+//! [`RecoveryReport`] recording per-frequency what was attempted, which
+//! rescue rung (if any) saved the solve, and what it cost.
 
 use crate::ac::AcResult;
-use ind101_numeric::{KrylovRescuePolicy, KrylovRescueRung, SolveBudget};
+use crate::mna::MnaLayout;
+use ind101_numeric::{Complex64, KrylovRescuePolicy, KrylovRescueRung, SolveBudget};
 use std::fmt;
 
 /// What a sweep does when one frequency point fails after the rescue
@@ -18,7 +21,7 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FailurePolicy {
     /// Abort the whole sweep with the first typed error, in frequency
-    /// order — the semantics of the plain (non-resilient) sweeps.
+    /// order — the semantics of [`crate::Circuit::ac_sweep`].
     #[default]
     Abort,
     /// Record the failure in the [`RecoveryReport`] and continue with
@@ -46,9 +49,9 @@ impl fmt::Display for FailurePolicy {
 /// and per-frequency failure policy.
 ///
 /// The default is the "resilience on" configuration: full rescue
-/// ladder, unlimited budget, [`FailurePolicy::SkipAndReport`]. For the
-/// exact behavior (and bits) of the plain sweeps use
-/// [`ResilienceOptions::strict`].
+/// ladder, unlimited budget, [`FailurePolicy::SkipAndReport`]. With no
+/// fault it gives the same bits as [`ResilienceOptions::strict`], the
+/// configuration of [`crate::Circuit::ac_sweep`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResilienceOptions {
     /// Which Krylov rescue rungs may fire per frequency.
@@ -70,8 +73,8 @@ impl Default for ResilienceOptions {
 }
 
 impl ResilienceOptions {
-    /// No rescue, no budget, abort on first failure — bit-identical to
-    /// the plain sweep entry points.
+    /// No rescue, no budget, abort on first failure — the configuration
+    /// of [`crate::Circuit::ac_sweep`] and `extract_loop_rl`.
     #[must_use]
     pub fn strict() -> Self {
         Self {
@@ -139,6 +142,20 @@ pub struct FrequencyRecovery {
     pub trajectory: String,
     /// Wall-clock seconds spent on this frequency.
     pub elapsed_seconds: f64,
+}
+
+impl FrequencyRecovery {
+    /// The record of a frequency the sweep stopped before reaching.
+    pub(crate) fn not_attempted(freq_hz: f64) -> Self {
+        Self {
+            freq_hz,
+            status: FrequencyStatus::NotAttempted,
+            iterations: 0,
+            rungs_attempted: 0,
+            trajectory: String::new(),
+            elapsed_seconds: 0.0,
+        }
+    }
 }
 
 /// What a resilient sweep did, frequency by frequency.
@@ -228,6 +245,35 @@ pub struct ResilientAcSweep {
     pub ac: AcResult,
     /// Per-frequency outcomes for the full request.
     pub report: RecoveryReport,
+}
+
+impl ResilientAcSweep {
+    /// Splits a sweep's per-frequency outcomes — each record with its
+    /// solution, if it solved, in request order — into the solved
+    /// frequencies' [`AcResult`] and the report of the whole request.
+    pub(crate) fn from_outcomes(
+        outcomes: Vec<(FrequencyRecovery, Option<Vec<Complex64>>)>,
+        layout: MnaLayout,
+        stopped: Option<String>,
+    ) -> Self {
+        let mut freqs = Vec::new();
+        let mut data = Vec::new();
+        let mut frequencies = Vec::with_capacity(outcomes.len());
+        for (rec, sol) in outcomes {
+            if let Some(x) = sol {
+                freqs.push(rec.freq_hz);
+                data.push(x);
+            }
+            frequencies.push(rec);
+        }
+        Self {
+            ac: AcResult::from_parts(freqs, data, layout),
+            report: RecoveryReport {
+                frequencies,
+                stopped,
+            },
+        }
+    }
 }
 
 #[cfg(test)]

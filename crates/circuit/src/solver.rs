@@ -606,12 +606,6 @@ impl<T: Scalar> Solver<T> {
     }
 }
 
-/// Convenience: assemble a dense matrix from triplets (test helper).
-#[allow(dead_code)]
-pub(crate) fn to_dense<T: Scalar>(t: &Triplets<T>) -> Matrix<T> {
-    t.to_dense()
-}
-
 /// Test-only log of the structural work done on the calling thread, so
 /// sweep tests can assert one symbolic analysis per sweep and one shared
 /// `Arc` across its frequencies.

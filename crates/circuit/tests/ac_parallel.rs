@@ -3,7 +3,7 @@
 //! never reordered or re-solved differently), and identical error
 //! semantics.
 
-use ind101_circuit::{AcOptions, Circuit, SourceWave};
+use ind101_circuit::{AcOptions, AcResult, Circuit, CircuitError, ResilienceOptions, SourceWave};
 use ind101_numeric::ParallelConfig;
 
 /// RLC ladder with an AC source: exercises resistors, capacitors and
@@ -25,16 +25,19 @@ fn rlc_ladder(stages: usize) -> (Circuit, Vec<ind101_circuit::NodeId>) {
     (c, nodes)
 }
 
+/// The strict sweep on `threads` worker threads.
+fn sweep(c: &Circuit, opts: &AcOptions, threads: usize) -> Result<AcResult, CircuitError> {
+    let cfg = ParallelConfig::with_threads(threads);
+    c.ac_sweep_resilient(opts, &cfg, &ResilienceOptions::strict(), None)
+        .map(|s| s.ac)
+}
+
 #[test]
 fn parallel_sweep_matches_serial_bitwise() {
     let (c, nodes) = rlc_ladder(6);
     let opts = AcOptions::log_sweep(1e6, 1e11, 7);
-    let serial = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(1))
-        .expect("serial sweep");
-    let par = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(4))
-        .expect("parallel sweep");
+    let serial = sweep(&c, &opts, 1).expect("serial sweep");
+    let par = sweep(&c, &opts, 4).expect("parallel sweep");
     assert_eq!(serial.freqs_hz, par.freqs_hz, "frequency grid reordered");
     for &n in &nodes {
         for idx in 0..serial.freqs_hz.len() {
@@ -52,9 +55,7 @@ fn default_sweep_matches_explicit_config() {
     let (c, nodes) = rlc_ladder(3);
     let opts = AcOptions { freqs_hz: vec![1e8, 1e9, 1e10] };
     let a = c.ac_sweep(&opts).expect("default sweep");
-    let b = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(2))
-        .expect("two-thread sweep");
+    let b = sweep(&c, &opts, 2).expect("two-thread sweep");
     for &n in &nodes {
         for idx in 0..opts.freqs_hz.len() {
             assert_eq!(a.voltage(n, idx), b.voltage(n, idx));
@@ -70,11 +71,7 @@ fn error_semantics_are_thread_invariant() {
     let opts = AcOptions {
         freqs_hz: vec![1e9, -1.0, f64::NAN],
     };
-    let e1 = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(1))
-        .expect_err("serial should reject");
-    let e4 = c
-        .ac_sweep_with(&opts, &ParallelConfig::with_threads(4))
-        .expect_err("parallel should reject");
+    let e1 = sweep(&c, &opts, 1).expect_err("serial should reject");
+    let e4 = sweep(&c, &opts, 4).expect_err("parallel should reject");
     assert_eq!(format!("{e1}"), format!("{e4}"));
 }

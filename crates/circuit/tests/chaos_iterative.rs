@@ -6,8 +6,8 @@
 //! starvation, and cancellation. Every test asserts the contract of
 //! ISSUE 7's tentpole — the resilient sweeps either recover via a
 //! rescue rung, skip with a per-frequency typed report, or fail typed;
-//! they never panic, never hang, and are bit-identical to the plain
-//! sweeps when no fault fires.
+//! they never panic, never hang, and give the bits of the strict
+//! configuration when no fault fires.
 
 #![cfg(feature = "solver-faults")]
 
@@ -69,20 +69,20 @@ fn no_fault_resilient_sweep_is_bit_identical() {
     let opts = freqs();
     let mf = MatrixFreeAcOptions::default();
     let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
-    let plain = c.ac_sweep_matrix_free(&opts, ov, &mf).unwrap();
-    // Both the strict (rescue off) and the default (rescue armed, never
-    // fired) configurations must reproduce the plain sweep bitwise.
-    for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
-        let sweep = c
-            .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &res)
-            .unwrap();
+    // The default configuration (rescue armed, never fired) must
+    // reproduce the strict sweep bitwise.
+    let [strict, armed] = [ResilienceOptions::strict(), ResilienceOptions::default()].map(|res| {
+        c.ac_sweep_matrix_free_resilient(&opts, ov, &mf, &res)
+            .unwrap()
+    });
+    for sweep in [&strict, &armed] {
         assert!(sweep.report.clean(), "{}", sweep.report.summary());
         assert_eq!(sweep.ac.freqs_hz, opts.freqs_hz);
-        for idx in 0..opts.freqs_hz.len() {
-            let a = plain.voltage(probe, idx);
-            let b = sweep.ac.voltage(probe, idx);
-            assert!(a == b, "policy {:?} f[{idx}]: {a:?} != {b:?}", res.policy);
-        }
+    }
+    for idx in 0..opts.freqs_hz.len() {
+        let a = strict.ac.voltage(probe, idx);
+        let b = armed.ac.voltage(probe, idx);
+        assert!(a == b, "f[{idx}]: {a:?} != {b:?}");
     }
 }
 
@@ -92,17 +92,13 @@ fn injected_stagnation_is_rescued_by_the_ladder() {
     let (c, m, probe) = coupled(10);
     let opts = freqs();
     let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
-    let plain = c
-        .ac_sweep_matrix_free(&opts, ov, &MatrixFreeAcOptions::default())
+    let mf = MatrixFreeAcOptions::default();
+    let strict = c
+        .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &ResilienceOptions::strict())
         .unwrap();
     faults::inject_gmres_stagnation(1);
     let sweep = c
-        .ac_sweep_matrix_free_resilient(
-            &opts,
-            ov,
-            &MatrixFreeAcOptions::default(),
-            &ResilienceOptions::default(),
-        )
+        .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &ResilienceOptions::default())
         .unwrap();
     faults::reset();
     // The first frequency's initial rung was forced to stagnate; the
@@ -118,7 +114,7 @@ fn injected_stagnation_is_rescued_by_the_ladder() {
     assert!(sweep.report.frequencies[0].rungs_attempted >= 2);
     // The rescued solution still agrees with the unfaulted sweep.
     for idx in 0..opts.freqs_hz.len() {
-        let a = plain.voltage(probe, idx);
+        let a = strict.ac.voltage(probe, idx);
         let b = sweep.ac.voltage(probe, idx);
         assert!((a - b).abs() <= 1e-8 * a.abs().max(1e-12), "f[{idx}]");
     }
@@ -272,13 +268,12 @@ fn dense_resilient_sweep_is_bit_identical_without_faults() {
         threads: 1,
         ..Default::default()
     };
-    let plain = c.ac_sweep_with(&opts, &cfg).unwrap();
-    let sweep = c
-        .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::strict())
-        .unwrap();
-    assert!(sweep.report.clean());
+    let [strict, armed] = [ResilienceOptions::strict(), ResilienceOptions::default()]
+        .map(|res| c.ac_sweep_resilient(&opts, &cfg, &res, None).unwrap());
+    assert!(strict.report.clean());
+    assert!(armed.report.clean());
     for idx in 0..opts.freqs_hz.len() {
-        assert!(plain.voltage(probe, idx) == sweep.ac.voltage(probe, idx));
+        assert!(strict.ac.voltage(probe, idx) == armed.ac.voltage(probe, idx));
     }
 }
 
@@ -293,7 +288,7 @@ fn dense_resilient_sweep_skips_injected_singular_frequency() {
     };
     faults::inject_singular_pivot(Some(0));
     let sweep = c
-        .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default())
+        .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default(), None)
         .unwrap();
     faults::reset();
     // The one-shot singular pivot hits the first frequency's solver
@@ -320,7 +315,9 @@ fn dense_resilient_sweep_aborts_typed_under_abort_policy() {
         policy: FailurePolicy::Abort,
         ..ResilienceOptions::default()
     };
-    let err = c.ac_sweep_resilient(&freqs(), &cfg, &res).unwrap_err();
+    let err = c
+        .ac_sweep_resilient(&freqs(), &cfg, &res, None)
+        .unwrap_err();
     faults::reset();
     assert!(
         matches!(err, CircuitError::SingularSystem { .. }),
@@ -340,7 +337,7 @@ fn dense_resilient_sweep_honours_cancellation() {
     let token = CancelToken::new();
     token.cancel();
     let res = ResilienceOptions::with_budget(SolveBudget::unlimited().with_cancel(token));
-    let sweep = c.ac_sweep_resilient(&opts, &cfg, &res).unwrap();
+    let sweep = c.ac_sweep_resilient(&opts, &cfg, &res, None).unwrap();
     assert_eq!(sweep.report.not_attempted_count(), opts.freqs_hz.len());
     assert!(sweep.ac.freqs_hz.is_empty());
     let why = sweep.report.stopped.expect("stop reason recorded");

@@ -182,17 +182,13 @@ mod tests {
     fn budget_refuses_dense_with_typed_error() {
         // 64 filaments → 64·64·16 = 65 536 bytes of dense block.
         let tight = SolveBudget::unlimited().with_memory_bytes(1024);
-        let err = ExtractionBackend::Auto
+        let err = ExtractionBackend::Dense
             .resolve_with_budget(64, &tight)
             .unwrap_err();
         assert!(
             matches!(err, CircuitError::BudgetExceeded { .. }),
             "expected BudgetExceeded, got {err:?}"
         );
-        let err = ExtractionBackend::Dense
-            .resolve_with_budget(64, &tight)
-            .unwrap_err();
-        assert!(matches!(err, CircuitError::BudgetExceeded { .. }));
         // Matrix-free never stamps the dense block, so it passes.
         assert_eq!(
             ExtractionBackend::MatrixFree
@@ -200,11 +196,24 @@ mod tests {
                 .unwrap(),
             ExtractionBackend::MatrixFree
         );
+        // `Auto` is gated like whatever it resolves to, which
+        // `IND101_EXTRACTION_BACKEND` may force either way.
+        let auto = ExtractionBackend::Auto.resolve(64).unwrap();
+        let gated = ExtractionBackend::Auto.resolve_with_budget(64, &tight);
+        match auto {
+            ExtractionBackend::Dense => assert!(
+                matches!(gated, Err(CircuitError::BudgetExceeded { .. })),
+                "expected BudgetExceeded, got {gated:?}"
+            ),
+            _ => assert_eq!(gated.unwrap(), ExtractionBackend::MatrixFree),
+        }
         // A roomy budget keeps the normal resolution.
         let roomy = SolveBudget::unlimited().with_memory_bytes(1 << 20);
         assert_eq!(
-            ExtractionBackend::Auto.resolve_with_budget(64, &roomy).unwrap(),
-            ExtractionBackend::Dense
+            ExtractionBackend::Auto
+                .resolve_with_budget(64, &roomy)
+                .unwrap(),
+            auto
         );
     }
 

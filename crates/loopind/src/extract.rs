@@ -1,4 +1,7 @@
 //! FastHenry-style loop R(f)/L(f) extraction.
+//!
+//! [`extract_loop_rl_resilient`] is the only extraction; [`extract_loop_rl`]
+//! is its strict call with the `Auto` backend and default parallelism.
 
 use ind101_circuit::{
     AcOptions, Circuit, CircuitError, MatrixFreeAcOptions, NodeId, RecoveryReport,
@@ -85,31 +88,29 @@ const MIN_SERIES_RES_OHM: f64 = 1e-6;
 /// AC reference through the pad impedance; a 1 A AC probe drives the
 /// port and the port voltage is the loop impedance.
 ///
+/// This is the strict call of [`extract_loop_rl_resilient`]: the default
+/// [`ParallelConfig`], [`ExtractionBackend::Auto`] and
+/// [`ResilienceOptions::strict`].
+///
 /// # Errors
 ///
-/// Fails if the named ports don't exist or the network is singular.
+/// Fails if the named ports don't exist, the network is singular, the
+/// Krylov solve does not converge, or `IND101_EXTRACTION_BACKEND` is
+/// set to an unrecognized value.
 pub fn extract_loop_rl(
     par: &PeecParasitics,
     spec: &LoopPortSpec,
     freqs_hz: &[f64],
 ) -> Result<LoopExtraction, CircuitError> {
-    extract_loop_rl_with(par, spec, freqs_hz, &ParallelConfig::default())
-}
-
-/// [`extract_loop_rl`] with an explicit parallelism configuration: the
-/// underlying AC sweep runs its per-frequency solves on `cfg.threads`
-/// worker threads, in deterministic frequency order.
-///
-/// # Errors
-///
-/// Fails if the named ports don't exist or the network is singular.
-pub fn extract_loop_rl_with(
-    par: &PeecParasitics,
-    spec: &LoopPortSpec,
-    freqs_hz: &[f64],
-    cfg: &ParallelConfig,
-) -> Result<LoopExtraction, CircuitError> {
-    extract_loop_rl_backend(par, spec, freqs_hz, cfg, ExtractionBackend::default())
+    extract_loop_rl_resilient(
+        par,
+        spec,
+        freqs_hz,
+        &ParallelConfig::default(),
+        ExtractionBackend::Auto,
+        &ResilienceOptions::strict(),
+    )
+    .map(|got| got.extraction)
 }
 
 /// The loop-extraction probe circuit, before any AC sweep runs.
@@ -213,64 +214,6 @@ fn build_probe(par: &PeecParasitics, spec: &LoopPortSpec) -> Result<ProbeCircuit
     })
 }
 
-/// [`extract_loop_rl_with`] with an explicit [`ExtractionBackend`].
-///
-/// `Dense` stamps the full partial-inductance matrix into the MNA
-/// system and factorizes directly — the reference oracle. `MatrixFree`
-/// keeps the `−jωM` block out of the factorized matrix and applies it
-/// through a [`LinearOperator`] inside preconditioned GMRES: an
-/// FFT-accelerated block-Toeplitz operator when the inductive segments
-/// form a regular filament lattice
-/// ([`GridInductanceOperator::detect`]), a dense matvec otherwise.
-/// `Auto` defers to `IND101_EXTRACTION_BACKEND`, then to problem size.
-///
-/// # Errors
-///
-/// Fails if the named ports don't exist, the network is singular, the
-/// Krylov solve does not converge, or `IND101_EXTRACTION_BACKEND` is
-/// set to an unrecognized value.
-pub fn extract_loop_rl_backend(
-    par: &PeecParasitics,
-    spec: &LoopPortSpec,
-    freqs_hz: &[f64],
-    cfg: &ParallelConfig,
-    backend: ExtractionBackend,
-) -> Result<LoopExtraction, CircuitError> {
-    let probe = build_probe(par, spec)?;
-    let resolved = backend.resolve(probe.inductive.len())?;
-    let opts = AcOptions {
-        freqs_hz: freqs_hz.to_vec(),
-    };
-    let ac = match (resolved, probe.inductor_system) {
-        (ExtractionBackend::MatrixFree, Some(sys)) => {
-            let grid = GridInductanceOperator::detect(par.layout.tech(), &probe.inductive);
-            let op: &dyn LinearOperator<Complex64> = match grid.as_ref() {
-                Some(g) => g,
-                None => &probe.circuit.inductor_systems()[sys].m,
-            };
-            probe
-                .circuit
-                .ac_sweep_matrix_free(&opts, &[(sys, op)], &MatrixFreeAcOptions::default())?
-        }
-        // A matrix-free request with no inductive system degenerates to
-        // the plain sweep: there is no `−jωM` block to keep matrix-free.
-        _ => probe.circuit.ac_sweep_with(&opts, cfg)?,
-    };
-
-    let mut r_ohm = Vec::with_capacity(freqs_hz.len());
-    let mut l_h = Vec::with_capacity(freqs_hz.len());
-    for (i, &f) in freqs_hz.iter().enumerate() {
-        let z = ac.voltage(probe.driver_node, i) - ac.voltage(probe.port_return, i);
-        r_ohm.push(z.re);
-        l_h.push(z.im / (2.0 * std::f64::consts::PI * f));
-    }
-    Ok(LoopExtraction {
-        freqs_hz: freqs_hz.to_vec(),
-        r_ohm,
-        l_h,
-    })
-}
-
 /// A loop extraction carried out under the solve-resilience layer:
 /// `extraction` holds `R(f)`/`L(f)` for the frequencies that solved
 /// (possibly a subset of the request), `report` records the outcome of
@@ -283,26 +226,39 @@ pub struct ResilientLoopExtraction {
     pub report: RecoveryReport,
 }
 
-/// [`extract_loop_rl_backend`] wrapped in the solve-resilience layer.
+/// Extracts loop `R(f)` and `L(f)` at the driver port (see
+/// [`extract_loop_rl`]) with an explicit parallelism configuration,
+/// [`ExtractionBackend`] and solve-resilience layer.
+///
+/// The underlying AC sweep plans on its first frequency and runs the
+/// rest on `cfg.threads` worker threads, in deterministic frequency
+/// order. `Dense` stamps the full partial-inductance matrix into the
+/// MNA system and factorizes directly — the reference oracle.
+/// `MatrixFree` keeps the `−jωM` block out of the factorized matrix and
+/// applies it through a [`LinearOperator`] inside preconditioned GMRES:
+/// an FFT-accelerated block-Toeplitz operator when the inductive
+/// segments form a regular filament lattice
+/// ([`GridInductanceOperator::detect`]), a dense matvec otherwise. A
+/// matrix-free request with no inductive system runs the direct sweep.
+/// `Auto` defers to `IND101_EXTRACTION_BACKEND`, then to problem size.
 ///
 /// The backend resolution honours the memory budget
 /// ([`ExtractionBackend::resolve_with_budget`]): a dense path whose
 /// stamped partial-inductance block would not fit is refused with a
 /// typed [`CircuitError::BudgetExceeded`] before any allocation. The
-/// underlying AC sweep runs under `resilience`'s budget, cancellation
-/// token, rescue ladder (matrix-free path) and
+/// AC sweep runs under `resilience`'s budget, cancellation token,
+/// rescue ladder (matrix-free path) and
 /// [`ind101_circuit::FailurePolicy`], so a single bad frequency skips
 /// with a typed record instead of destroying the sweep, and the caller
-/// gets back whatever solved.
-///
-/// With `ResilienceOptions::strict()` and no faults the result is
-/// bit-identical to [`extract_loop_rl_backend`].
+/// gets back whatever solved. With no fault and an unlimited budget
+/// every resilience setting gives the same bits.
 ///
 /// # Errors
 ///
-/// Fails if the named ports don't exist, the backend resolution is
-/// refused by the budget, or — under `FailurePolicy::Abort` — any
-/// frequency fails to solve.
+/// Fails if the named ports don't exist, `IND101_EXTRACTION_BACKEND`
+/// is set to an unrecognized value, the backend resolution is refused
+/// by the budget, or — under `FailurePolicy::Abort` — any frequency
+/// fails to solve.
 pub fn extract_loop_rl_resilient(
     par: &PeecParasitics,
     spec: &LoopPortSpec,
@@ -330,11 +286,13 @@ pub fn extract_loop_rl_resilient(
                 resilience,
             )?
         }
-        _ => probe.circuit.ac_sweep_resilient(&opts, cfg, resilience)?,
+        _ => probe
+            .circuit
+            .ac_sweep_resilient(&opts, cfg, resilience, None)?,
     };
 
-    // The resilient sweeps keep only the solved frequencies in `ac`;
-    // R/L are computed for exactly those.
+    // The sweeps keep only the solved frequencies in `ac`; R/L are
+    // computed for exactly those.
     let solved_freqs = sweep.ac.freqs_hz.clone();
     let mut r_ohm = Vec::with_capacity(solved_freqs.len());
     let mut l_h = Vec::with_capacity(solved_freqs.len());
@@ -505,6 +463,18 @@ mod tests {
         let tech = Technology::example_copper_6lm();
         let freqs = [1e8, 5e9, 4e10];
         let cfg = ParallelConfig::default();
+        let extract = |par: &PeecParasitics, pspec: &LoopPortSpec, backend| {
+            extract_loop_rl_resilient(
+                par,
+                pspec,
+                &freqs,
+                &cfg,
+                backend,
+                &ResilienceOptions::strict(),
+            )
+            .unwrap()
+            .extraction
+        };
         for tie in [false, true] {
             let spec = BusSpec {
                 signals: 3,
@@ -517,12 +487,8 @@ mod tests {
             let bus = generate_bus(&tech, &spec);
             let par = PeecParasitics::extract(&bus, um(800));
             let pspec = LoopPortSpec::from_layout(&par).unwrap();
-            let dense =
-                extract_loop_rl_backend(&par, &pspec, &freqs, &cfg, ExtractionBackend::Dense)
-                    .unwrap();
-            let mf =
-                extract_loop_rl_backend(&par, &pspec, &freqs, &cfg, ExtractionBackend::MatrixFree)
-                    .unwrap();
+            let dense = extract(&par, &pspec, ExtractionBackend::Dense);
+            let mf = extract(&par, &pspec, ExtractionBackend::MatrixFree);
             for i in 0..freqs.len() {
                 let (rd, ld) = dense.at(i);
                 let (rm, lm) = mf.at(i);

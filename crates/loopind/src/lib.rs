@@ -14,7 +14,9 @@
 //!   topology sizes here the direct solve returns the same `R(f)`,
 //!   `L(f)` — see `DESIGN.md`, substitution table). Capacitance is
 //!   deliberately excluded, reproducing the methodology's documented
-//!   error source.
+//!   error source. It is the strict call of the one extraction,
+//!   [`extract_loop_rl_resilient`], which also takes the backend,
+//!   thread count and resilience options.
 //! * [`LadderFit`] implements the two-frequency R₀/L₀/R₁/L₁ ladder of
 //!   the paper's reference \[5\] (Krauter et al., DAC 1998), Figure 3(d).
 //! * [`build_loop_circuit`] constructs the simplified netlist: loop R/L
@@ -33,8 +35,8 @@ mod netlist;
 
 pub use backend::{ExtractionBackend, AUTO_MATRIX_FREE_THRESHOLD, EXTRACTION_BACKEND_ENV};
 pub use extract::{
-    extract_loop_rl, extract_loop_rl_backend, extract_loop_rl_resilient, extract_loop_rl_with,
-    LoopExtraction, LoopPortSpec, ResilientLoopExtraction,
+    extract_loop_rl, extract_loop_rl_resilient, LoopExtraction, LoopPortSpec,
+    ResilientLoopExtraction,
 };
 pub use ladder::LadderFit;
 pub use netlist::{build_loop_circuit, LoopCircuit, LoopInterconnect, LoopNetlistSpec};

@@ -2,19 +2,18 @@
 //! refusal, and cancellation at the `extract_loop_rl_resilient` level.
 //!
 //! No fault injection here (that lives in the circuit crate's chaos
-//! suite) — these tests pin the *no-fault* contract: the resilient
-//! entry point is bit-identical to the plain one on both backends, a
-//! memory budget refuses the dense path with a typed error before any
-//! allocation, and cancellation/deadlines return an empty partial
-//! result with full telemetry instead of hanging.
+//! suite) — these tests pin the *no-fault* contract: the default
+//! (rescue armed) extraction is bit-identical to the strict one that
+//! `extract_loop_rl` runs, on both backends, a memory budget refuses
+//! the dense path with a typed error before any allocation, and
+//! cancellation/deadlines return an empty partial result with full
+//! telemetry instead of hanging.
 
 use ind101_circuit::{CircuitError, ResilienceOptions};
+use ind101_core::{InductanceMode, PeecModel, PeecParasitics};
 use ind101_geom::generators::{generate_bus, BusSpec, ShieldPattern};
 use ind101_geom::{um, Technology};
-use ind101_core::PeecParasitics;
-use ind101_loop::{
-    extract_loop_rl_backend, extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec,
-};
+use ind101_loop::{extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec};
 use ind101_numeric::{CancelToken, ParallelConfig, SolveBudget};
 
 fn bus_parasitics() -> PeecParasitics {
@@ -31,29 +30,25 @@ fn bus_parasitics() -> PeecParasitics {
 }
 
 #[test]
-fn resilient_matches_plain_bitwise_on_both_backends() {
+fn default_matches_strict_bitwise_on_both_backends() {
     let par = bus_parasitics();
     let spec = LoopPortSpec::from_layout(&par).unwrap();
     let freqs = [1e8, 5e9, 4e10];
     let cfg = ParallelConfig::serial();
     for backend in [ExtractionBackend::Dense, ExtractionBackend::MatrixFree] {
-        let plain = extract_loop_rl_backend(&par, &spec, &freqs, &cfg, backend).unwrap();
         // Strict (resilience off) and default (armed, never fired) must
-        // both reproduce the plain extraction bit for bit.
-        for res in [ResilienceOptions::strict(), ResilienceOptions::default()] {
-            let resilient =
-                extract_loop_rl_resilient(&par, &spec, &freqs, &cfg, backend, &res).unwrap();
-            assert!(
-                resilient.report.clean(),
-                "{:?}: {}",
-                backend,
-                resilient.report.summary()
-            );
-            assert_eq!(
-                resilient.extraction, plain,
-                "{backend:?}: resilient result diverged from plain"
-            );
+        // give the same extraction bit for bit.
+        let [strict, armed] =
+            [ResilienceOptions::strict(), ResilienceOptions::default()].map(|res| {
+                extract_loop_rl_resilient(&par, &spec, &freqs, &cfg, backend, &res).unwrap()
+            });
+        for got in [&strict, &armed] {
+            assert!(got.report.clean(), "{backend:?}: {}", got.report.summary());
         }
+        assert_eq!(
+            armed.extraction, strict.extraction,
+            "{backend:?}: armed result diverged from strict"
+        );
     }
 }
 
@@ -63,13 +58,29 @@ fn tiny_memory_budget_refuses_dense_backend_typed() {
     let spec = LoopPortSpec::from_layout(&par).unwrap();
     let cfg = ParallelConfig::serial();
     let res = ResilienceOptions::with_budget(SolveBudget::unlimited().with_memory_bytes(64));
-    for backend in [ExtractionBackend::Dense, ExtractionBackend::Auto] {
-        let err =
-            extract_loop_rl_resilient(&par, &spec, &[1e9], &cfg, backend, &res).unwrap_err();
-        assert!(
-            matches!(err, CircuitError::BudgetExceeded { .. }),
-            "{backend:?}: expected BudgetExceeded, got {err:?}"
-        );
+    let err = extract_loop_rl_resilient(&par, &spec, &[1e9], &cfg, ExtractionBackend::Dense, &res)
+        .unwrap_err();
+    assert!(
+        matches!(err, CircuitError::BudgetExceeded { .. }),
+        "Dense: expected BudgetExceeded, got {err:?}"
+    );
+    // `Auto` is gated like whatever it resolves to for this probe's
+    // filaments, which `IND101_EXTRACTION_BACKEND` may force either way.
+    let filaments = PeecModel::build(&par, InductanceMode::Full)
+        .unwrap()
+        .inductive_segments
+        .len();
+    let got = extract_loop_rl_resilient(&par, &spec, &[1e9], &cfg, ExtractionBackend::Auto, &res);
+    match ExtractionBackend::Auto.resolve(filaments).unwrap() {
+        ExtractionBackend::Dense => assert!(
+            matches!(got, Err(CircuitError::BudgetExceeded { .. })),
+            "Auto: expected BudgetExceeded, got {got:?}"
+        ),
+        _ => {
+            let got = got.unwrap();
+            assert_eq!(got.extraction.freqs_hz, vec![1e9]);
+            assert!(got.report.clean(), "{}", got.report.summary());
+        }
     }
 }
 

@@ -527,7 +527,7 @@ impl JobServer {
                     let resilience = resilience_for(&job.options, cancel);
                     let hint = self.symbolic_hint(&c, opts.freqs_hz.first().copied());
                     let sweep = c
-                        .ac_sweep_resilient_with_symbolic(opts, &cfg, &resilience, hint)
+                        .ac_sweep_resilient(opts, &cfg, &resilience, hint)
                         .map_err(|e| solve_err(name, e))?;
                     let solved = sweep.ac.freqs_hz.len();
                     report.ac_solved = Some((solved, opts.freqs_hz.len()));

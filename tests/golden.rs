@@ -24,9 +24,10 @@ use ind101_bench::flows::{
     run_loop_flow, run_peec_block_diagonal_flow, run_peec_flow,
 };
 use ind101_bench::{clock_case, Scale};
+use ind101_circuit::ResilienceOptions;
 use ind101_core::InductanceMode;
 use ind101_loop::{
-    extract_loop_rl, extract_loop_rl_backend, ExtractionBackend, LadderFit, LoopPortSpec,
+    extract_loop_rl, extract_loop_rl_resilient, ExtractionBackend, LadderFit, LoopPortSpec,
 };
 use ind101_numeric::ParallelConfig;
 use ind101_sparsify::block_diagonal::{block_diagonal, sections_by_signal_distance};
@@ -252,11 +253,19 @@ fn golden_fig3_backend_independence() {
     let spec = LoopPortSpec::from_layout(&case.par).expect("clock ports");
     let freqs = [1e8, 1e9, 2e10];
     let cfg = ParallelConfig::default();
-    let dense = extract_loop_rl_backend(&case.par, &spec, &freqs, &cfg, ExtractionBackend::Dense)
-        .expect("dense loop extraction");
-    let mf =
-        extract_loop_rl_backend(&case.par, &spec, &freqs, &cfg, ExtractionBackend::MatrixFree)
-            .expect("matrix-free loop extraction");
+    let extract = |backend| {
+        extract_loop_rl_resilient(
+            &case.par,
+            &spec,
+            &freqs,
+            &cfg,
+            backend,
+            &ResilienceOptions::strict(),
+        )
+        .map(|got| got.extraction)
+    };
+    let dense = extract(ExtractionBackend::Dense).expect("dense loop extraction");
+    let mf = extract(ExtractionBackend::MatrixFree).expect("matrix-free loop extraction");
     for i in 0..freqs.len() {
         let (rd, ld) = dense.at(i);
         let (rm, lm) = mf.at(i);

@@ -15,10 +15,10 @@
 //! refinement.
 
 use ind101::circuit::{
-    AcOptions, Circuit, InductorSystem, MatrixFreeAcOptions, NodeId, SolverBackend, SourceWave,
-    TranOptions,
+    AcOptions, Circuit, InductorSystem, MatrixFreeAcOptions, NodeId, ResilienceOptions,
+    SolverBackend, SourceWave, TranOptions,
 };
-use ind101::loopind::{extract_loop_rl_backend, ExtractionBackend, LoopPortSpec};
+use ind101::loopind::{extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec};
 use ind101::numeric::{Complex64, LinearOperator, Matrix, ParallelConfig};
 use ind101_bench::{clock_case, Scale};
 
@@ -139,12 +139,14 @@ fn ac_two_port_is_reciprocal_on_every_solver() {
     }
     let z = transfer_impedances(
         |c, m| {
-            c.ac_sweep_matrix_free(
+            c.ac_sweep_matrix_free_resilient(
                 &opts,
                 &[(0, m as &dyn LinearOperator<Complex64>)],
                 &MatrixFreeAcOptions::default(),
+                &ResilienceOptions::strict(),
             )
             .expect("matrix-free AC sweep")
+            .ac
         },
         SolverBackend::Auto,
     );
@@ -161,8 +163,16 @@ fn figure3_resistance_rises_and_inductance_falls_on_both_backends() {
         .collect();
     let cfg = ParallelConfig::default();
     for backend in [ExtractionBackend::Dense, ExtractionBackend::MatrixFree] {
-        let ext = extract_loop_rl_backend(&case.par, &spec, &freqs, &cfg, backend)
-            .unwrap_or_else(|e| panic!("{backend:?} extraction: {e}"));
+        let ext = extract_loop_rl_resilient(
+            &case.par,
+            &spec,
+            &freqs,
+            &cfg,
+            backend,
+            &ResilienceOptions::strict(),
+        )
+        .unwrap_or_else(|e| panic!("{backend:?} extraction: {e}"))
+        .extraction;
         assert_eq!(ext.r_ohm.len(), freqs.len());
         for k in 1..freqs.len() {
             let (r0, l0) = ext.at(k - 1);

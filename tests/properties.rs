@@ -1,11 +1,14 @@
 //! Cross-crate property-based tests: physics invariants that must hold
 //! for *any* generated layout, not just the hand-picked cases.
 
+use ind101::circuit::ResilienceOptions;
 use ind101::extract::operator::grid_kernel;
 use ind101::extract::{FilamentGridSpec, ParallelConfig, PartialInductance};
 use ind101::geom::generators::{generate_bus, BusSpec, ShieldPattern};
 use ind101::geom::{um, Layout, Technology};
-use ind101::loopind::{extract_loop_rl, extract_loop_rl_backend, ExtractionBackend, LoopPortSpec};
+use ind101::loopind::{
+    extract_loop_rl, extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec,
+};
 use ind101::numeric::{Complex64, Fft, LinearOperator, Matrix, ToeplitzOperator2D};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -308,10 +311,12 @@ proptest! {
         let port = LoopPortSpec::from_layout(&par).expect("ports");
         let freqs = [1e8, 2e9, 3e10];
         let cfg = ParallelConfig::default();
-        let dense = extract_loop_rl_backend(&par, &port, &freqs, &cfg, ExtractionBackend::Dense)
-            .expect("dense");
-        let mf = extract_loop_rl_backend(&par, &port, &freqs, &cfg, ExtractionBackend::MatrixFree)
-            .expect("matrix-free");
+        let extract = |backend| {
+            extract_loop_rl_resilient(&par, &port, &freqs, &cfg, backend, &ResilienceOptions::strict())
+                .map(|got| got.extraction)
+        };
+        let dense = extract(ExtractionBackend::Dense).expect("dense");
+        let mf = extract(ExtractionBackend::MatrixFree).expect("matrix-free");
         for i in 0..freqs.len() {
             let (rd, ld) = dense.at(i);
             let (rm, lm) = mf.at(i);
