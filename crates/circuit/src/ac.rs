@@ -425,7 +425,7 @@ impl Circuit {
         let annotate = |e| crate::mna::annotate_singular(self, layout, e);
         let solver = match plan {
             Some(plan) => plan.factor(&t),
-            None => Solver::build_with(&t, backend, None),
+            None => Solver::build_with(&t, backend),
         }
         .map_err(annotate)?;
         solver.solve(&rhs).map_err(annotate)

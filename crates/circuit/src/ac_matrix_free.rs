@@ -40,11 +40,11 @@ use crate::netlist::Circuit;
 use crate::resilience::{
     FailurePolicy, FrequencyRecovery, FrequencyStatus, ResilienceOptions, ResilientAcSweep,
 };
-use crate::solver::{SolvePlan, Solver, SolverBackend};
+use crate::solver::{factor_planned, SolvePlan, Solver};
 use crate::Result;
 use ind101_numeric::{
     solve_with_rescue, Complex64, CsrMatrix, KrylovOptions, LinearOperator, Matrix, NumericError,
-    Preconditioner, RescueProvider, SolveGuard, Triplets,
+    Preconditioner, RescueProvider, SolveGuard,
 };
 
 /// Tuning for the matrix-free AC sweep's Krylov solves.
@@ -273,7 +273,7 @@ impl Circuit {
                 },
             );
             let annotate = |e| crate::mna::annotate_singular(self, &layout, e);
-            let solver = match factor_preconditioner(&mut plan, &t_pre, backend) {
+            let solver = match factor_planned(&mut plan, &t_pre, backend) {
                 Ok(s) => s,
                 Err(e) => {
                     let err = annotate(e);
@@ -372,22 +372,6 @@ impl Circuit {
     }
 }
 
-/// Factors one frequency's preconditioner system with the sweep's plan,
-/// planning it from this system when the sweep has none yet (the first
-/// frequency, or every frequency so far failed to plan).
-fn factor_preconditioner(
-    plan: &mut Option<SolvePlan>,
-    t_pre: &Triplets<Complex64>,
-    backend: SolverBackend,
-) -> Result<Solver<Complex64>> {
-    if let Some(plan) = plan {
-        return plan.factor(t_pre);
-    }
-    let (first, solver) = SolvePlan::first(t_pre, backend, None)?;
-    *plan = Some(first);
-    solver
-}
-
 /// Rescue provider for the matrix-free AC solve: the dense-direct rung
 /// assembles the *full* MNA matrix (every `−jωM` stamp included) and
 /// lets the ladder LU-solve it. No preconditioner escalation is
@@ -414,6 +398,7 @@ mod tests {
     use super::*;
     use crate::ac::AcResult;
     use crate::netlist::InductorSystem;
+    use crate::solver::SolverBackend;
     use crate::waveform::SourceWave;
     use ind101_numeric::Matrix;
     use std::sync::Arc;
@@ -453,7 +438,7 @@ mod tests {
             .map(|i| Complex64::new(1.0 + (0.3 * i as f64).sin(), 0.2))
             .collect();
         for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
-            let solver = Solver::build_with(&t, backend, None).unwrap();
+            let solver = Solver::build_with(&t, backend).unwrap();
             assert!(solver.is_sparse());
             if backend == SolverBackend::Sparse {
                 assert!(solver.solve(&r).is_err(), "premise: the solve misses");

@@ -14,9 +14,9 @@ use crate::mna::{annotate_singular, assemble_static, stamp_current, MnaLayout, S
 use crate::nonlinear::WoodburySolver;
 use crate::netlist::{Circuit, NodeId};
 use crate::rescue::{RescuePolicy, RescueReport, RescueRung, RungTrace};
-use crate::solver::Solver;
+use crate::solver::factor_planned;
 use crate::Result;
-use ind101_numeric::norm_inf;
+use ind101_numeric::{norm_inf, Triplets};
 
 /// Maximum Newton iterations for the operating point.
 const MAX_ITER: usize = 200;
@@ -75,8 +75,9 @@ const MIN_ALPHA_STEP: f64 = 1e-6;
 /// Damped Newton from `x0`: one base solve of `rhs`, then each
 /// iteration solves the exact linearized system (via Woodbury) and
 /// applies the update with a per-component clamp of [`DAMP_LIMIT`]. A
-/// singular Jacobian ends the run as a failed iteration, so plain
-/// `dc_op` reports divergence and the rescue ladder moves on.
+/// singular Jacobian or a non-finite update ends the run as a failed
+/// iteration, so plain `dc_op` reports divergence and the rescue ladder
+/// moves on.
 fn damped_newton(
     wb: &WoodburySolver,
     mosfets: &[Mosfet],
@@ -171,11 +172,21 @@ impl Circuit {
             }
         }
 
-        if !self.is_nonlinear() {
-            let annotate = |e| annotate_singular(self, &layout, e);
-            let solver =
-                Solver::build_with(&static_t, self.effective_backend(), None).map_err(annotate)?;
-            let sol = solver.solve(&rhs0).map_err(annotate)?;
+        let backend = self.effective_backend();
+        let mosfets = self.mosfets();
+        let annotate = |e| annotate_singular(self, &layout, e);
+        // One plan for every rung: gmin stepping adds only to diagonals
+        // the static matrix stamps. The rescue rungs refine their solves.
+        let mut plan = None;
+        let mut rung_solver = |t: &Triplets, refine: bool| {
+            let base = factor_planned(&mut plan, t, backend)?;
+            let base = if refine { base.with_refinement() } else { base };
+            WoodburySolver::new(base, &layout, &mosfets)
+        };
+        let wb = rung_solver(&static_t, false).map_err(annotate)?;
+
+        if mosfets.is_empty() {
+            let sol = wb.base_solve(&rhs0).map_err(annotate)?;
             let report = RescueReport {
                 converged_by: RescueRung::PlainNewton,
                 rungs: vec![RungTrace {
@@ -189,24 +200,6 @@ impl Circuit {
             };
             return Ok((DcOperatingPoint { x: sol, layout }, report));
         }
-
-        let mosfets: Vec<Mosfet> = self
-            .elements()
-            .iter()
-            .filter_map(|e| match e {
-                Element::Transistor(m) => Some(m.clone()),
-                _ => None,
-            })
-            .collect();
-        let wb = WoodburySolver::build_with(
-            &static_t,
-            &layout,
-            &mosfets,
-            false,
-            self.effective_backend(),
-            None,
-        )
-        .map_err(|e| annotate_singular(self, &layout, e))?;
 
         let mut rungs: Vec<RungTrace> = Vec::new();
         let mut total_iterations = 0usize;
@@ -247,7 +240,6 @@ impl Circuit {
                 residuals: vec![],
             };
             let mut x = vec![0.0; layout.n];
-            let mut solved = Some(x.clone());
             let steps = policy.gmin_steps.max(1);
             for k in 0..=steps {
                 // Decades down from gmin_start; the last pass solves the
@@ -263,15 +255,8 @@ impl Circuit {
                         t.push(i, i, extra);
                     }
                 }
-                let Ok(wb_g) = WoodburySolver::build_with(
-                    &t,
-                    &layout,
-                    &mosfets,
-                    true,
-                    self.effective_backend(),
-                    None,
-                ) else {
-                    solved = None;
+                let Ok(wb_g) = rung_solver(&t, true) else {
+                    trace.converged = false;
                     break;
                 };
                 let out = damped_newton(&wb_g, &mosfets, &rhs0, x.clone(), policy.max_iter)?;
@@ -279,16 +264,14 @@ impl Circuit {
                 trace.iterations += out.iterations;
                 trace.residuals.push(out.final_delta);
                 last_delta = out.final_delta;
+                trace.converged = out.converged;
                 if !out.converged {
-                    solved = None;
                     break;
                 }
                 x = out.x;
-                solved = Some(x.clone());
             }
             total_iterations += trace.iterations;
-            if let Some(x) = solved {
-                trace.converged = true;
+            if trace.converged {
                 rungs.push(trace);
                 let report = RescueReport {
                     converged_by: RescueRung::GminStepping,
@@ -306,15 +289,7 @@ impl Circuit {
         if policy.source_stepping {
             // Refinement enabled: homotopy steps may pass through
             // marginal bias points where the plain solve loses digits.
-            let wb_s = WoodburySolver::build_with(
-                &static_t,
-                &layout,
-                &mosfets,
-                true,
-                self.effective_backend(),
-                None,
-            )
-            .map_err(|e| annotate_singular(self, &layout, e))?;
+            let wb_s = rung_solver(&static_t, true).map_err(annotate)?;
             let mut trace = RungTrace {
                 rung: RescueRung::SourceStepping,
                 converged: false,
@@ -501,15 +476,16 @@ mod tests {
         assert_eq!(op.unknowns(), plain.unknowns());
     }
 
-    /// A circuit whose solution is farther from the origin than the
-    /// damped iteration can travel within its budget (1 V/iteration ×
-    /// 200 iterations < 1000 V): plain Newton genuinely fails, the
+    /// A circuit whose solution (`amps` · 1 kΩ, `ladder` resistors off
+    /// the gate) is farther from the origin than the damped iteration can
+    /// travel within its budget (1 V/iteration × 200 iterations): plain
+    /// Newton genuinely fails. At 1 A gmin stepping fails too, and the
     /// source-stepping rung drags the solution along the homotopy path.
-    fn far_operating_point_circuit() -> (Circuit, NodeId) {
+    fn far_operating_point_circuit(amps: f64, ladder: usize) -> (Circuit, NodeId) {
         let mut c = Circuit::new();
         let hi = c.node("hi");
         let g = c.node("g");
-        c.isrc(Circuit::GND, hi, SourceWave::dc(1.0));
+        c.isrc(Circuit::GND, hi, SourceWave::dc(amps));
         c.resistor(hi, Circuit::GND, 1_000.0);
         c.vsrc(g, Circuit::GND, SourceWave::dc(1.2));
         c.mosfet(Mosfet {
@@ -521,12 +497,18 @@ mod tests {
             vt: 0.5,
             lambda: 0.0,
         });
+        let mut prev = g;
+        for k in 0..ladder {
+            let n = c.node(format!("lad{k}"));
+            c.resistor(prev, n, 50.0);
+            prev = n;
+        }
         (c, hi)
     }
 
     #[test]
     fn plain_newton_fails_far_from_origin() {
-        let (c, _) = far_operating_point_circuit();
+        let (c, _) = far_operating_point_circuit(1.0, 0);
         match c.dc_op() {
             Err(CircuitError::NewtonDiverged {
                 iterations,
@@ -544,7 +526,7 @@ mod tests {
 
     #[test]
     fn rescue_ladder_solves_far_operating_point() {
-        let (c, hi) = far_operating_point_circuit();
+        let (c, hi) = far_operating_point_circuit(1.0, 0);
         let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
         assert!(!report.plain_sufficed());
         // The plain rung must be recorded as attempted and failed.
@@ -554,5 +536,51 @@ mod tests {
         let v = op.voltage(hi);
         // ~1 kV (MOSFET at β=1e-9 draws negligible current).
         assert!((v - 1_000.0).abs() < 1.0, "v = {v}");
+    }
+
+    /// One plan and one symbolic analysis per rescued operating point
+    /// under forced `Sparse`, whichever rungs run: plain Newton plans the
+    /// pattern, and every gmin step and source stepping only refactor
+    /// it. At 0.3 A gmin stepping wins, as no decade moves the far node
+    /// by the 200 V a rung can travel; at 1 A source stepping does.
+    #[test]
+    fn rescue_ladder_plans_once() {
+        for (amps, rung) in [(0.3, RescueRung::GminStepping), (1.0, RescueRung::SourceStepping)] {
+            let (mut c, hi) = far_operating_point_circuit(amps, 60);
+            c.set_solver_backend(crate::solver::SolverBackend::Sparse);
+            let (res, plans, analyses) =
+                crate::solver::probe::count_planning(|| c.dc_op_with(&RescuePolicy::full()));
+            let (op, report) = res.unwrap();
+            assert_eq!(report.converged_by, rung, "{}", report.summary());
+            assert_eq!((plans, analyses), (1, 1), "{}", report.summary());
+            let v = op.voltage(hi);
+            assert!((v - 1_000.0 * amps).abs() < 1e-3 * amps, "v = {v}");
+        }
+    }
+
+    /// A NaN source makes every Newton update non-finite, which fails
+    /// the iteration instead of counting as converged: on the plain
+    /// rung, on every rescue rung, and at a transient's first step.
+    #[test]
+    fn nan_source_diverges_instead_of_converging() {
+        let mut c = Circuit::new();
+        let vdd = c.node("vdd");
+        let inp = c.node("in");
+        let out = c.node("out");
+        c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+        c.vsrc(inp, Circuit::GND, SourceWave::dc(f64::NAN));
+        c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+        c.capacitor(out, Circuit::GND, 50e-15);
+        let diverged = |r: Result<_>| matches!(r, Err(CircuitError::NewtonDiverged { .. }));
+        assert!(diverged(c.dc_op().map(drop)));
+        assert!(diverged(c.dc_op_with(&RescuePolicy::full()).map(drop)));
+        let mut opts = crate::tran::TranOptions::new(1e-12, 10e-12);
+        opts.start_from_dc = false;
+        match c.transient(&opts) {
+            Err(CircuitError::NewtonDiverged { time, residual, .. }) => {
+                assert_eq!((time, residual), (1e-12, f64::INFINITY));
+            }
+            other => panic!("expected divergence at the first step, got {other:?}"),
+        }
     }
 }

@@ -424,6 +424,17 @@ impl Circuit {
             .any(|e| matches!(e, Element::Transistor(_)))
     }
 
+    /// The transistors, in insertion order.
+    pub(crate) fn mosfets(&self) -> Vec<Mosfet> {
+        self.elements
+            .iter()
+            .filter_map(|e| match e {
+                Element::Transistor(m) => Some(m.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// All elements.
     pub fn elements(&self) -> &[Element] {
         &self.elements

@@ -17,8 +17,9 @@
 //! linearized device currents at the new iterate — the update is
 //! `x = y₀ − Z·a`. Cost model:
 //!
-//! * **build** — one factorization of `A₀` and `m` base solves for the
-//!   columns of `Z`;
+//! * **build** ([`WoodburySolver::new`]) — `m` base solves for the
+//!   columns of `Z`, on a base the caller has already factored (with the
+//!   `SolvePlan` its analysis keeps, so only the numeric phase runs);
 //! * **per right-hand side** (each transient time point, each DC Newton
 //!   run) — one base solve `y₀ = A₀⁻¹·rhs`
 //!   ([`WoodburySolver::base_solve`]);
@@ -26,13 +27,15 @@
 //!   device linearizations, `S` in O(m²) (a row of `W` has at most three
 //!   entries), its LU in O(m³), and `x = y₀ − Z·a` in O(n·m). No base
 //!   solve.
+//!
+//! With no devices the solver is its base solve, so linear circuits step
+//! through the same type.
 
 use crate::elements::{MosLinearization, Mosfet};
 use crate::mna::MnaLayout;
-use crate::solver::{Solver, SolverBackend};
+use crate::solver::Solver;
 use crate::Result;
-use ind101_numeric::{axpy, Matrix, SymbolicLu, Triplets};
-use std::sync::Arc;
+use ind101_numeric::{axpy, Matrix};
 
 /// Per-device unknown indices (`None` = terminal at ground).
 #[derive(Clone, Copy, Debug)]
@@ -71,34 +74,11 @@ pub(crate) struct WoodburySolver {
 }
 
 impl WoodburySolver {
-    /// Factors the static matrix and prepares the update columns
-    /// (Auto backend, no refinement — the differential-test baseline).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn build(
-        static_t: &Triplets,
-        layout: &MnaLayout,
-        mosfets: &[Mosfet],
-    ) -> Result<Self> {
-        Self::build_with(static_t, layout, mosfets, false, SolverBackend::Auto, None)
-    }
-
-    /// Like [`WoodburySolver::build`], optionally enabling iterative
-    /// refinement of ill-conditioned base solves (rescue/adaptive paths;
-    /// the default path must stay reproducible), forcing a linear-solver
-    /// family for the factored base matrix, and reusing a sparse symbolic
-    /// factorization from an earlier same-pattern build.
-    pub(crate) fn build_with(
-        static_t: &Triplets,
-        layout: &MnaLayout,
-        mosfets: &[Mosfet],
-        refine: bool,
-        backend: SolverBackend,
-        hint: Option<&Arc<SymbolicLu>>,
-    ) -> Result<Self> {
-        let mut base = Solver::build_with(static_t, backend, hint)?;
-        if refine {
-            base = base.with_refinement();
-        }
+    /// Prepares the update columns `Z = A₀⁻¹·U` on `base`, the factored
+    /// static matrix `A₀` (with refinement already chosen: the rescue
+    /// rungs and the adaptive transient enable it, the default paths
+    /// stay reproducible without it).
+    pub(crate) fn new(base: Solver<f64>, layout: &MnaLayout, mosfets: &[Mosfet]) -> Result<Self> {
         let n = layout.n;
         let idx: Vec<DeviceIdx> = mosfets
             .iter()
@@ -122,12 +102,6 @@ impl WoodburySolver {
         Ok(Self { base, z, idx })
     }
 
-    /// Sparse symbolic factorization of the base matrix, for reuse by
-    /// the next same-pattern build.
-    pub(crate) fn symbolic_hint(&self) -> Option<Arc<SymbolicLu>> {
-        self.base.symbolic_hint()
-    }
-
     /// `y₀ = A₀⁻¹·rhs`: the one base solve every Newton iteration
     /// against this right-hand side shares.
     pub(crate) fn base_solve(&self, rhs: &[f64]) -> Result<Vec<f64>> {
@@ -141,8 +115,9 @@ impl WoodburySolver {
     /// Agrees with stamping the device Jacobian into the matrix and
     /// refactoring up to rounding. Returns `None` when `S = I + W·Z`
     /// does not factor — by the matrix determinant lemma it is singular
-    /// exactly when the Jacobian at `x_lin` is — which callers count as
-    /// a failed Newton iteration.
+    /// exactly when the Jacobian at `x_lin` is — or when the update has
+    /// a non-finite entry (a NaN or infinite source or iterate), which
+    /// callers count as a failed Newton iteration.
     pub(crate) fn newton_update(
         &self,
         mosfets: &[Mosfet],
@@ -172,16 +147,17 @@ impl WoodburySolver {
         for (aj, zj) in a.iter().zip(&self.z) {
             axpy(-aj, zj, &mut x);
         }
-        Some(x)
+        x.iter().all(|v| v.is_finite()).then_some(x)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::elements::{Element, MosPolarity};
+    use crate::elements::MosPolarity;
     use crate::mna::{assemble_static, stamp_mosfet, Scheme};
     use crate::netlist::{Circuit, InverterParams};
+    use crate::solver::SolverBackend;
     use crate::waveform::SourceWave;
 
     /// Three inverters in a chain, each stage's output reaching the next
@@ -225,16 +201,6 @@ mod tests {
         c
     }
 
-    fn transistors(c: &Circuit) -> Vec<Mosfet> {
-        c.elements()
-            .iter()
-            .filter_map(|e| match e {
-                Element::Transistor(m) => Some(m.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The prepared Woodbury update must equal the stamp-and-refactor
     /// iterate on every base-solver rung, at several linearization
     /// points covering cutoff, triode and saturation.
@@ -244,7 +210,7 @@ mod tests {
         let layout = MnaLayout::build(&c);
         assert!(layout.n > crate::solver::SMALL_DENSE, "n = {}", layout.n);
         let static_t = assemble_static(&c, &layout, Scheme::Be, 1e-12);
-        let mosfets = transistors(&c);
+        let mosfets = c.mosfets();
         assert_eq!(mosfets.len(), 7);
         let mut rhs = vec![0.0; layout.n];
         rhs[layout.vsrc_rows[0]] = 1.8;
@@ -267,8 +233,8 @@ mod tests {
             (SolverBackend::Auto, "banded"),
             (SolverBackend::Sparse, "sparse"),
         ] {
-            let wb = WoodburySolver::build_with(&static_t, &layout, &mosfets, false, backend, None)
-                .unwrap();
+            let base = Solver::build_with(&static_t, backend).unwrap();
+            let wb = WoodburySolver::new(base, &layout, &mosfets).unwrap();
             assert_eq!(rung(&wb.base), expect, "{backend:?}");
             let y0 = wb.base_solve(&rhs).unwrap();
             for x_lin in &points {
@@ -277,7 +243,7 @@ mod tests {
                 for m in &mosfets {
                     stamp_mosfet(&mut t, &mut b, &layout, m, x_lin);
                 }
-                let direct = Solver::build_with(&t, SolverBackend::Dense, None)
+                let direct = Solver::build_with(&t, SolverBackend::Dense)
                     .unwrap()
                     .solve(&b)
                     .unwrap();
@@ -300,7 +266,8 @@ mod tests {
         c.isrc(Circuit::GND, a, SourceWave::dc(1.0));
         let layout = MnaLayout::build(&c);
         let static_t = assemble_static(&c, &layout, Scheme::Dc, 0.0);
-        let wb = WoodburySolver::build(&static_t, &layout, &[]).unwrap();
+        let base = Solver::build_with(&static_t, SolverBackend::Auto).unwrap();
+        let wb = WoodburySolver::new(base, &layout, &[]).unwrap();
         let y0 = wb.base_solve(&[1.0]).unwrap();
         let x = wb.newton_update(&[], &[0.0], &y0).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-9);

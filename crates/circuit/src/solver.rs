@@ -26,10 +26,13 @@
 //! shared [`SymbolicLu`] of the sparse rung. [`SolvePlan::factor`] runs
 //! only the numeric phase on a matrix with the planned pattern, checked
 //! exactly once per call, and plans afresh any matrix whose pattern
-//! differs. One-shot callers (DC rungs, transient steps) go through
-//! [`Solver::build_with`], which plans and factors in one call and may
-//! seed the sparse rung with a previous build's [`SymbolicLu`]; AC
-//! sweeps keep the plan of their first frequency for the whole sweep.
+//! differs. Every analysis that factors one pattern more than once
+//! keeps one plan through [`factor_planned`]: a transient for its
+//! backward-Euler start, its trapezoidal steps and every adaptive step
+//! size; a DC operating point for its plain rung, each gmin step and
+//! source stepping; the matrix-free AC sweep for its preconditioners.
+//! The direct AC sweep plans its first frequency, which the job server
+//! may seed with a cached [`SymbolicLu`] ([`SolvePlan::first`]'s hint).
 //!
 //! Every sparse-rung solve is refined against the retained CSR matrix
 //! until its componentwise (Oettli–Prager) backward error meets
@@ -270,6 +273,8 @@ impl SolvePlan {
         backend: SolverBackend,
         hint: Option<&Arc<SymbolicLu>>,
     ) -> Result<(Self, Option<CsrMatrix<T>>)> {
+        #[cfg(test)]
+        probe::note_plan();
         let n = t.nrows();
         if n <= SMALL_DENSE || backend == SolverBackend::Dense {
             let rung = Rung::Dense { pattern: None };
@@ -373,6 +378,24 @@ impl SolvePlan {
     }
 }
 
+/// Factors `t` with `plan`, or plans `t`'s pattern under `backend` and
+/// keeps that plan when there is none yet (the first matrix of an
+/// analysis, or every one so far failed to plan). A matrix whose
+/// pattern differs from the plan's is planned afresh inside
+/// [`SolvePlan::factor`] and leaves the kept plan as it was.
+pub(crate) fn factor_planned<T: Scalar>(
+    plan: &mut Option<SolvePlan>,
+    t: &Triplets<T>,
+    backend: SolverBackend,
+) -> Result<Solver<T>> {
+    if let Some(plan) = plan {
+        return plan.factor(t);
+    }
+    let (first, solver) = SolvePlan::first(t, backend, None)?;
+    *plan = Some(first);
+    solver
+}
+
 /// Every stored `(row, col)` position of `csr`.
 fn csr_positions<T: Scalar>(csr: &CsrMatrix<T>) -> Vec<(usize, usize)> {
     (0..csr.nrows())
@@ -422,28 +445,12 @@ pub(crate) enum Solver<T: Scalar> {
 }
 
 impl<T: Scalar> Solver<T> {
-    /// Chooses a backend automatically (`SolverBackend::Auto`, no reused
-    /// symbolic pattern) and factors. Unaffected by the backend
-    /// environment override — callers that want it go through
-    /// [`Solver::build_with`] with a resolved backend.
-    ///
-    /// Singular failures are re-mapped so `pivot` refers to the original
-    /// MNA unknown ordering regardless of backend permutations.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn build(t: &Triplets<T>) -> Result<Self> {
-        Self::build_with(t, SolverBackend::Auto, None)
-    }
-
-    /// Plans and factors under an explicit backend choice, optionally
-    /// reusing a sparse symbolic factorization from a previous
-    /// same-pattern build (a stale hint is dropped and the pattern
-    /// analyzed afresh).
-    pub(crate) fn build_with(
-        t: &Triplets<T>,
-        backend: SolverBackend,
-        hint: Option<&Arc<SymbolicLu>>,
-    ) -> Result<Self> {
-        SolvePlan::first(t, backend, hint)?.1
+    /// Plans and factors under an explicit backend choice (`Auto` is the
+    /// structural heuristic alone: callers resolve the environment
+    /// override first). Singular pivots are named in the original MNA
+    /// unknown ordering, whatever permutation the rung applied.
+    pub(crate) fn build_with(t: &Triplets<T>, backend: SolverBackend) -> Result<Self> {
+        SolvePlan::first(t, backend, None)?.1
     }
 
     /// Banded LU of `t` in the RCM order `perm`.
@@ -571,16 +578,6 @@ impl<T: Scalar> Solver<T> {
         }
     }
 
-    /// The sparse symbolic factorization, when the sparse backend is
-    /// active — passed back into [`Solver::build_with`] by callers that
-    /// re-factor the same pattern.
-    pub(crate) fn symbolic_hint(&self) -> Option<Arc<SymbolicLu>> {
-        match self {
-            Self::Sparse { lu, .. } => Some(Arc::clone(lu.symbolic())),
-            _ => None,
-        }
-    }
-
     /// Hager 1-norm condition estimate (dense backend only; `None` for
     /// banded systems, whose RCM band structure keeps them benign in
     /// practice and whose factors don't support the estimator).
@@ -607,8 +604,8 @@ impl<T: Scalar> Solver<T> {
 }
 
 /// Test-only log of the structural work done on the calling thread, so
-/// sweep tests can assert one symbolic analysis per sweep and one shared
-/// `Arc` across its frequencies.
+/// tests can assert one plan per analysis, one symbolic analysis per
+/// sweep and one shared `Arc` across its frequencies.
 #[cfg(test)]
 pub(crate) mod probe {
     use super::{Arc, SymbolicLu};
@@ -616,6 +613,7 @@ pub(crate) mod probe {
 
     #[derive(Default)]
     struct Log {
+        plans: usize,
         analyses: usize,
         sparse_factors: Vec<Arc<SymbolicLu>>,
         dense_fallbacks: usize,
@@ -623,6 +621,10 @@ pub(crate) mod probe {
 
     thread_local! {
         static LOG: RefCell<Log> = RefCell::default();
+    }
+
+    pub(crate) fn note_plan() {
+        LOG.with(|l| l.borrow_mut().plans += 1);
     }
 
     pub(crate) fn note_analysis() {
@@ -643,6 +645,15 @@ pub(crate) mod probe {
         LOG.with(|l| l.borrow_mut().dense_fallbacks = 0);
         let r = f();
         (r, LOG.with(|l| l.borrow().dense_fallbacks))
+    }
+
+    /// Runs `f` and returns its result with the plans (rung decisions,
+    /// whatever rung they chose) and the `SymbolicLu::analyze` calls
+    /// made meanwhile.
+    pub(crate) fn count_planning<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+        LOG.with(|l| *l.borrow_mut() = Log::default());
+        let r = f();
+        LOG.with(|l| (r, l.borrow().plans, l.borrow().analyses))
     }
 
     /// Runs `f` and returns its result with the `SymbolicLu::analyze`
@@ -675,7 +686,7 @@ pub(crate) mod tests {
     #[test]
     fn small_systems_use_dense() {
         let t = tridiag(8);
-        let s = Solver::build(&t).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         assert!(!s.is_banded());
         let x = s.solve(&vec![1.0; 8]).unwrap();
         let r = t.to_dense().matvec(&x).unwrap();
@@ -688,7 +699,7 @@ pub(crate) mod tests {
     fn large_sparse_systems_use_banded() {
         let n = 400;
         let t = tridiag(n);
-        let s = Solver::build(&t).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         assert!(s.is_banded());
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let x = s.solve(&b).unwrap();
@@ -708,7 +719,7 @@ pub(crate) mod tests {
                 t.push(i, j, if i == j { 10.0 } else { 0.01 });
             }
         }
-        let s = Solver::build(&t).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         assert!(!s.is_banded());
     }
 
@@ -724,7 +735,7 @@ pub(crate) mod tests {
         for &(i, j, v) in t.entries() {
             scrambled.push(p[i], p[j], v);
         }
-        let s = Solver::build(&scrambled).unwrap();
+        let s = Solver::build_with(&scrambled, SolverBackend::Auto).unwrap();
         assert!(s.is_banded(), "RCM should recover the band");
         let b = vec![1.0; n];
         let x = s.solve(&b).unwrap();
@@ -737,10 +748,10 @@ pub(crate) mod tests {
     #[test]
     fn condition_estimate_reported_for_dense() {
         let t = tridiag(8);
-        let s = Solver::build(&t).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         let k = s.condition_estimate().unwrap();
         assert!((1.0..100.0).contains(&k), "κ₁ = {k}");
-        let big = Solver::build(&tridiag(400)).unwrap();
+        let big = Solver::build_with(&tridiag(400), SolverBackend::Auto).unwrap();
         assert!(big.condition_estimate().is_none());
     }
 
@@ -757,7 +768,7 @@ pub(crate) mod tests {
                 t.push(i + 1, i, 1e-8);
             }
         }
-        let s = Solver::build(&t).unwrap().with_refinement();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap().with_refinement();
         assert!(s.condition_estimate().unwrap() > ILL_COND_THRESHOLD);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let x = s.solve(&b).unwrap();
@@ -803,9 +814,9 @@ pub(crate) mod tests {
         let t = grid2d(14, 11);
         let n = t.nrows();
         let b: Vec<f64> = (0..n).map(|i| (0.11 * i as f64).sin()).collect();
-        let sp = Solver::build_with(&t, SolverBackend::Sparse, None).unwrap();
+        let sp = Solver::build_with(&t, SolverBackend::Sparse).unwrap();
         assert!(sp.is_sparse());
-        let de = Solver::build_with(&t, SolverBackend::Dense, None).unwrap();
+        let de = Solver::build_with(&t, SolverBackend::Dense).unwrap();
         assert!(!de.is_sparse() && !de.is_banded());
         let xs = sp.solve(&b).unwrap();
         let xd = de.solve(&b).unwrap();
@@ -819,30 +830,40 @@ pub(crate) mod tests {
         // Bit-identity guarantee: below SMALL_DENSE every backend
         // setting routes to the same dense kernel.
         let t = tridiag(8);
-        let s = Solver::build_with(&t, SolverBackend::Sparse, None).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Sparse).unwrap();
         assert!(!s.is_sparse());
     }
 
+    /// Same pattern, shifted values: the kept plan factors the second
+    /// matrix numerically on the first one's symbolic analysis. A matrix
+    /// with another pattern is planned afresh and leaves the kept plan.
     #[test]
-    fn symbolic_hint_round_trips() {
+    fn factor_planned_plans_each_pattern_once() {
         let t = grid2d(12, 12);
-        let s1 = Solver::build_with(&t, SolverBackend::Sparse, None).unwrap();
-        let hint = s1.symbolic_hint().unwrap();
-        // Same pattern, shifted values: the rebuilt solver must share
-        // the symbolic object (numeric-only refactorization).
         let mut t2 = Triplets::new(t.nrows(), t.ncols());
         for &(i, j, v) in t.entries() {
             t2.push(i, j, if i == j { v + 1.0 } else { v });
         }
-        let s2 = Solver::build_with(&t2, SolverBackend::Sparse, Some(&hint)).unwrap();
-        let hint2 = s2.symbolic_hint().unwrap();
-        assert!(Arc::ptr_eq(&hint, &hint2), "symbolic pattern not reused");
-        let b = vec![1.0; t.nrows()];
-        let x = s2.solve(&b).unwrap();
-        let r = t2.to_dense().matvec(&x).unwrap();
-        for (u, v) in r.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
-        }
+        let mut plan = None;
+        let (s2, plans, analyses) = probe::count_planning(|| {
+            factor_planned(&mut plan, &t, SolverBackend::Sparse).unwrap();
+            factor_planned(&mut plan, &t2, SolverBackend::Sparse).unwrap()
+        });
+        assert_eq!((plans, analyses), (1, 1));
+        let kept = Arc::clone(plan.as_ref().and_then(SolvePlan::symbolic).unwrap());
+        let Solver::Sparse { lu, .. } = &s2 else {
+            panic!("expected the sparse rung");
+        };
+        assert!(Arc::ptr_eq(lu.symbolic(), &kept), "symbolic pattern not reused");
+        let mut coupled = t.clone();
+        coupled.push(0, t.nrows() - 1, -0.1);
+        coupled.push(t.nrows() - 1, 0, -0.1);
+        let (_, plans, analyses) = probe::count_planning(|| {
+            factor_planned(&mut plan, &coupled, SolverBackend::Sparse).unwrap()
+        });
+        assert_eq!((plans, analyses), (1, 1));
+        let still = plan.as_ref().and_then(SolvePlan::symbolic).unwrap();
+        assert!(Arc::ptr_eq(still, &kept), "a mismatch replaced the kept plan");
     }
 
     #[test]
@@ -876,7 +897,7 @@ pub(crate) mod tests {
         }
         let csr = t.to_csr();
         assert!(csr.density() > SPARSE_DENSITY, "density {}", csr.density());
-        let s = Solver::build_with(&t, SolverBackend::Auto, None).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         assert!(s.is_sparse(), "BTF block structure should route to sparse");
         let b: Vec<f64> = (0..n).map(|i| (0.17 * i as f64).sin()).collect();
         let x = s.solve(&b).unwrap();
@@ -931,7 +952,7 @@ pub(crate) mod tests {
         let t = stalling_system::<f64>();
         let n = t.nrows();
         let csr = t.to_csr();
-        let s = Solver::build_with(&t, SolverBackend::Auto, None).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         assert!(s.is_sparse());
         let rhs: Vec<Vec<f64>> = (0..3)
             .map(|k| (0..n).map(|i| 1.0 + (0.3 * (i + k) as f64).sin()).collect())
@@ -948,7 +969,7 @@ pub(crate) mod tests {
         }
         // A solver whose solves meet the tolerance never factors densely.
         let (_, none) = probe::count_dense_fallbacks(|| {
-            Solver::build_with(&grid2d(14, 11), SolverBackend::Auto, None)
+            Solver::build_with(&grid2d(14, 11), SolverBackend::Auto)
                 .unwrap()
                 .solve(&vec![1.0; 154])
                 .unwrap()
@@ -962,7 +983,7 @@ pub(crate) mod tests {
         let b: Vec<f64> = (0..t.nrows())
             .map(|i| 1.0 + (0.3 * i as f64).sin())
             .collect();
-        let s = Solver::build_with(&t, SolverBackend::Sparse, None).unwrap();
+        let s = Solver::build_with(&t, SolverBackend::Sparse).unwrap();
         let miss = sparse_refinement(&s, &b);
         let (res, fallbacks) = probe::count_dense_fallbacks(|| s.solve(&b));
         assert_eq!(fallbacks, 0);
@@ -1020,7 +1041,7 @@ pub(crate) mod tests {
         // Keep the dead unknown structurally present but numerically
         // zero so the factorization (not assembly) detects it.
         t.push(dead, dead, 0.0);
-        match Solver::build(&t) {
+        match Solver::build_with(&t, SolverBackend::Auto) {
             Err(crate::CircuitError::Numeric(NumericError::Singular { pivot })) => {
                 assert_eq!(pivot, dead, "pivot must map back to original index");
             }

@@ -1,5 +1,5 @@
-//! Transient analysis: fixed-step trapezoidal integration plus an
-//! adaptive local-truncation-error (LTE) step controller.
+//! Transient analysis: trapezoidal integration with a backward-Euler
+//! start, in one stepping loop under fixed or adaptive step control.
 //!
 //! Companion-model formulation: capacitors become conductances with
 //! history currents, inductive branches keep their currents as MNA
@@ -10,19 +10,25 @@
 //! damping — important because the paper's waveforms *are* ringing and
 //! artificial damping would fake the RC-like behaviour).
 //!
-//! Two step-control modes ([`StepControl`]):
+//! [`Circuit::transient`] is one loop. The [`StepControl`] decides where
+//! each step lands and what a failed step means:
 //!
-//! * **Fixed** (the default) — every step is exactly `dt`, a Newton
-//!   failure is fatal. For linear circuits the historical arithmetic is
-//!   preserved bit-for-bit; nonlinear circuits share one base solve per
-//!   time point across their Newton iterations (see `crate::nonlinear`),
-//!   which moves their waveforms at rounding level only.
+//! * **Fixed** (the default) — step `n` lands at `n·dt`, a Newton
+//!   failure is fatal, and no solve is refined, so the pinned fixed-step
+//!   waveforms stay bit for bit.
 //! * **Adaptive** — each trapezoidal step is checked against a linear
 //!   predictor; when the predictor–corrector difference (an LTE proxy)
 //!   exceeds tolerance, or Newton fails to converge, the step is
 //!   rejected and retried at half the size. Accepted steps regrow
 //!   geometrically toward `dt_max`. Falling below `dt_min` aborts with
 //!   [`CircuitError::StepUnderflow`] rather than looping forever.
+//!   Ill-conditioned dense solves are refined.
+//!
+//! Every step matrix — the backward-Euler start, the trapezoidal steps,
+//! each adaptive step size — has one pattern, so a transient keeps one
+//! `SolvePlan`. Each `(scheme, step size)` is factored once into a
+//! `WoodburySolver` (MOSFETs as rank-one updates, see
+//! `crate::nonlinear`; none for a linear circuit).
 
 use crate::elements::{Element, Mosfet};
 use crate::error::CircuitError;
@@ -30,13 +36,10 @@ use crate::mna::{annotate_singular, assemble_static, stamp_current, MnaLayout, S
 use crate::nonlinear::WoodburySolver;
 use crate::netlist::{Circuit, NodeId};
 use crate::rescue::{RescuePolicy, RescueReport};
-use crate::solver::{Solver, SolverBackend};
+use crate::solver::factor_planned;
 use crate::waveform::Trace;
 use crate::Result;
-use ind101_numeric::{dot, SymbolicLu, Triplets};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::Arc;
+use ind101_numeric::dot;
 
 /// Newton convergence tolerance per time point (infinity norm of the
 /// iterate update, volts/amperes).
@@ -137,9 +140,9 @@ impl TranOptions {
         if !(self.dt > 0.0) || !self.dt.is_finite() {
             return invalid(format!("dt = {}", self.dt));
         }
-        if !(self.t_stop >= self.dt) {
+        if !(self.t_stop >= self.dt) || !self.t_stop.is_finite() {
             return invalid(format!(
-                "t_stop = {} must be at least dt = {}",
+                "t_stop = {} must be finite and at least dt = {}",
                 self.t_stop, self.dt
             ));
         }
@@ -150,9 +153,10 @@ impl TranOptions {
             if !(a.growth > 1.0) || !a.growth.is_finite() {
                 return invalid(format!("adaptive growth = {} must exceed 1", a.growth));
             }
-            if a.lte_rel < 0.0 || a.lte_abs < 0.0 || (a.lte_rel == 0.0 && a.lte_abs == 0.0) {
+            let bad = |v: f64| !(v.is_finite() && v >= 0.0);
+            if bad(a.lte_rel) || bad(a.lte_abs) || (a.lte_rel == 0.0 && a.lte_abs == 0.0) {
                 return invalid(format!(
-                    "adaptive LTE tolerances rel = {}, abs = {} (need ≥ 0, not both 0)",
+                    "adaptive LTE tolerances rel = {}, abs = {} (need finite, ≥ 0, not both 0)",
                     a.lte_rel, a.lte_abs
                 ));
             }
@@ -230,13 +234,6 @@ impl TranResult {
     }
 }
 
-/// One factored time-step system: plain LU for linear circuits, LU plus
-/// Woodbury rank-m MOSFET updates for nonlinear ones.
-enum StepSolver {
-    Linear(Solver<f64>),
-    Woodbury(WoodburySolver),
-}
-
 /// Outcome of solving one time point.
 struct StepSolve {
     x: Vec<f64>,
@@ -246,110 +243,174 @@ struct StepSolve {
     last_delta: f64,
 }
 
-impl StepSolver {
-    /// `refine` enables iterative refinement of ill-conditioned solves
-    /// (adaptive path only — the fixed path stays bit-identical).
-    /// `hint` forwards a sparse symbolic factorization from an earlier
-    /// same-pattern build (BE → trapezoidal, or across adaptive step
-    /// sizes) so only the numeric phase re-runs.
-    fn build(
-        static_t: &Triplets,
-        layout: &MnaLayout,
-        mosfets: &[Mosfet],
-        nonlinear: bool,
-        refine: bool,
-        backend: SolverBackend,
-        hint: Option<&Arc<SymbolicLu>>,
-    ) -> Result<Self> {
-        Ok(if nonlinear {
-            Self::Woodbury(WoodburySolver::build_with(
-                static_t, layout, mosfets, refine, backend, hint,
-            )?)
-        } else {
-            let mut s = Solver::build_with(static_t, backend, hint)?;
-            if refine {
-                s = s.with_refinement();
-            }
-            Self::Linear(s)
-        })
+/// Solves one time point: one base solve of `rhs`, then Newton from
+/// `x_guess` over the devices (none for a linear circuit).
+fn solve_time_point(
+    wb: &WoodburySolver,
+    mosfets: &[Mosfet],
+    rhs: &[f64],
+    x_guess: &[f64],
+    max_newton: usize,
+) -> Result<StepSolve> {
+    let y0 = wb.base_solve(rhs)?;
+    if mosfets.is_empty() {
+        return Ok(StepSolve {
+            x: y0,
+            converged: true,
+            iterations: 0,
+            last_delta: 0.0,
+        });
     }
+    let mut out = StepSolve {
+        x: x_guess.to_vec(),
+        converged: false,
+        iterations: 0,
+        last_delta: f64::INFINITY,
+    };
+    #[cfg(feature = "solver-faults")]
+    if crate::faults::take_tran_newton_stall() {
+        return Ok(out);
+    }
+    while !out.converged && out.iterations < max_newton {
+        out.iterations += 1;
+        // A singular Jacobian or a non-finite update fails the time
+        // point like a stalled Newton run.
+        let Some(sol) = wb.newton_update(mosfets, &out.x, &y0) else {
+            out.last_delta = f64::INFINITY;
+            break;
+        };
+        out.last_delta = sol
+            .iter()
+            .zip(&out.x)
+            .fold(0.0, |d: f64, (s, g)| d.max((s - g).abs()));
+        out.x = sol;
+        out.converged = out.last_delta < NEWTON_TOL;
+    }
+    Ok(out)
+}
 
-    /// Sparse symbolic pattern of the (base) linear system, for reuse
-    /// by the next same-structure build.
-    fn symbolic_hint(&self) -> Option<Arc<SymbolicLu>> {
-        match self {
-            Self::Linear(s) => s.symbolic_hint(),
-            Self::Woodbury(wb) => wb.symbolic_hint(),
+/// The step control of one run: where each step lands, and what a
+/// failed step means.
+enum Stepper {
+    /// Step `n` lands at `n·dt`; a failed step is fatal.
+    Fixed { dt: f64, steps: usize },
+    /// LTE control: `a` with `dt_min`/`dt_max` resolved, `h` the next
+    /// step asked for, and `prev` the accepted point before the current
+    /// one with the step that led on from it.
+    Adaptive {
+        a: AdaptiveOptions,
+        h: f64,
+        prev: Option<(Vec<f64>, f64)>,
+    },
+}
+
+impl Stepper {
+    fn new(opts: &TranOptions) -> Self {
+        match &opts.step_control {
+            StepControl::Fixed => Self::Fixed {
+                dt: opts.dt,
+                steps: (opts.t_stop / opts.dt).ceil() as usize,
+            },
+            StepControl::Adaptive(a) => {
+                let mut a = a.clone();
+                if !(a.dt_min > 0.0) {
+                    a.dt_min = opts.dt * 2.0f64.powi(-40);
+                }
+                if !(a.dt_max > 0.0) {
+                    a.dt_max = 64.0 * opts.dt;
+                }
+                let h = opts.dt.min(a.dt_max);
+                Self::Adaptive { a, h, prev: None }
+            }
         }
     }
 
-    fn solve(
-        &self,
-        mosfets: &[Mosfet],
-        rhs: &[f64],
-        x_guess: &[f64],
-        max_newton: usize,
-    ) -> Result<StepSolve> {
+    /// Where the step after `accepted` steps (the last landing at `t`)
+    /// lands, and its size; `None` once the run is done.
+    fn next_step(&self, t: f64, accepted: usize, t_stop: f64) -> Option<(f64, f64)> {
         match self {
-            Self::Linear(s) => Ok(StepSolve {
-                x: s.solve(rhs)?,
-                converged: true,
-                iterations: 0,
-                last_delta: 0.0,
-            }),
-            Self::Woodbury(wb) => {
-                #[cfg(feature = "solver-faults")]
-                if crate::faults::take_tran_newton_stall() {
-                    return Ok(StepSolve {
-                        x: x_guess.to_vec(),
-                        converged: false,
-                        iterations: 0,
-                        last_delta: f64::INFINITY,
-                    });
-                }
-                let y0 = wb.base_solve(rhs)?;
-                let mut guess = x_guess.to_vec();
-                let mut converged = false;
-                let mut iterations = 0usize;
-                let mut last_delta = f64::INFINITY;
-                for _ in 0..max_newton {
-                    iterations += 1;
-                    // A singular Jacobian fails the time point like a
-                    // stalled Newton run: fatal in fixed mode, a rejected
-                    // step in adaptive mode.
-                    let Some(sol) = wb.newton_update(mosfets, &guess, &y0) else {
-                        last_delta = f64::INFINITY;
-                        break;
-                    };
-                    let mut delta = 0.0f64;
-                    for i in 0..guess.len() {
-                        delta = delta.max((sol[i] - guess[i]).abs());
-                    }
-                    guess = sol;
-                    last_delta = delta;
-                    if delta < NEWTON_TOL {
-                        converged = true;
-                        break;
-                    }
-                }
-                Ok(StepSolve {
-                    x: guess,
-                    converged,
-                    iterations,
-                    last_delta,
+            // The product, not a running sum: it pins the time bits.
+            Self::Fixed { dt, steps } => {
+                (accepted < *steps).then(|| ((accepted + 1) as f64 * dt, *dt))
+            }
+            Self::Adaptive { h, .. } => {
+                let remaining = t_stop - t;
+                let h = h.min(remaining);
+                (remaining > t_stop * END_OF_SWEEP_REL_TOL).then_some((t + h, h))
+            }
+        }
+    }
+
+    /// Takes the step of size `h` from `x` at `t` to `out` at `t_next`
+    /// (moving `out.x` into `x`), or rejects it: `Ok(false)`.
+    ///
+    /// Fixed control fails the run when Newton failed. Adaptive control
+    /// also rejects a step whose LTE proxy exceeds 1 — the worst
+    /// per-unknown gap between `out.x` and the linear predictor
+    /// `x + (h/h_prev)·(x − x_prev)`, against `lte_abs + lte_rel·|x|` —
+    /// and retries at half the size down to `dt_min`; it regrows the
+    /// step geometrically after a comfortable one (ratio below ½) and
+    /// holds it near tolerance.
+    fn settle(
+        &mut self,
+        x: &mut Vec<f64>,
+        out: StepSolve,
+        t: f64,
+        t_next: f64,
+        h: f64,
+    ) -> Result<bool> {
+        let (a, next, prev) = match self {
+            Self::Fixed { .. } if out.converged => {
+                *x = out.x;
+                return Ok(true);
+            }
+            Self::Fixed { .. } => {
+                return Err(CircuitError::NewtonDiverged {
+                    time: t_next,
+                    iterations: out.iterations,
+                    residual: out.last_delta,
+                    damping_limit: f64::INFINITY,
                 })
             }
+            Self::Adaptive { a, h, prev } => (a, h, prev),
+        };
+        let mut ratio = if out.converged { 0.0f64 } else { f64::INFINITY };
+        if let Some((x_prev, h_prev)) = prev.as_ref().filter(|_| out.converged) {
+            let r = h / h_prev;
+            for i in 0..x.len() {
+                let pred = x[i] + r * (x[i] - x_prev[i]);
+                let tol = a.lte_abs + a.lte_rel * x[i].abs().max(out.x[i].abs());
+                if tol > 0.0 {
+                    ratio = ratio.max((out.x[i] - pred).abs() / tol);
+                }
+            }
         }
+        if ratio > 1.0 {
+            *next = h * 0.5;
+            if *next < a.dt_min {
+                return Err(CircuitError::StepUnderflow {
+                    time: t,
+                    dt_min: a.dt_min,
+                });
+            }
+            return Ok(false);
+        }
+        *prev = Some((std::mem::replace(x, out.x), h));
+        *next = if ratio < 0.5 {
+            (h * a.growth).min(a.dt_max)
+        } else {
+            h
+        };
+        Ok(true)
     }
 }
 
-/// Element bookkeeping shared by both step-control modes.
+/// Companion-model history of the reactive elements.
 struct TranState {
     caps: Vec<(NodeId, NodeId, f64)>,
     cap_state: Vec<CapState>,
     /// Inductor branch history per system: (current, branch voltage).
     ind_state: Vec<Vec<(f64, f64)>>,
-    mosfets: Vec<Mosfet>,
 }
 
 impl TranState {
@@ -379,19 +440,10 @@ impl TranState {
                     .collect()
             })
             .collect();
-        let mosfets: Vec<Mosfet> = ckt
-            .elements()
-            .iter()
-            .filter_map(|e| match e {
-                Element::Transistor(m) => Some(m.clone()),
-                _ => None,
-            })
-            .collect();
         Self {
             caps,
             cap_state,
             ind_state,
-            mosfets,
         }
     }
 
@@ -468,248 +520,86 @@ impl Circuit {
     /// underflow at `dt_min`.
     pub fn transient(&self, opts: &TranOptions) -> Result<TranResult> {
         opts.validate()?;
-        match opts.step_control.clone() {
-            StepControl::Fixed => self.transient_fixed(opts),
-            StepControl::Adaptive(a) => self.transient_adaptive(opts, &a),
-        }
-    }
-
-    /// Initial unknown vector (and rescue report, when enabled).
-    fn tran_initial_state(
-        &self,
-        opts: &TranOptions,
-        layout: &MnaLayout,
-    ) -> Result<(Vec<f64>, Option<RescueReport>)> {
-        if !opts.start_from_dc {
-            return Ok((vec![0.0; layout.n], None));
-        }
-        if opts.rescue.any_enabled() {
-            let (op, report) = self.dc_op_with(&opts.rescue)?;
-            Ok((op.x, Some(report)))
-        } else {
-            Ok((self.dc_op()?.x, None))
-        }
-    }
-
-    /// The fixed-step path: every step exactly `dt`, Newton failure
-    /// fatal.
-    fn transient_fixed(&self, opts: &TranOptions) -> Result<TranResult> {
         let layout = MnaLayout::build(self);
-        let h = opts.dt;
-        let nonlinear = self.is_nonlinear();
+        let mosfets = self.mosfets();
         let annotate = |e| annotate_singular(self, &layout, e);
-
-        let (mut x, rescue) = self.tran_initial_state(opts, &layout)?;
-        let mut state = TranState::new(self, &layout, &x);
-
-        // Pre-assembled static matrices, factored once per scheme. For
-        // nonlinear circuits the MOSFET Jacobian is applied as a rank-m
-        // Woodbury update on top of the same factorization (see
-        // `crate::nonlinear`), so no refactoring happens inside the
-        // time loop at all.
-        let static_be = assemble_static(self, &layout, Scheme::Be, h);
-        let static_trap = assemble_static(self, &layout, Scheme::Trap, h);
-        let backend = self.effective_backend();
-        let solver_be = StepSolver::build(
-            &static_be, &layout, &state.mosfets, nonlinear, false, backend, None,
-        )
-        .map_err(annotate)?;
-        // The BE and trapezoidal systems share a sparsity pattern (only
-        // the companion coefficients differ), so the trapezoidal build
-        // reuses the BE symbolic factorization.
-        let hint = solver_be.symbolic_hint();
-        let solver_trap = StepSolver::build(
-            &static_trap, &layout, &state.mosfets, nonlinear, false, backend, hint.as_ref(),
-        )
-        .map_err(annotate)?;
-
-        let n_steps = (opts.t_stop / h).ceil() as usize;
-        let mut result = TranResult {
-            time: Vec::with_capacity(n_steps / opts.record_stride + 2),
-            data: Vec::with_capacity(n_steps / opts.record_stride + 2),
-            layout: layout.clone(),
-            newton_iterations: 0,
-            steps_attempted: n_steps,
-            steps_rejected: 0,
-            rescue,
-        };
-        result.time.push(0.0);
-        result.data.push(x.clone());
-
-        let mut newton_total = 0usize;
-        for step in 1..=n_steps {
-            let t_next = step as f64 * h;
-            let scheme = if step == 1 { Scheme::Be } else { Scheme::Trap };
-            let k = scheme.k(h);
-            let trap = scheme == Scheme::Trap;
-            let solver = if step == 1 { &solver_be } else { &solver_trap };
-
-            let rhs = state.assemble_rhs(self, &layout, t_next, k, trap);
-            let out = solver.solve(&state.mosfets, &rhs, &x, opts.max_newton)?;
-            newton_total += out.iterations;
-            if !out.converged {
-                return Err(CircuitError::NewtonDiverged {
-                    time: t_next,
-                    iterations: out.iterations,
-                    residual: out.last_delta,
-                    damping_limit: f64::INFINITY,
-                });
-            }
-            let x_next = out.x;
-
-            state.commit(self, &layout, &x_next, k, trap);
-            x = x_next;
-            if step % opts.record_stride == 0 || step == n_steps {
-                result.time.push(t_next);
-                result.data.push(x.clone());
-            }
-        }
-        result.newton_iterations = newton_total;
-        Ok(result)
-    }
-
-    /// LTE-controlled adaptive stepping.
-    ///
-    /// Each candidate step is solved with the trapezoidal companion
-    /// model (backward Euler for the very first step), then compared
-    /// against the linear predictor
-    /// `x_pred = x_n + (h/h_prev)·(x_n − x_{n−1})`. The
-    /// predictor–corrector gap is a standard LTE proxy: accept when the
-    /// worst per-unknown ratio against `lte_abs + lte_rel·|x|` is ≤ 1,
-    /// otherwise halve and retry. Newton failures also reject the step.
-    /// Solvers are cached per step size, so the halve/regrow cycle
-    /// revisits existing factorizations instead of refactoring.
-    fn transient_adaptive(&self, opts: &TranOptions, aopts: &AdaptiveOptions) -> Result<TranResult> {
-        let layout = MnaLayout::build(self);
-        let nonlinear = self.is_nonlinear();
-        let dt_min = if aopts.dt_min > 0.0 {
-            aopts.dt_min
+        // Start from the DC operating point (rescued when the options
+        // enable a ladder), or from all-zero state.
+        let (mut x, rescue) = if opts.start_from_dc {
+            let (op, report) = self.dc_op_with(&opts.rescue)?;
+            (op.x, opts.rescue.any_enabled().then_some(report))
         } else {
-            opts.dt * 2.0f64.powi(-40)
+            (vec![0.0; layout.n], None)
         };
-        let dt_max = if aopts.dt_max > 0.0 {
-            aopts.dt_max
-        } else {
-            64.0 * opts.dt
-        };
-
-        let (mut x, rescue) = self.tran_initial_state(opts, &layout)?;
         let mut state = TranState::new(self, &layout, &x);
-
+        let mut stepper = Stepper::new(opts);
+        let (samples, refine) = match stepper {
+            Stepper::Fixed { steps, .. } => (steps / opts.record_stride + 2, false),
+            Stepper::Adaptive { .. } => (1, true),
+        };
         let mut result = TranResult {
-            time: vec![0.0],
-            data: vec![x.clone()],
+            time: Vec::with_capacity(samples),
+            data: Vec::with_capacity(samples),
             layout: layout.clone(),
             newton_iterations: 0,
             steps_attempted: 0,
             steps_rejected: 0,
             rescue,
         };
+        result.time.push(0.0);
+        result.data.push(x.clone());
 
-        // Factored systems per (scheme, step size); the BE cache only
-        // ever holds first-step sizes.
-        let mut cache_be: HashMap<u64, StepSolver> = HashMap::new();
-        let mut cache_trap: HashMap<u64, StepSolver> = HashMap::new();
-        // Every step size shares one MNA sparsity pattern; the first
-        // sparse build's symbolic factorization seeds all later ones.
+        // One factored system per (scheme, step size), all under one
+        // plan; `current` indexes the last step's, so a step looks one
+        // up only when its scheme or size changes.
         let backend = self.effective_backend();
-        let mut sym_hint: Option<Arc<SymbolicLu>> = None;
-
+        let mut plan = None;
+        let mut solvers: Vec<((Scheme, u64), WoodburySolver)> = Vec::new();
+        let mut current = 0;
         let mut t = 0.0f64;
-        let mut h_ctrl = opts.dt.min(dt_max);
-        // Previous accepted point (x_{n−1} and the step that led to x_n).
-        let mut prev: Option<(Vec<f64>, f64)> = None;
         let mut accepted = 0usize;
-        let mut newton_total = 0usize;
-
-        loop {
-            let remaining = opts.t_stop - t;
-            if remaining <= opts.t_stop * END_OF_SWEEP_REL_TOL {
-                break;
-            }
-            let h = h_ctrl.min(remaining);
-            let first = prev.is_none();
-            let scheme = if first { Scheme::Be } else { Scheme::Trap };
-            let cache = if first { &mut cache_be } else { &mut cache_trap };
-            let solver = match cache.entry(h.to_bits()) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => {
-                    let st = assemble_static(self, &layout, scheme, h);
-                    let built = StepSolver::build(
-                        &st,
-                        &layout,
-                        &state.mosfets,
-                        nonlinear,
-                        true,
-                        backend,
-                        sym_hint.as_ref(),
-                    )
-                    .map_err(|e| annotate_singular(self, &layout, e))?;
-                    if sym_hint.is_none() {
-                        sym_hint = built.symbolic_hint();
+        while let Some((t_next, h)) = stepper.next_step(t, accepted, opts.t_stop) {
+            let scheme = if accepted == 0 { Scheme::Be } else { Scheme::Trap };
+            let key = (scheme, h.to_bits());
+            if solvers.get(current).map(|s| s.0) != Some(key) {
+                current = match solvers.iter().position(|s| s.0 == key) {
+                    Some(i) => i,
+                    None => {
+                        let st = assemble_static(self, &layout, scheme, h);
+                        let wb = factor_planned(&mut plan, &st, backend)
+                            .map(|b| if refine { b.with_refinement() } else { b })
+                            .and_then(|b| WoodburySolver::new(b, &layout, &mosfets))
+                            .map_err(annotate)?;
+                        solvers.push((key, wb));
+                        solvers.len() - 1
                     }
-                    v.insert(built)
-                }
-            };
-            let k = scheme.k(h);
-            let trap = scheme == Scheme::Trap;
-
-            let rhs = state.assemble_rhs(self, &layout, t + h, k, trap);
+                };
+            }
+            let (k, trap) = (scheme.k(h), scheme == Scheme::Trap);
+            let rhs = state.assemble_rhs(self, &layout, t_next, k, trap);
             result.steps_attempted += 1;
-            let out = solver.solve(&state.mosfets, &rhs, &x, opts.max_newton)?;
-            newton_total += out.iterations;
-
-            // LTE proxy: worst per-unknown predictor–corrector gap
-            // relative to tolerance (0 when no predictor exists yet).
-            let mut ratio = 0.0f64;
-            if out.converged {
-                if let Some((x_prev, h_prev)) = &prev {
-                    let r = h / h_prev;
-                    for i in 0..layout.n {
-                        let pred = x[i] + r * (x[i] - x_prev[i]);
-                        let tol = aopts.lte_abs + aopts.lte_rel * x[i].abs().max(out.x[i].abs());
-                        if tol > 0.0 {
-                            ratio = ratio.max((out.x[i] - pred).abs() / tol);
-                        }
-                    }
-                }
-            }
-
-            if !out.converged || ratio > 1.0 {
+            let out = solve_time_point(&solvers[current].1, &mosfets, &rhs, &x, opts.max_newton)?;
+            result.newton_iterations += out.iterations;
+            if !stepper.settle(&mut x, out, t, t_next, h)? {
                 result.steps_rejected += 1;
-                h_ctrl = h * 0.5;
-                if h_ctrl < dt_min {
-                    result.newton_iterations = newton_total;
-                    return Err(CircuitError::StepUnderflow { time: t, dt_min });
-                }
                 continue;
             }
-
-            // Accept.
-            state.commit(self, &layout, &out.x, k, trap);
-            prev = Some((std::mem::replace(&mut x, out.x), h));
-            t += h;
+            state.commit(self, &layout, &x, k, trap);
+            t = t_next;
             accepted += 1;
             if accepted % opts.record_stride == 0 {
                 result.time.push(t);
                 result.data.push(x.clone());
             }
-            // Geometric regrowth after comfortable steps; hold steady
-            // when the controller is near its tolerance.
-            h_ctrl = if ratio < 0.5 {
-                (h * aopts.growth).min(dt_max)
-            } else {
-                h
-            };
         }
         // Always include the final accepted point.
-        if result.time.last().copied() != Some(t) {
+        if result.time.last() != Some(&t) {
             result.time.push(t);
-            result.data.push(x.clone());
+            result.data.push(x);
         }
-        result.newton_iterations = newton_total;
         Ok(result)
     }
+
 }
 
 #[inline]
@@ -721,6 +611,7 @@ fn node_v(layout: &MnaLayout, x: &[f64], n: NodeId) -> f64 {
 mod tests {
     use super::*;
     use crate::netlist::InverterParams;
+    use crate::solver::{probe, SolverBackend};
     use crate::waveform::SourceWave;
 
     #[test]
@@ -837,8 +728,8 @@ mod tests {
         assert!(v2.max().abs() > 1e-3 || v2.min().abs() > 1e-3);
     }
 
-    #[test]
-    fn inverter_drives_rc_load() {
+    /// An inverter, its input rising at 50 ps, driving 50 fF.
+    fn inverter_rc() -> (Circuit, NodeId) {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let inp = c.node("in");
@@ -847,6 +738,12 @@ mod tests {
         c.vsrc(inp, Circuit::GND, SourceWave::step(0.0, 1.8, 50e-12, 30e-12));
         c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
         c.capacitor(out, Circuit::GND, 50e-15);
+        (c, out)
+    }
+
+    #[test]
+    fn inverter_drives_rc_load() {
+        let (c, out) = inverter_rc();
         let res = c.transient(&TranOptions::new(1e-12, 500e-12)).unwrap();
         let v = res.voltage(out);
         // Starts high (input low), ends low.
@@ -890,6 +787,27 @@ mod tests {
             a.lte_abs = 0.0;
         }
         assert!(c.transient(&opts).is_err());
+        // Non-finite stop times and LTE tolerances are typed errors, not
+        // an endless run, an empty one, or LTE control silently off.
+        let invalid = |opts: &TranOptions| {
+            matches!(c.transient(opts), Err(CircuitError::InvalidOptions { .. }))
+        };
+        assert!(invalid(&TranOptions::new(1e-12, f64::INFINITY)));
+        assert!(invalid(&TranOptions::new(1e-12, f64::INFINITY).adaptive()));
+        assert!(invalid(&TranOptions::new(1e-12, f64::NAN)));
+        for (rel, abs) in [
+            (f64::NAN, 1e-6),
+            (f64::INFINITY, 1e-6),
+            (1e-3, f64::NAN),
+            (1e-3, f64::INFINITY),
+        ] {
+            let mut opts = TranOptions::new(1e-12, 1e-9).adaptive();
+            if let StepControl::Adaptive(a) = &mut opts.step_control {
+                a.lte_rel = rel;
+                a.lte_abs = abs;
+            }
+            assert!(invalid(&opts), "lte_rel = {rel}, lte_abs = {abs}");
+        }
     }
 
     #[test]
@@ -974,71 +892,57 @@ mod tests {
         assert!(v.max() > 0.5, "pulse missed: max {}", v.max());
     }
 
-    /// The BE start and the trapezoidal steps share one MNA pattern, so
-    /// a nonlinear sparse-rung transient analyzes it once: the Woodbury
-    /// base hands its symbolic factorization on to the next build.
-    #[test]
-    fn nonlinear_step_solver_hands_on_its_symbolic_pattern() {
+    /// Rescue-suite testbench: an inverter, its input held low, driving
+    /// a 60-section RC ladder (above `SMALL_DENSE`, so every rung is
+    /// available).
+    fn inverter_ladder(backend: SolverBackend) -> Circuit {
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         let inp = c.node("in");
+        let out = c.node("out");
         c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
-        c.vsrc(
-            inp,
-            Circuit::GND,
-            SourceWave::step(0.0, 1.8, 20e-12, 20e-12),
-        );
-        let mut prev = c.node("n0");
-        c.inverter(inp, prev, vdd, Circuit::GND, InverterParams::default());
-        for k in 1..60 {
-            let n = c.node(format!("n{k}"));
-            c.resistor(prev, n, 20.0);
-            c.capacitor(n, Circuit::GND, 2e-15);
-            prev = n;
+        c.vsrc(inp, Circuit::GND, SourceWave::dc(0.0));
+        c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+        let mut prev = out;
+        for i in 0..60 {
+            let nd = c.node(format!("lad{i}"));
+            c.resistor(prev, nd, 50.0);
+            c.capacitor(nd, Circuit::GND, 10e-15);
+            prev = nd;
         }
-        let layout = MnaLayout::build(&c);
-        let mosfets = TranState::new(&c, &layout, &vec![0.0; layout.n]).mosfets;
-        let build = |scheme, hint| {
-            let st = assemble_static(&c, &layout, scheme, 1e-12);
-            StepSolver::build(
-                &st,
-                &layout,
-                &mosfets,
-                true,
-                false,
-                SolverBackend::Sparse,
-                hint,
-            )
-            .unwrap()
-        };
-        let be = build(Scheme::Be, None);
-        let hint = be
-            .symbolic_hint()
-            .expect("sparse Woodbury base exposes its pattern");
-        let trap = build(Scheme::Trap, Some(&hint));
-        let handed_on = trap
-            .symbolic_hint()
-            .expect("sparse Woodbury base exposes its pattern");
-        assert!(
-            Arc::ptr_eq(&hint, &handed_on),
-            "trapezoidal build re-analyzed the pattern"
-        );
+        c.resistor(prev, Circuit::GND, 1e6);
+        c.set_solver_backend(backend);
+        c
+    }
+
+    /// One plan per transient: the backward-Euler start plans the
+    /// pattern, and the trapezoidal steps and every adaptive step size
+    /// only refactor it. The sparse rung analyzes the pattern once.
+    #[test]
+    fn fixed_and_adaptive_transients_plan_once() {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto] {
+            let c = inverter_ladder(backend);
+            let mut fixed = TranOptions::new(1e-12, 100e-12);
+            fixed.start_from_dc = false;
+            let adaptive = fixed.clone().adaptive();
+            for opts in [fixed, adaptive] {
+                let (res, plans, analyses) = probe::count_planning(|| c.transient(&opts).unwrap());
+                let what = format!("{backend:?} {:?}", opts.step_control);
+                assert_eq!(plans, 1, "{what}");
+                let sparse = backend.resolve() == SolverBackend::Sparse;
+                assert_eq!(analyses, usize::from(sparse), "{what}");
+                let (attempted, rejected) = match opts.step_control {
+                    StepControl::Fixed => (100, 0),
+                    StepControl::Adaptive(_) => (634, 37),
+                };
+                assert_eq!((res.steps_attempted, res.steps_rejected), (attempted, rejected));
+            }
+        }
     }
 
     #[test]
     fn adaptive_inverter_matches_fixed_delay() {
-        let build = || {
-            let mut c = Circuit::new();
-            let vdd = c.node("vdd");
-            let inp = c.node("in");
-            let out = c.node("out");
-            c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
-            c.vsrc(inp, Circuit::GND, SourceWave::step(0.0, 1.8, 50e-12, 30e-12));
-            c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
-            c.capacitor(out, Circuit::GND, 50e-15);
-            (c, out)
-        };
-        let (c, out) = build();
+        let (c, out) = inverter_rc();
         let fixed = c.transient(&TranOptions::new(1e-12, 500e-12)).unwrap();
         let mut aopts = TranOptions::new(1e-12, 500e-12).adaptive();
         if let StepControl::Adaptive(a) = &mut aopts.step_control {

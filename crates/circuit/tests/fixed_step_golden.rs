@@ -4,8 +4,14 @@
 //! before the adaptive-step / rescue layer landed; the nonlinear hash
 //! pins the current Woodbury Newton arithmetic (see its test). Any
 //! change to the default path shows up as a hash mismatch here.
+//!
+//! The ladder pins cover what the small circuits above cannot: a
+//! nonlinear run above the small-dense floor on each linear-solver rung,
+//! fixed and adaptive. They were captured from the implementation with
+//! separate fixed and adaptive stepping loops, each step matrix planned
+//! afresh, before the two loops became one over one plan.
 
-use ind101_circuit::{Circuit, InverterParams, SourceWave, TranOptions, TranResult};
+use ind101_circuit::{Circuit, InverterParams, SolverBackend, SourceWave, TranOptions, TranResult};
 use ind101_numeric::Matrix;
 
 /// FNV-1a over the raw bit patterns of every recorded sample.
@@ -108,4 +114,74 @@ fn nonlinear_fixed_step_is_bit_identical_to_seed() {
     let res = c.transient(&TranOptions::new(1e-12, 500e-12)).unwrap();
     assert_eq!(res.newton_iterations, 1031);
     assert_eq!(waveform_hash(&res, &probes), 0xcd3d4f2b127965aa);
+}
+
+/// An inverter driving a 60-section RC ladder with an inductor tail: 67
+/// unknowns, above the small-dense floor, so the step matrices take the
+/// rung `backend` picks (`Auto` without an environment override picks
+/// the banded one).
+fn inverter_ladder_rl(backend: SolverBackend) -> (Circuit, Vec<ind101_circuit::NodeId>) {
+    let mut c = Circuit::new();
+    let vdd = c.node("vdd");
+    let inp = c.node("in");
+    let out = c.node("out");
+    c.vsrc(vdd, Circuit::GND, SourceWave::dc(1.8));
+    c.vsrc(inp, Circuit::GND, SourceWave::step(0.0, 1.8, 20e-12, 20e-12));
+    c.inverter(inp, out, vdd, Circuit::GND, InverterParams::default());
+    let mut prev = out;
+    for k in 0..60 {
+        let n = c.node(format!("n{k}"));
+        c.resistor(prev, n, 15.0 + (k % 7) as f64);
+        c.capacitor(n, Circuit::GND, 2e-15 + 0.1e-15 * (k % 5) as f64);
+        prev = n;
+    }
+    let tail = c.node("tail");
+    c.inductor(prev, tail, 0.4e-9);
+    c.capacitor(tail, Circuit::GND, 30e-15);
+    c.resistor(tail, Circuit::GND, 5e3);
+    c.set_solver_backend(backend);
+    let probes = ["out", "n30", "n59", "tail"].map(|n| c.node(n)).to_vec();
+    (c, probes)
+}
+
+/// The pin of a run under `Auto`, picked by what `Auto` resolves to
+/// under `IND101_SOLVER_BACKEND`.
+fn under_auto(banded: u64, dense: u64, sparse: u64) -> u64 {
+    match SolverBackend::Auto.resolve() {
+        SolverBackend::Auto => banded,
+        SolverBackend::Dense => dense,
+        SolverBackend::Sparse => sparse,
+    }
+}
+
+const LADDER_DENSE: u64 = 0xa99e2fa625256ef2;
+const LADDER_SPARSE: u64 = 0x1771b4d1b1fa37a7;
+const LADDER_BANDED: u64 = 0x27cfee0ec03e3257;
+
+#[test]
+fn nonlinear_ladder_fixed_step_is_pinned_on_forced_sparse_and_auto() {
+    let auto = under_auto(LADDER_BANDED, LADDER_DENSE, LADDER_SPARSE);
+    for (backend, expected) in [(SolverBackend::Sparse, LADDER_SPARSE), (SolverBackend::Auto, auto)]
+    {
+        let (c, probes) = inverter_ladder_rl(backend);
+        let res = c.transient(&TranOptions::new(1e-12, 150e-12)).unwrap();
+        assert_eq!(res.newton_iterations, 327, "{backend:?}");
+        assert_eq!(waveform_hash(&res, &probes), expected, "{backend:?}");
+    }
+}
+
+/// The adaptive controller on the same ladder: every rung takes the
+/// same steps, rejections and Newton iterations, and its own waveform.
+#[test]
+fn nonlinear_ladder_adaptive_run_is_pinned_on_auto() {
+    let (c, probes) = inverter_ladder_rl(SolverBackend::Auto);
+    let res = c
+        .transient(&TranOptions::new(1e-12, 150e-12).adaptive())
+        .unwrap();
+    assert_eq!(
+        (res.steps_attempted, res.steps_rejected, res.newton_iterations),
+        (393, 54, 980)
+    );
+    let expected = under_auto(0x0f404c261081ef7c, 0x04d90b97b3aadf2e, 0xe34d8b2572ff704b);
+    assert_eq!(waveform_hash(&res, &probes), expected);
 }
