@@ -299,7 +299,8 @@ impl SolvePlan {
         } else {
             // Structural analysis: RCM + bandwidth.
             let perm = reverse_cuthill_mckee(&csr.adjacency());
-            let (kl, ku) = bandwidth(&csr_positions(&csr), &perm);
+            let stored = (0..n).flat_map(|i| csr.row_iter(i).map(move |(j, _)| (i, j)));
+            let (kl, ku) = bandwidth(stored, &perm);
             // Banded factorization costs ~ n·(kl+ku)²; dense ~ n³/3.
             // Prefer banded when the band is comfortably below n.
             if (kl + ku + 1) * 3 < n {
@@ -394,13 +395,6 @@ pub(crate) fn factor_planned<T: Scalar>(
     let (first, solver) = SolvePlan::first(t, backend, None)?;
     *plan = Some(first);
     solver
-}
-
-/// Every stored `(row, col)` position of `csr`.
-fn csr_positions<T: Scalar>(csr: &CsrMatrix<T>) -> Vec<(usize, usize)> {
-    (0..csr.nrows())
-        .flat_map(|i| csr.row_iter(i).map(move |(j, _)| (i, j)))
-        .collect()
 }
 
 /// BTF-structure clause of the `Auto` heuristic: `true` when the

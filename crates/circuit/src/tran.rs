@@ -74,6 +74,14 @@ pub struct AdaptiveOptions {
 /// this fraction of `t_stop` is rounding noise, not a step to take.
 const END_OF_SWEEP_REL_TOL: f64 = 1e-12;
 
+/// Most fixed steps one run may take: past 2⁵³ steps, `(n + 1) as f64 *
+/// dt` no longer gives each step a distinct time.
+const MAX_FIXED_STEPS: u64 = 1 << 53;
+
+/// Most samples a run reserves before its first step; a longer record
+/// grows as the run goes.
+const MAX_RESERVED_SAMPLES: usize = 1 << 16;
+
 /// Default relative local-truncation-error target per step.
 const DEFAULT_LTE_REL: f64 = 1e-3;
 /// Default absolute LTE floor, volts — keeps near-zero nodes from
@@ -148,6 +156,12 @@ impl TranOptions {
         }
         if self.record_stride == 0 {
             return invalid("record_stride must be ≥ 1".to_owned());
+        }
+        let steps = (self.t_stop / self.dt).ceil();
+        if self.step_control == StepControl::Fixed && steps > MAX_FIXED_STEPS as f64 {
+            return invalid(format!(
+                "t_stop / dt = {steps:e} fixed steps (at most 2^53)"
+            ));
         }
         if let StepControl::Adaptive(a) = &self.step_control {
             if !(a.growth > 1.0) || !a.growth.is_finite() {
@@ -534,7 +548,10 @@ impl Circuit {
         let mut state = TranState::new(self, &layout, &x);
         let mut stepper = Stepper::new(opts);
         let (samples, refine) = match stepper {
-            Stepper::Fixed { steps, .. } => (steps / opts.record_stride + 2, false),
+            Stepper::Fixed { steps, .. } => (
+                (steps / opts.record_stride + 2).min(MAX_RESERVED_SAMPLES),
+                false,
+            ),
             Stepper::Adaptive { .. } => (1, true),
         };
         let mut result = TranResult {
@@ -795,6 +812,15 @@ mod tests {
         assert!(invalid(&TranOptions::new(1e-12, f64::INFINITY)));
         assert!(invalid(&TranOptions::new(1e-12, f64::INFINITY).adaptive()));
         assert!(invalid(&TranOptions::new(1e-12, f64::NAN)));
+        // So is a finite fixed-step count past 2^53, at any stride: not an
+        // overflow, a capacity panic or an endless run.
+        assert!(invalid(&TranOptions::new(1e-300, 1.0)));
+        let mut opts = TranOptions::new(1e-300, 1.0);
+        opts.record_stride = 2;
+        assert!(invalid(&opts));
+        let two_53 = 2f64.powi(53);
+        assert!(TranOptions::new(1.0, two_53).validate().is_ok());
+        assert!(TranOptions::new(1.0, two_53 + 2.0).validate().is_err());
         for (rel, abs) in [
             (f64::NAN, 1e-6),
             (f64::INFINITY, 1e-6),

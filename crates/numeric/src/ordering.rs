@@ -157,11 +157,14 @@ fn bfs_farthest(start: usize, adj: &[Vec<usize>], degree: &[usize]) -> (usize, u
 
 /// Half-bandwidths `(kl, ku)` of a sparsity pattern under a permutation:
 /// `kl = max(new_i − new_j)` over stored `(i, j)` with `new_i > new_j`,
-/// `ku` the symmetric quantity.
-pub fn bandwidth(pattern: &[(usize, usize)], perm: &Permutation) -> (usize, usize) {
+/// `ku` the symmetric quantity. `pattern` yields each stored `(i, j)`.
+pub fn bandwidth(
+    pattern: impl IntoIterator<Item = (usize, usize)>,
+    perm: &Permutation,
+) -> (usize, usize) {
     let mut kl = 0usize;
     let mut ku = 0usize;
-    for &(i, j) in pattern {
+    for (i, j) in pattern {
         let ni = perm.new_of(i);
         let nj = perm.new_of(j);
         if ni >= nj {
@@ -213,7 +216,7 @@ mod tests {
         let adj = path_graph(10);
         let p = reverse_cuthill_mckee(&adj);
         let pattern: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
-        let (kl, ku) = bandwidth(&pattern, &p);
+        let (kl, ku) = bandwidth(pattern.iter().copied(), &p);
         assert!(kl <= 1 && ku <= 1, "path graph must stay tridiagonal");
     }
 
@@ -239,7 +242,7 @@ mod tests {
             }
         }
         let p = reverse_cuthill_mckee(&adj);
-        let (kl, ku) = bandwidth(&pattern, &p);
+        let (kl, ku) = bandwidth(pattern.iter().copied(), &p);
         // RCM should achieve bandwidth close to the grid width.
         assert!(kl <= w + 2, "kl = {kl}");
         assert!(ku <= w + 2, "ku = {ku}");
@@ -257,7 +260,7 @@ mod tests {
     #[test]
     fn bandwidth_of_identity_ordering() {
         let p = Permutation::identity(4);
-        let (kl, ku) = bandwidth(&[(3, 0), (0, 2)], &p);
+        let (kl, ku) = bandwidth([(3, 0), (0, 2)], &p);
         assert_eq!(kl, 3);
         assert_eq!(ku, 2);
     }

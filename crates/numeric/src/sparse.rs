@@ -252,22 +252,49 @@ impl<T: Scalar> CsrMatrix<T> {
     /// Undirected adjacency lists of the structural pattern of a square
     /// matrix (`i ~ j` when either `(i,j)` or `(j,i)` is stored),
     /// excluding self-loops. Input to the RCM ordering.
+    ///
+    /// Each list is sorted and free of duplicates. A counting sort by
+    /// column gives the transpose with every column's rows ascending;
+    /// list `k` is then one merge of row `k`, already sorted, with
+    /// column `k`. That is `O(nnz + n)`, with no per-row sort.
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
         let n = self.nrows.max(self.ncols);
-        let mut adj = vec![Vec::new(); n];
+        let mut col_start = vec![0usize; n + 1];
+        for &j in &self.indices {
+            col_start[j + 1] += 1;
+        }
+        for k in 0..n {
+            col_start[k + 1] += col_start[k];
+        }
+        let mut fill = col_start.clone();
+        let mut col_rows = vec![0usize; self.indices.len()];
         for i in 0..self.nrows {
-            for (j, _) in self.row_iter(i) {
-                if i != j {
-                    adj[i].push(j);
-                    adj[j].push(i);
-                }
+            for &j in &self.indices[self.indptr[i]..self.indptr[i + 1]] {
+                col_rows[fill[j]] = i;
+                fill[j] += 1;
             }
         }
-        for l in &mut adj {
-            l.sort_unstable();
-            l.dedup();
-        }
-        adj
+        (0..n)
+            .map(|k| {
+                let row = if k < self.nrows {
+                    &self.indices[self.indptr[k]..self.indptr[k + 1]]
+                } else {
+                    &[]
+                };
+                let col = &col_rows[col_start[k]..col_start[k + 1]];
+                let mut list = Vec::with_capacity(row.len() + col.len());
+                let mut col = col.iter().copied().filter(|&i| i != k).peekable();
+                for j in row.iter().copied().filter(|&j| j != k) {
+                    while let Some(i) = col.next_if(|&i| i < j) {
+                        list.push(i);
+                    }
+                    col.next_if_eq(&j);
+                    list.push(j);
+                }
+                list.extend(col);
+                list
+            })
+            .collect()
     }
 }
 
@@ -509,6 +536,62 @@ mod tests {
             assert_bitwise_equal(&tc.to_csr(), &to_csr_by_stable_sort(&tc), |z| {
                 vec![z.re.to_bits(), z.im.to_bits()]
             });
+        }
+    }
+
+    /// Oracle: push both directions of every off-diagonal entry, then
+    /// sort and dedup every list.
+    fn adjacency_by_sort<T: Scalar>(a: &CsrMatrix<T>) -> Vec<Vec<usize>> {
+        let mut adj = vec![Vec::new(); a.nrows().max(a.ncols())];
+        for i in 0..a.nrows() {
+            for (j, _) in a.row_iter(i) {
+                if i != j {
+                    adj[i].push(j);
+                    adj[j].push(i);
+                }
+            }
+        }
+        for l in &mut adj {
+            l.sort_unstable();
+            l.dedup();
+        }
+        adj
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn adjacency_is_the_sorted_symmetrization(
+            seed in 0u64..1_000_000,
+            nrows in 0usize..50,
+            ncols in 0usize..50,
+            square in proptest::prelude::prop::bool::ANY,
+            diagonal in 0u32..3,
+            density in 0.0f64..1.0,
+        ) {
+            // `diagonal`: 0 no diagonal entries, 1 every one, 2 as drawn.
+            let ncols = if square { nrows } else { ncols };
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut coin = move |p: f64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                ((s >> 11) as f64 / (1u64 << 53) as f64) < p
+            };
+            let mut t = Triplets::new(nrows, ncols);
+            for i in 0..nrows {
+                for j in 0..ncols {
+                    let stored = match (i == j, diagonal) {
+                        (true, 0) => false,
+                        (true, 1) => true,
+                        _ => coin(density),
+                    };
+                    if stored {
+                        t.push(i, j, 1.0);
+                    }
+                }
+            }
+            let a = t.to_csr();
+            proptest::prop_assert_eq!(a.adjacency(), adjacency_by_sort(&a));
         }
     }
 

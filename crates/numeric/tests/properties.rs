@@ -143,7 +143,7 @@ proptest! {
         let p = reverse_cuthill_mckee(&adj);
         prop_assert_eq!(p.len(), len);
         let pattern: Vec<(usize, usize)> = (0..len.saturating_sub(1)).map(|i| (i, i + 1)).collect();
-        let (kl, ku) = bandwidth(&pattern, &p);
+        let (kl, ku) = bandwidth(pattern.iter().copied(), &p);
         prop_assert!(kl <= 1 && ku <= 1);
     }
 

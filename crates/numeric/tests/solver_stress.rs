@@ -38,7 +38,7 @@ fn banded_solver_handles_thousand_node_grid() {
     let adj = csr.adjacency();
     let perm = reverse_cuthill_mckee(&adj);
     let pattern: Vec<(usize, usize)> = t.entries().iter().map(|&(i, j, _)| (i, j)).collect();
-    let (kl, ku) = bandwidth(&pattern, &perm);
+    let (kl, ku) = bandwidth(pattern.iter().copied(), &perm);
     assert!(kl <= 45 && ku <= 45, "RCM bandwidth {kl}/{ku}");
 
     let mut pt = Triplets::new(n, n);
