@@ -74,9 +74,10 @@ pub struct AdaptiveOptions {
 /// this fraction of `t_stop` is rounding noise, not a step to take.
 const END_OF_SWEEP_REL_TOL: f64 = 1e-12;
 
-/// Most fixed steps one run may take: past 2⁵³ steps, `(n + 1) as f64 *
-/// dt` no longer gives each step a distinct time.
-const MAX_FIXED_STEPS: u64 = 1 << 53;
+/// Most steps one run may take: a fixed run takes `⌈t_stop / dt⌉`, an
+/// adaptive one at least `⌈t_stop / dt_max⌉`. Past 2⁵³ steps, `(n + 1)
+/// as f64 * dt` no longer gives each step a distinct time.
+const MAX_STEPS: u64 = 1 << 53;
 
 /// Most samples a run reserves before its first step; a longer record
 /// grows as the run goes.
@@ -87,6 +88,22 @@ const DEFAULT_LTE_REL: f64 = 1e-3;
 /// Default absolute LTE floor, volts — keeps near-zero nodes from
 /// demanding infinite accuracy.
 const DEFAULT_LTE_ABS: f64 = 1e-6;
+
+impl AdaptiveOptions {
+    /// These options with the automatic (`0.0`) step bounds resolved
+    /// against the initial step `dt`: `dt_min = dt · 2⁻⁴⁰`,
+    /// `dt_max = 64 · dt`.
+    fn resolved(&self, dt: f64) -> Self {
+        let mut a = self.clone();
+        if !(a.dt_min > 0.0) {
+            a.dt_min = dt * 2.0f64.powi(-40);
+        }
+        if !(a.dt_max > 0.0) {
+            a.dt_max = 64.0 * dt;
+        }
+        a
+    }
+}
 
 impl Default for AdaptiveOptions {
     fn default() -> Self {
@@ -158,7 +175,7 @@ impl TranOptions {
             return invalid("record_stride must be ≥ 1".to_owned());
         }
         let steps = (self.t_stop / self.dt).ceil();
-        if self.step_control == StepControl::Fixed && steps > MAX_FIXED_STEPS as f64 {
+        if self.step_control == StepControl::Fixed && steps > MAX_STEPS as f64 {
             return invalid(format!(
                 "t_stop / dt = {steps:e} fixed steps (at most 2^53)"
             ));
@@ -179,6 +196,12 @@ impl TranOptions {
             }
             if a.dt_max < 0.0 || (a.dt_max > 0.0 && a.dt_max < self.dt) {
                 return invalid(format!("adaptive dt_max = {} (need 0 or ≥ dt)", a.dt_max));
+            }
+            let fewest = (self.t_stop / a.resolved(self.dt).dt_max).ceil();
+            if fewest > MAX_STEPS as f64 {
+                return invalid(format!(
+                    "t_stop / dt_max = {fewest:e} adaptive steps at least (at most 2^53)"
+                ));
             }
         }
         Ok(())
@@ -326,13 +349,7 @@ impl Stepper {
                 steps: (opts.t_stop / opts.dt).ceil() as usize,
             },
             StepControl::Adaptive(a) => {
-                let mut a = a.clone();
-                if !(a.dt_min > 0.0) {
-                    a.dt_min = opts.dt * 2.0f64.powi(-40);
-                }
-                if !(a.dt_max > 0.0) {
-                    a.dt_max = 64.0 * opts.dt;
-                }
+                let a = a.resolved(opts.dt);
                 let h = opts.dt.min(a.dt_max);
                 Self::Adaptive { a, h, prev: None }
             }
@@ -821,6 +838,24 @@ mod tests {
         let two_53 = 2f64.powi(53);
         assert!(TranOptions::new(1.0, two_53).validate().is_ok());
         assert!(TranOptions::new(1.0, two_53 + 2.0).validate().is_err());
+        // An adaptive run takes at least ⌈t_stop / dt_max⌉ steps, with
+        // dt_max resolved as the stepper resolves it (64·dt when 0), so
+        // the same bound holds there (checked through `validate` only).
+        assert!(matches!(
+            TranOptions::new(1e-300, 1.0).adaptive().validate(),
+            Err(CircuitError::InvalidOptions { .. })
+        ));
+        let adaptive = |t_stop: f64, dt_max: f64| {
+            let mut opts = TranOptions::new(1.0, t_stop).adaptive();
+            if let StepControl::Adaptive(a) = &mut opts.step_control {
+                a.dt_max = dt_max;
+            }
+            opts
+        };
+        assert!(adaptive(two_53, 1.0).validate().is_ok());
+        assert!(adaptive(two_53 + 2.0, 1.0).validate().is_err());
+        assert!(adaptive(64.0 * two_53, 0.0).validate().is_ok());
+        assert!(adaptive(64.0 * (two_53 + 2.0), 0.0).validate().is_err());
         for (rel, abs) in [
             (f64::NAN, 1e-6),
             (f64::INFINITY, 1e-6),

@@ -250,7 +250,11 @@ impl<T: Scalar> BandedMatrix<T> {
         let n = self.n;
         let kl = self.kl;
         let kufill = self.kl + self.ku;
+        let ldab = self.ldab();
         let mut x = b.to_vec();
+        // Column `j` of the band is `ab[j·ldab ..][.. ldab]`, with entry
+        // `(i, j)` at offset `kufill + i − j`: the diagonal at `kufill`,
+        // L below it and U above it, each read as one slice.
         // Forward: apply P and L.
         for j in 0..n {
             let p = self.ipiv[j];
@@ -262,26 +266,24 @@ impl<T: Scalar> BandedMatrix<T> {
             if xj.is_zero() {
                 continue;
             }
-            for i in (j + 1)..=iend.max(j) {
-                if i > iend {
-                    break;
-                }
-                let l = self.get(i, j);
-                x[i] -= l * xj;
+            let lcol = &self.ab[j * ldab + kufill + 1..j * ldab + kufill + 1 + (iend - j)];
+            for (xi, &l) in x[j + 1..=iend].iter_mut().zip(lcol) {
+                *xi -= l * xj;
             }
         }
         // Backward: U.
         for j in (0..n).rev() {
-            let xj = x[j] / self.get(j, j);
+            let col = &self.ab[j * ldab..(j + 1) * ldab];
+            let xj = x[j] / col[kufill];
             x[j] = xj;
             if xj.is_zero() {
                 continue;
             }
             let istart = j.saturating_sub(kufill);
-            for i in istart..j {
-                let u = self.get(i, j);
+            let ucol = &col[kufill - (j - istart)..kufill];
+            for (xi, &u) in x[istart..j].iter_mut().zip(ucol) {
                 if !u.is_zero() {
-                    x[i] -= u * xj;
+                    *xi -= u * xj;
                 }
             }
         }
@@ -421,6 +423,75 @@ mod tests {
         let r = dense.matvec(&x).unwrap();
         for (u, v) in r.iter().zip(&b) {
             assert!((*u - *v).abs() < 1e-12);
+        }
+    }
+
+    /// The solve as it read the band before: one bounds-checked `get`
+    /// per entry. The slice walk must match it bit for bit.
+    fn solve_by_get(m: &BandedMatrix<f64>, b: &[f64]) -> Vec<f64> {
+        let (n, kl, kufill) = (m.n, m.kl, m.kl + m.ku);
+        let mut x = b.to_vec();
+        for j in 0..n {
+            let p = m.ipiv[j];
+            if p != j {
+                x.swap(p, j);
+            }
+            let xj = x[j];
+            if xj.is_zero() {
+                continue;
+            }
+            for i in j + 1..=(j + kl).min(n - 1) {
+                x[i] -= m.get(i, j) * xj;
+            }
+        }
+        for j in (0..n).rev() {
+            let xj = x[j] / m.get(j, j);
+            x[j] = xj;
+            if xj.is_zero() {
+                continue;
+            }
+            for i in j.saturating_sub(kufill)..j {
+                let u = m.get(i, j);
+                if !u.is_zero() {
+                    x[i] -= u * xj;
+                }
+            }
+        }
+        x
+    }
+
+    #[test]
+    fn slice_solve_matches_entrywise_solve_bit_for_bit() {
+        // Weak diagonals force row swaps, so U fills out to kl + ku;
+        // zero right-hand-side entries take the skip branches.
+        let mut seed = 11u64;
+        let mut next = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((seed >> 33) as f64) / (u32::MAX as f64) - 0.5
+        };
+        for (n, kl, ku) in [(1, 0, 0), (9, 1, 1), (40, 3, 2), (33, 0, 4), (30, 5, 0)] {
+            let mut t = Triplets::new(n, n);
+            for i in 0..n {
+                for j in i.saturating_sub(kl)..(i + ku + 1).min(n) {
+                    t.push(i, j, if i == j { 0.1 + next() } else { next() });
+                }
+            }
+            let mut band = BandedMatrix::from_triplets(&t, kl, ku).unwrap();
+            band.factor().unwrap();
+            let b: Vec<f64> = (0..n)
+                .map(|i| if i % 3 == 0 { 0.0 } else { next() })
+                .collect();
+            let got: Vec<u64> = band
+                .solve(&b)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = solve_by_get(&band, &b)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "n = {n}, kl = {kl}, ku = {ku}");
         }
     }
 

@@ -182,27 +182,45 @@ where
     T: Send,
     F: Fn(Range<usize>) -> Vec<T> + Sync,
 {
-    if let [only] = ranges {
-        return f(only.clone());
+    map_scoped(ranges.to_vec(), f)
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
+/// Runs `f` on each item — on scoped worker threads when there is more
+/// than one — and returns the results in item order. Items carry what
+/// a worker owns (disjoint `&mut` slices, say), so no state is shared
+/// beyond what `f` borrows.
+///
+/// # Panics
+///
+/// Panics if a worker panics.
+pub(crate) fn map_scoped<I, R, F>(items: Vec<I>, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
     }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| {
                 let f = &f;
-                let r = r.clone();
-                scope.spawn(move || f(r))
+                scope.spawn(move || f(item))
             })
             .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok(rows) => out.extend(rows),
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
                 // Re-raise the worker's panic payload in this thread.
                 Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
+            })
+            .collect()
     })
 }
 
@@ -227,38 +245,7 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    if let [only] = ranges {
-        if cancel.is_cancelled() {
-            return vec![None];
-        }
-        return vec![Some(f(only.clone()))];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let f = &f;
-                let r = r.clone();
-                let cancel = cancel.clone();
-                scope.spawn(move || {
-                    if cancel.is_cancelled() {
-                        None
-                    } else {
-                        Some(f(r))
-                    }
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(handles.len());
-        for h in handles {
-            match h.join() {
-                Ok(v) => out.push(v),
-                // Re-raise the worker's panic payload in this thread.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    map_scoped(ranges.to_vec(), |r| (!cancel.is_cancelled()).then(|| f(r)))
 }
 
 #[cfg(test)]

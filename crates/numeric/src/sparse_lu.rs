@@ -24,6 +24,18 @@
 //! re-run **only** the numeric phase (transient stepping, Newton
 //! iterations), sharing the pattern via [`std::sync::Arc`].
 //!
+//! On the KLU path the analysis decides everything structural, so a
+//! refactor only does arithmetic. The pattern is stored flat — row
+//! pointers and `u32` column indices for `L`, `U` and the
+//! off-block-diagonal coupling — and the factor is one value array for
+//! each, aligned with it. A scatter map sends every stored entry of the
+//! analyzed matrix (by CSR position) to its block-local column or its
+//! coupling slot, and every supernode carries its tail and its sorted
+//! source list ([`SupernodePartition`]). A refactor walks the matrix
+//! through the map, factors each block straight into its slice of the
+//! value arrays, and the solves walk the same arrays. The reference
+//! path keeps its per-row vectors.
+//!
 //! Pivoting is static in both paths. On the KLU path the BTF transversal
 //! is used *structurally*: a pattern with no zero-free diagonal is
 //! rejected up front as [`NumericError::StructurallySingular`], and the
@@ -49,16 +61,22 @@ use crate::amd::approximate_minimum_degree;
 use crate::btf::BtfForm;
 use crate::budget::{BudgetError, SolveBudget, SolveGuard};
 use crate::ordering::Permutation;
-use crate::partition::{collect_row_blocks, uniform_row_blocks, ParallelConfig};
+use crate::partition::{map_scoped, uniform_row_blocks, ParallelConfig};
 use crate::refine::{refine, Refined};
 use crate::scalar::Scalar;
 use crate::sparse::{CsrMatrix, CsrPattern};
-use crate::supernode::{factor_supernodal, BlockFactorError, SupernodePartition};
+use crate::supernode::{factor_supernodal, BlockFactorError, FlatRows, SupernodePartition};
 use crate::{NumericError, Result};
 use std::sync::Arc;
 
 /// Sentinel for "no next column" in the symbolic merge list.
 const NONE: usize = usize::MAX;
+
+/// Tag bit of a scatter-map entry that addresses an off-block-diagonal
+/// value; an untagged entry is a block-local column. The flat patterns
+/// store `u32` indices, so the analysis refuses patterns whose
+/// dimension or stored-entry count reaches this bit.
+const OFFDIAG: u32 = 1 << 31;
 
 /// Structural statistics of a symbolic factorization — the quantities
 /// that predict numeric-phase cost and are reported by the
@@ -92,43 +110,63 @@ struct RefSym {
     u_cols: Vec<Vec<usize>>,
 }
 
-/// One BTF diagonal block's symbolic data, in block-local indices.
+/// One BTF diagonal block: final indices `lo .. hi`, and the relaxed
+/// supernode partition of its columns.
 #[derive(Clone, Debug)]
 struct BlockSym {
-    /// First final index of the block (the block spans
-    /// `lo .. lo + u_cols.len()`).
     lo: usize,
-    /// Per local row: `L` columns `< i`, ascending.
-    l_cols: Vec<Vec<usize>>,
-    /// Per local row: `U` columns `≥ i`, ascending, diagonal first.
-    u_cols: Vec<Vec<usize>>,
-    /// Relaxed supernode partition of the block's columns.
+    hi: usize,
     sn: SupernodePartition,
 }
 
 /// KLU-class symbolic data: composed permutations (BTF ∘ per-block
-/// AMD), per-block patterns, and the off-block-diagonal coupling.
+/// AMD), the flat factor pattern, the off-block-diagonal coupling, and
+/// the map that scatters each matrix entry to where a refactor needs it.
 #[derive(Clone, Debug)]
 struct KluSym {
     /// Final row permutation (`forward[new] = old` original row).
     rperm: Permutation,
     /// Final column permutation.
     cperm: Permutation,
-    /// Block id of each final index.
-    block_of: Vec<usize>,
     blocks: Vec<BlockSym>,
+    /// Per final row: `L` columns `< i`, block-local, ascending.
+    l: FlatRows,
+    /// Per final row: `U` columns `≥ i`, block-local, ascending,
+    /// diagonal first.
+    u: FlatRows,
     /// Per final row: structural columns beyond the row's block
     /// (ascending final indices). These entries are never factored —
     /// they feed the block back-substitution.
-    offdiag_cols: Vec<Vec<usize>>,
+    off: FlatRows,
+    /// Per stored entry of the analyzed matrix, in CSR order: its
+    /// block-local column, or [`OFFDIAG`] plus its slot in `off`.
+    scatter: Vec<u32>,
     stats: SparseLuStats,
+}
+
+impl KluSym {
+    /// Cuts the `L`, `U` and coupling values of final rows `rows` off
+    /// the front of `vals`, whose slices start at row `rows.start`.
+    fn take_rows<'a, T>(
+        &self,
+        rows: std::ops::Range<usize>,
+        vals: &mut [&'a mut [T]; 3],
+    ) -> [&'a mut [T]; 3] {
+        let patterns = [&self.l, &self.u, &self.off];
+        std::array::from_fn(|k| {
+            let len = patterns[k].slots(rows.clone()).len();
+            let (head, tail) = std::mem::take(&mut vals[k]).split_at_mut(len);
+            vals[k] = tail;
+            head
+        })
+    }
 }
 
 /// Which symbolic/numeric path a [`SymbolicLu`] encodes.
 #[derive(Clone, Debug)]
 enum SymRepr {
     Reference(RefSym),
-    Klu(KluSym),
+    Klu(Box<KluSym>),
 }
 
 /// The reusable structural half of a sparse LU factorization.
@@ -323,7 +361,10 @@ impl SymbolicLu {
     /// [`NumericError::NotSquare`] for non-square input;
     /// [`NumericError::StructurallySingular`] when the pattern has no
     /// zero-free diagonal under any permutation (the matrix is singular
-    /// for every value assignment).
+    /// for every value assignment);
+    /// [`NumericError::IndexOutOfRange`] when the dimension or the
+    /// stored-entry count reaches 2³¹, past the flat pattern's `u32`
+    /// indices.
     pub fn analyze<T: Scalar>(a: &CsrMatrix<T>) -> Result<Self> {
         let n = a.nrows();
         if a.ncols() != n {
@@ -332,14 +373,15 @@ impl SymbolicLu {
                 cols: a.ncols(),
             });
         }
+        let largest = n.max(a.nnz());
+        if largest >= OFFDIAG as usize {
+            return Err(NumericError::IndexOutOfRange {
+                index: largest,
+                len: OFFDIAG as usize,
+            });
+        }
         let btf = BtfForm::analyze(a)?;
         let nblocks = btf.num_blocks();
-        let mut block_of = vec![0usize; n];
-        for k in 0..nblocks {
-            for i in btf.block_range(k) {
-                block_of[i] = k;
-            }
-        }
         // Per-block static pivot pairing. The maximum transversal is
         // kept purely as a *structural* device — it proves the pattern
         // non-singular and fixes the block partition — but its matching
@@ -369,8 +411,8 @@ impl SymbolicLu {
         // Scratch: original column id → block-local index. Block
         // column sets are disjoint, so no reset pass is needed.
         let mut col_local = vec![0usize; n];
-        // Off-block-diagonal columns (original ids) per final row.
-        let mut off_orig: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut l = FlatRows::new();
+        let mut u = FlatRows::new();
         let mut blocks = Vec::with_capacity(nblocks);
         let mut num_supernodes = 0usize;
         let mut max_supernode_width = 0usize;
@@ -380,23 +422,20 @@ impl SymbolicLu {
             let brows: Vec<usize> = r.clone().map(|i| btf.row_perm().old_of(i)).collect();
             let bcols: Vec<usize> = r.clone().map(|i| btf.col_perm().old_of(i)).collect();
             let (row_orig, col_orig, defer) = pair_block(a, &brows, &bcols);
-            for (l, &c) in col_orig.iter().enumerate() {
-                col_local[c] = l;
+            for (li, &c) in col_orig.iter().enumerate() {
+                col_local[c] = li;
             }
-            // Block-local structural rows plus their off-diagonal tails.
-            let mut loc: Vec<Vec<usize>> = vec![Vec::new(); nb];
-            let mut off: Vec<Vec<usize>> = vec![Vec::new(); nb];
-            for ((&v, row), tail) in row_orig.iter().zip(&mut loc).zip(&mut off) {
-                for (c, _) in a.row_iter(v) {
-                    let jb = btf.col_perm().new_of(c);
-                    if jb < r.end {
-                        debug_assert!(jb >= r.start, "entry below the BTF block diagonal");
-                        row.push(col_local[c]);
-                    } else {
-                        tail.push(c);
-                    }
-                }
-            }
+            // Block-local structural rows (entries beyond the block are
+            // the off-diagonal coupling, mapped below).
+            let loc: Vec<Vec<usize>> = row_orig
+                .iter()
+                .map(|&v| {
+                    a.row_iter(v)
+                        .filter(|&(c, _)| btf.col_perm().new_of(c) < r.end)
+                        .map(|(c, _)| col_local[c])
+                        .collect()
+                })
+                .collect();
             let pre = if row_orig == col_orig {
                 // Induced global ordering: sort the block's vertices by
                 // their position in `gamd`. Deferral is inherited — the
@@ -404,7 +443,7 @@ impl SymbolicLu {
                 // the end, and an induced order preserves relative
                 // positions.
                 let mut fwd: Vec<usize> = (0..nb).collect();
-                fwd.sort_by_key(|&l| gamd.new_of(col_orig[l]));
+                fwd.sort_by_key(|&li| gamd.new_of(col_orig[li]));
                 Permutation::from_forward(fwd)?
             } else {
                 // Genuinely unsymmetric block: order the transversal
@@ -440,8 +479,7 @@ impl SymbolicLu {
             let (_, u_pre) = symbolic_merge(&permuted_rows(&pre));
             let post = etree_postorder(&u_pre);
             let amd = Permutation::from_forward(post.iter().map(|&p| pre.old_of(p)).collect())?;
-            let rows_p = permuted_rows(&amd);
-            let (l_cols, u_cols) = symbolic_merge(&rows_p);
+            let (l_cols, u_cols) = symbolic_merge(&permuted_rows(&amd));
             let sn = SupernodePartition::detect(&l_cols, &u_cols);
             num_supernodes += sn.count();
             max_supernode_width = max_supernode_width.max(sn.max_width());
@@ -451,36 +489,44 @@ impl SymbolicLu {
                 rfor[fi] = row_orig[ol];
                 cfor[fi] = col_orig[ol];
                 col_final[col_orig[ol]] = fi;
-                off_orig[fi] = std::mem::take(&mut off[ol]);
             }
-            blocks.push(BlockSym {
-                lo,
-                l_cols,
-                u_cols,
-                sn,
-            });
+            for (lc, uc) in l_cols.iter().zip(&u_cols) {
+                l.push_row(lc.iter().map(|&c| c as u32));
+                u.push_row(uc.iter().map(|&c| c as u32));
+            }
+            blocks.push(BlockSym { lo, hi: r.end, sn });
         }
 
-        let mut offdiag_cols: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (fi, od) in off_orig.iter().enumerate() {
-            if od.is_empty() {
-                continue;
+        // The off-block-diagonal pattern and the scatter map, in one
+        // pass over the matrix in final row order: an entry inside its
+        // row's block maps to its block-local column, any other to its
+        // slot among the row's ascending off-diagonal columns.
+        let (indptr, indices) = (a.indptr(), a.indices());
+        let mut off = FlatRows::new();
+        let mut scatter = vec![0u32; a.nnz()];
+        let mut beyond: Vec<(usize, usize)> = Vec::new();
+        for b in &blocks {
+            for &orow in &rfor[b.lo..b.hi] {
+                beyond.clear();
+                for p in indptr[orow]..indptr[orow + 1] {
+                    let fj = col_final[indices[p]];
+                    if fj < b.hi {
+                        debug_assert!(fj >= b.lo, "entry below the BTF block diagonal");
+                        scatter[p] = (fj - b.lo) as u32;
+                    } else {
+                        beyond.push((fj, p));
+                    }
+                }
+                beyond.sort_unstable();
+                for (slot, &(_, p)) in (off.nnz()..).zip(&beyond) {
+                    scatter[p] = OFFDIAG | slot as u32;
+                }
+                off.push_row(beyond.iter().map(|&(fj, _)| fj as u32));
             }
-            let mut cols: Vec<usize> = od.iter().map(|&c| col_final[c]).collect();
-            cols.sort_unstable();
-            offdiag_cols[fi] = cols;
         }
 
-        let factor_nnz = blocks
-            .iter()
-            .map(|b| {
-                b.l_cols.iter().map(Vec::len).sum::<usize>()
-                    + b.u_cols.iter().map(Vec::len).sum::<usize>()
-            })
-            .sum::<usize>()
-            + offdiag_cols.iter().map(Vec::len).sum::<usize>();
         let stats = SparseLuStats {
-            factor_nnz,
+            factor_nnz: l.nnz() + u.nnz() + off.nnz(),
             num_blocks: nblocks,
             max_block_dim: btf.max_block_dim(),
             num_supernodes,
@@ -489,14 +535,16 @@ impl SymbolicLu {
         Ok(Self {
             n,
             pattern: CsrPattern::of(a),
-            repr: SymRepr::Klu(KluSym {
+            repr: SymRepr::Klu(Box::new(KluSym {
                 rperm: Permutation::from_forward(rfor)?,
                 cperm: Permutation::from_forward(cfor)?,
-                block_of,
                 blocks,
-                offdiag_cols,
+                l,
+                u,
+                off,
+                scatter,
                 stats,
-            }),
+            })),
         })
     }
 
@@ -679,86 +727,96 @@ fn reference_numeric<T: Scalar>(
     Ok(())
 }
 
-/// KLU numeric phase: scatter into block-local rows, factor diagonal
-/// blocks independently (parallel across threads, supernodal kernel),
-/// and stash off-diagonal values for the block back-substitution.
+/// KLU numeric phase: factor the diagonal blocks — in parallel across
+/// threads, supernodal kernel — straight into the flat value arrays.
+/// Each matrix row is scattered through the analysis's map as its panel
+/// comes up: block-diagonal entries into the kernel's workspace, the
+/// rest into the off-diagonal values of the block back-substitution.
 fn klu_numeric<T: Scalar>(
     klu: &KluSym,
     a: &CsrMatrix<T>,
-    l_vals: &mut [Vec<T>],
-    u_vals: &mut [Vec<T>],
-    offdiag_vals: &mut [Vec<T>],
+    l_vals: &mut [T],
+    u_vals: &mut [T],
+    off_vals: &mut [T],
     budget: &SolveBudget,
     cfg: &ParallelConfig,
 ) -> Result<()> {
-    let n = klu.rperm.len();
     let nblocks = klu.blocks.len();
     if nblocks == 0 {
         return Ok(());
     }
-    // Scatter the matrix rows into block-local (col, value) lists plus
-    // the off-diagonal slots. Every off-diagonal entry is structural in
-    // `offdiag_cols` and every slot is rewritten on each refactor, so
-    // no zeroing pass is needed.
-    let mut rows: Vec<Vec<Vec<(usize, T)>>> = klu
-        .blocks
-        .iter()
-        .map(|b| vec![Vec::new(); b.u_cols.len()])
-        .collect();
-    for fi in 0..n {
-        let kb = klu.block_of[fi];
-        let b = &klu.blocks[kb];
-        let hi = b.lo + b.u_cols.len();
-        for (c, v) in a.row_iter(klu.rperm.old_of(fi)) {
-            let fj = klu.cperm.new_of(c);
-            if fj < hi {
-                debug_assert!(fj >= b.lo, "entry below the block diagonal");
-                rows[kb][fi - b.lo].push((fj - b.lo, v));
-            } else if let Ok(slot) = klu.offdiag_cols[fi].binary_search(&fj) {
-                offdiag_vals[fi][slot] = v;
-            } else {
-                debug_assert!(false, "off-diagonal entry missing from the pattern");
-            }
-        }
-    }
-    // Factor the diagonal blocks. The partition is a pure function of
-    // (block count, thread count), every block is factored serially by
-    // exactly one thread, and results are consumed in block order, so
-    // values — and the *first* failing block — are bit-identical across
-    // thread counts.
+    // The partition is a pure function of (block count, thread count),
+    // every block is factored serially by exactly one thread into value
+    // slices no other thread touches, and the first failing block in
+    // block order is reported, so values — and the error — are
+    // bit-identical across thread counts.
     let guard = SolveGuard::new(budget.clone());
-    let ranges = uniform_row_blocks(nblocks, cfg.blocks_for(nblocks));
-    type BlockOut<T> = (usize, std::result::Result<(Vec<Vec<T>>, Vec<Vec<T>>), BlockFactorError>);
-    let results: Vec<BlockOut<T>> = collect_row_blocks(&ranges, |r| {
-        r.map(|kb| {
-            let b = &klu.blocks[kb];
-            let mut lv: Vec<Vec<T>> = b.l_cols.iter().map(|c| vec![T::zero(); c.len()]).collect();
-            let mut uv: Vec<Vec<T>> = b.u_cols.iter().map(|c| vec![T::zero(); c.len()]).collect();
-            let res = factor_supernodal(&b.sn, &b.l_cols, &b.u_cols, &rows[kb], &mut lv, &mut uv, &guard);
-            (kb, res.map(|()| (lv, uv)))
+    let mut rest = [l_vals, u_vals, off_vals];
+    let jobs: Vec<_> = uniform_row_blocks(nblocks, cfg.blocks_for(nblocks))
+        .into_iter()
+        .map(|r| {
+            let rows = klu.blocks[r.start].lo..klu.blocks[r.end - 1].hi;
+            (r, klu.take_rows(rows, &mut rest))
         })
-        .collect()
-    });
-    for (kb, res) in results {
+        .collect();
+    let outcomes = map_scoped(jobs, |(r, vals)| factor_blocks(klu, a, r, vals, &guard));
+    match outcomes.into_iter().find_map(std::result::Result::err) {
+        None => Ok(()),
+        Some((kb, BlockFactorError::Singular(local))) => Err(NumericError::Singular {
+            pivot: klu.rperm.old_of(klu.blocks[kb].lo + local),
+        }),
+        Some((_, BlockFactorError::Budget(e))) => Err(budget_to_numeric(e)),
+    }
+}
+
+/// Factors blocks `range`, in order, into the `L`, `U` and coupling
+/// value slices `vals`, which start at the range's first row; stops at
+/// the first failing block.
+fn factor_blocks<T: Scalar>(
+    klu: &KluSym,
+    a: &CsrMatrix<T>,
+    range: std::ops::Range<usize>,
+    mut vals: [&mut [T]; 3],
+    guard: &SolveGuard,
+) -> std::result::Result<(), (usize, BlockFactorError)> {
+    let (indptr, data) = (a.indptr(), a.data());
+    for kb in range {
         let b = &klu.blocks[kb];
-        match res {
-            Ok((lv, uv)) => {
-                for (li, v) in lv.into_iter().enumerate() {
-                    l_vals[b.lo + li] = v;
-                }
-                for (li, v) in uv.into_iter().enumerate() {
-                    u_vals[b.lo + li] = v;
+        let rows = b.lo..b.hi;
+        let off_base = klu.off.slots(rows.clone()).start;
+        let [lv, uv, ov] = klu.take_rows(rows.clone(), &mut vals);
+        let scatter = |i: usize, wrow: &mut [T]| {
+            let orow = klu.rperm.old_of(b.lo + i);
+            let span = indptr[orow]..indptr[orow + 1];
+            for (&m, &v) in klu.scatter[span.clone()].iter().zip(&data[span]) {
+                if m & OFFDIAG == 0 {
+                    wrow[m as usize] = v;
+                } else {
+                    ov[(m & !OFFDIAG) as usize - off_base] = v;
                 }
             }
-            Err(BlockFactorError::Singular(local)) => {
-                return Err(NumericError::Singular {
-                    pivot: klu.rperm.old_of(b.lo + local),
-                })
-            }
-            Err(BlockFactorError::Budget(e)) => return Err(budget_to_numeric(e)),
-        }
+        };
+        factor_supernodal(
+            &b.sn,
+            klu.l.rows(rows.clone()),
+            klu.u.rows(rows),
+            scatter,
+            lv,
+            uv,
+            guard,
+        )
+        .map_err(|e| (kb, e))?;
     }
     Ok(())
+}
+
+/// Factor values, laid out as the symbolic pattern of their path.
+#[derive(Clone, Debug)]
+enum Factors<T> {
+    /// Per permuted row, aligned with [`RefSym`]'s `l_cols` / `u_cols`.
+    Reference { l: Vec<Vec<T>>, u: Vec<Vec<T>> },
+    /// Flat, aligned with [`KluSym`]'s `l` / `u` / `off` patterns.
+    Klu { l: Vec<T>, u: Vec<T>, off: Vec<T> },
 }
 
 /// A numerically factored sparse system sharing a [`SymbolicLu`]
@@ -768,12 +826,7 @@ fn klu_numeric<T: Scalar>(
 #[derive(Clone, Debug)]
 pub struct SparseLu<T: Scalar> {
     sym: Arc<SymbolicLu>,
-    /// Values aligned with the symbolic `l_cols` / `u_cols` (block-local
-    /// column indices on the KLU path, rows indexed by final index).
-    l_vals: Vec<Vec<T>>,
-    u_vals: Vec<Vec<T>>,
-    /// KLU path only: values aligned with `offdiag_cols` per final row.
-    offdiag_vals: Vec<Vec<T>>,
+    vals: Factors<T>,
 }
 
 impl<T: Scalar> SparseLu<T> {
@@ -826,36 +879,18 @@ impl<T: Scalar> SparseLu<T> {
         budget: &SolveBudget,
         cfg: &ParallelConfig,
     ) -> Result<Self> {
-        let mut lu = match &sym.repr {
-            SymRepr::Reference(r) => Self {
-                l_vals: r.l_cols.iter().map(|c| vec![T::zero(); c.len()]).collect(),
-                u_vals: r.u_cols.iter().map(|c| vec![T::zero(); c.len()]).collect(),
-                offdiag_vals: Vec::new(),
-                sym: Arc::clone(&sym),
+        let vals = match &sym.repr {
+            SymRepr::Reference(r) => Factors::Reference {
+                l: r.l_cols.iter().map(|c| vec![T::zero(); c.len()]).collect(),
+                u: r.u_cols.iter().map(|c| vec![T::zero(); c.len()]).collect(),
             },
-            SymRepr::Klu(k) => {
-                let mut l_vals: Vec<Vec<T>> = vec![Vec::new(); sym.n];
-                let mut u_vals: Vec<Vec<T>> = vec![Vec::new(); sym.n];
-                for b in &k.blocks {
-                    for (li, c) in b.l_cols.iter().enumerate() {
-                        l_vals[b.lo + li] = vec![T::zero(); c.len()];
-                    }
-                    for (li, c) in b.u_cols.iter().enumerate() {
-                        u_vals[b.lo + li] = vec![T::zero(); c.len()];
-                    }
-                }
-                Self {
-                    l_vals,
-                    u_vals,
-                    offdiag_vals: k
-                        .offdiag_cols
-                        .iter()
-                        .map(|c| vec![T::zero(); c.len()])
-                        .collect(),
-                    sym: Arc::clone(&sym),
-                }
-            }
+            SymRepr::Klu(k) => Factors::Klu {
+                l: vec![T::zero(); k.l.nnz()],
+                u: vec![T::zero(); k.u.nnz()],
+                off: vec![T::zero(); k.off.nnz()],
+            },
         };
+        let mut lu = Self { sym, vals };
         lu.refactor_budgeted(a, budget, cfg)?;
         Ok(lu)
     }
@@ -865,7 +900,8 @@ impl<T: Scalar> SparseLu<T> {
     ///
     /// # Errors
     ///
-    /// Same contract as [`SparseLu::factor_with`].
+    /// Same contract as [`SparseLu::factor_with`]. After an error the
+    /// factor values are unspecified until a refactor succeeds.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<()> {
         self.refactor_budgeted(a, &SolveBudget::unlimited(), &ParallelConfig::default())
     }
@@ -882,24 +918,21 @@ impl<T: Scalar> SparseLu<T> {
         budget: &SolveBudget,
         cfg: &ParallelConfig,
     ) -> Result<()> {
+        let mismatch = NumericError::PatternMismatch {
+            expected_nnz: self.sym.pattern.nnz(),
+            found_nnz: a.nnz(),
+        };
         if !self.sym.matches(a) {
-            return Err(NumericError::PatternMismatch {
-                expected_nnz: self.sym.pattern.nnz(),
-                found_nnz: a.nnz(),
-            });
+            return Err(mismatch);
         }
-        let sym = Arc::clone(&self.sym);
-        match &sym.repr {
-            SymRepr::Reference(r) => reference_numeric(r, a, &mut self.l_vals, &mut self.u_vals),
-            SymRepr::Klu(k) => klu_numeric(
-                k,
-                a,
-                &mut self.l_vals,
-                &mut self.u_vals,
-                &mut self.offdiag_vals,
-                budget,
-                cfg,
-            ),
+        match (&self.sym.repr, &mut self.vals) {
+            (SymRepr::Reference(r), Factors::Reference { l, u }) => reference_numeric(r, a, l, u),
+            (SymRepr::Klu(k), Factors::Klu { l, u, off }) => {
+                klu_numeric(k, a, l, u, off, budget, cfg)
+            }
+            // `factor_with_budget` lays the values out for the pattern's
+            // path, and a factor never changes its pattern.
+            _ => Err(mismatch),
         }
     }
 
@@ -925,74 +958,16 @@ impl<T: Scalar> SparseLu<T> {
                 found: b.len(),
             });
         }
-        match &self.sym.repr {
-            SymRepr::Reference(r) => Ok(self.solve_reference(r, b)),
-            SymRepr::Klu(k) => Ok(self.solve_klu(k, b)),
+        match (&self.sym.repr, &self.vals) {
+            (SymRepr::Reference(r), Factors::Reference { l, u }) => Ok(solve_reference(r, l, u, b)),
+            (SymRepr::Klu(k), Factors::Klu { l, u, off }) => Ok(solve_klu(k, l, u, off, b)),
+            // As in `refactor_budgeted`: the layout always follows the
+            // pattern's path.
+            _ => Err(NumericError::PatternMismatch {
+                expected_nnz: self.sym.pattern.nnz(),
+                found_nnz: self.sym.pattern.nnz(),
+            }),
         }
-    }
-
-    /// Reference triangular solves over the global ordering.
-    fn solve_reference(&self, sym: &RefSym, b: &[T]) -> Vec<T> {
-        let n = sym.perm.len();
-        let mut x = sym.perm.apply(b);
-        // Forward: L·y = P·b (unit diagonal).
-        for i in 0..n {
-            let mut acc = x[i];
-            for (slot, &j) in sym.l_cols[i].iter().enumerate() {
-                acc -= self.l_vals[i][slot] * x[j];
-            }
-            x[i] = acc;
-        }
-        // Backward: U·z = y.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for (slot, &c) in sym.u_cols[i].iter().enumerate().skip(1) {
-                acc -= self.u_vals[i][slot] * x[c];
-            }
-            // ind101: allow(index-panic, U rows store the diagonal first by construction of the symbolic pattern)
-            x[i] = acc / self.u_vals[i][0];
-        }
-        sym.perm.apply_inverse(&x)
-    }
-
-    /// Block back-substitution: blocks in reverse order, each one a
-    /// pair of triangular solves after subtracting the already-solved
-    /// off-diagonal coupling.
-    fn solve_klu(&self, klu: &KluSym, b: &[T]) -> Vec<T> {
-        let mut x = klu.rperm.apply(b);
-        for blk in klu.blocks.iter().rev() {
-            let lo = blk.lo;
-            let nb = blk.u_cols.len();
-            // Off-diagonal coupling into later (already final) blocks.
-            for li in 0..nb {
-                let fi = lo + li;
-                let mut acc = x[fi];
-                for (slot, &fj) in klu.offdiag_cols[fi].iter().enumerate() {
-                    acc -= self.offdiag_vals[fi][slot] * x[fj];
-                }
-                x[fi] = acc;
-            }
-            // Forward: L·y = rhs (unit diagonal), block-local columns.
-            for li in 0..nb {
-                let fi = lo + li;
-                let mut acc = x[fi];
-                for (slot, &lj) in blk.l_cols[li].iter().enumerate() {
-                    acc -= self.l_vals[fi][slot] * x[lo + lj];
-                }
-                x[fi] = acc;
-            }
-            // Backward: U·z = y.
-            for li in (0..nb).rev() {
-                let fi = lo + li;
-                let mut acc = x[fi];
-                for (slot, &cj) in blk.u_cols[li].iter().enumerate().skip(1) {
-                    acc -= self.u_vals[fi][slot] * x[lo + cj];
-                }
-                // ind101: allow(index-panic, U rows store the diagonal first by construction of the symbolic pattern)
-                x[fi] = acc / self.u_vals[fi][0];
-            }
-        }
-        klu.cperm.apply_inverse(&x)
     }
 
     /// Solves `A·x = b` and refines the answer against the original
@@ -1007,6 +982,309 @@ impl<T: Scalar> SparseLu<T> {
     /// Dimension mismatches between `a`, `b` and the factors.
     pub fn solve_refined(&self, a: &CsrMatrix<T>, b: &[T]) -> Result<Refined<T>> {
         refine(a, b, |r| self.solve(r))
+    }
+}
+
+/// Reference triangular solves over the global ordering.
+fn solve_reference<T: Scalar>(
+    sym: &RefSym,
+    l_vals: &[Vec<T>],
+    u_vals: &[Vec<T>],
+    b: &[T],
+) -> Vec<T> {
+    let n = sym.perm.len();
+    let mut x = sym.perm.apply(b);
+    // Forward: L·y = P·b (unit diagonal).
+    for i in 0..n {
+        let mut acc = x[i];
+        for (slot, &j) in sym.l_cols[i].iter().enumerate() {
+            acc -= l_vals[i][slot] * x[j];
+        }
+        x[i] = acc;
+    }
+    // Backward: U·z = y.
+    for i in (0..n).rev() {
+        let mut acc = x[i];
+        for (slot, &c) in sym.u_cols[i].iter().enumerate().skip(1) {
+            acc -= u_vals[i][slot] * x[c];
+        }
+        // ind101: allow(index-panic, U rows store the diagonal first by construction of the symbolic pattern)
+        x[i] = acc / u_vals[i][0];
+    }
+    sym.perm.apply_inverse(&x)
+}
+
+/// Block back-substitution over the flat factor: blocks in reverse
+/// order, each one a pair of triangular solves after subtracting the
+/// already-solved off-diagonal coupling.
+fn solve_klu<T: Scalar>(
+    klu: &KluSym,
+    l_vals: &[T],
+    u_vals: &[T],
+    off_vals: &[T],
+    b: &[T],
+) -> Vec<T> {
+    let mut x = klu.rperm.apply(b);
+    for blk in klu.blocks.iter().rev() {
+        // Off-diagonal coupling into later (already final) blocks.
+        for fi in blk.lo..blk.hi {
+            let mut acc = x[fi];
+            for (&v, &fj) in off_vals[klu.off.span(fi)].iter().zip(klu.off.row(fi)) {
+                acc -= v * x[fj as usize];
+            }
+            x[fi] = acc;
+        }
+        let xb = &mut x[blk.lo..blk.hi];
+        // Forward: L·y = rhs (unit diagonal), block-local columns.
+        for (li, fi) in (blk.lo..blk.hi).enumerate() {
+            let mut acc = xb[li];
+            for (&v, &lj) in l_vals[klu.l.span(fi)].iter().zip(klu.l.row(fi)) {
+                acc -= v * xb[lj as usize];
+            }
+            xb[li] = acc;
+        }
+        // Backward: U·z = y; each U row leads with its diagonal.
+        for (li, fi) in (blk.lo..blk.hi).enumerate().rev() {
+            let s = klu.u.span(fi);
+            let mut acc = xb[li];
+            for (&v, &cj) in u_vals[s.start + 1..s.end].iter().zip(&klu.u.row(fi)[1..]) {
+                acc -= v * xb[cj as usize];
+            }
+            xb[li] = acc / u_vals[s.start];
+        }
+    }
+    klu.cperm.apply_inverse(&x)
+}
+
+/// The KLU numeric phase and block solve this module shipped before its
+/// pattern went flat, kept verbatim as the oracle the flat layout is
+/// pinned against bit for bit. Per call they rebuild each block's rows
+/// as `(col, value)` lists through a `block_of` table, and keep one
+/// vector per row of every pattern and factor.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::partition::collect_row_blocks;
+
+    /// One BTF diagonal block's symbolic data, in block-local indices.
+    pub(super) struct BlockSym {
+        /// First final index of the block (the block spans
+        /// `lo .. lo + u_cols.len()`).
+        lo: usize,
+        /// Per local row: `L` columns `< i`, ascending.
+        l_cols: Vec<Vec<usize>>,
+        /// Per local row: `U` columns `≥ i`, ascending, diagonal first.
+        u_cols: Vec<Vec<usize>>,
+        /// Relaxed supernode partition of the block's columns.
+        sn: SupernodePartition,
+    }
+
+    /// The per-row layout of a flat [`super::KluSym`].
+    pub(super) struct KluSym {
+        rperm: Permutation,
+        cperm: Permutation,
+        /// Block id of each final index.
+        block_of: Vec<usize>,
+        blocks: Vec<BlockSym>,
+        /// Per final row: structural columns beyond the row's block.
+        offdiag_cols: Vec<Vec<usize>>,
+    }
+
+    impl KluSym {
+        pub(super) fn of(k: &super::KluSym) -> Self {
+            let n = k.rperm.len();
+            let widen = |f: &FlatRows, i: usize| f.row(i).iter().map(|&c| c as usize).collect();
+            let mut block_of = vec![0usize; n];
+            let blocks = k
+                .blocks
+                .iter()
+                .enumerate()
+                .map(|(kb, b)| {
+                    block_of[b.lo..b.hi].fill(kb);
+                    BlockSym {
+                        lo: b.lo,
+                        l_cols: (b.lo..b.hi).map(|i| widen(&k.l, i)).collect(),
+                        u_cols: (b.lo..b.hi).map(|i| widen(&k.u, i)).collect(),
+                        sn: b.sn.clone(),
+                    }
+                })
+                .collect();
+            Self {
+                rperm: k.rperm.clone(),
+                cperm: k.cperm.clone(),
+                block_of,
+                blocks,
+                offdiag_cols: (0..n).map(|i| widen(&k.off, i)).collect(),
+            }
+        }
+
+        /// Factors `a` with the per-row kernel (one thread) and solves
+        /// `b`: the `L`, `U` and off-diagonal values, concatenated row
+        /// after row, and the solution.
+        pub(super) fn factor_and_solve<T: Scalar>(
+            &self,
+            a: &CsrMatrix<T>,
+            b: &[T],
+        ) -> Result<([Vec<T>; 3], Vec<T>)> {
+            let zeros = |cols: &Vec<usize>| vec![T::zero(); cols.len()];
+            let mut l: Vec<Vec<T>> = self
+                .blocks
+                .iter()
+                .flat_map(|b| b.l_cols.iter().map(zeros))
+                .collect();
+            let mut u: Vec<Vec<T>> = self
+                .blocks
+                .iter()
+                .flat_map(|b| b.u_cols.iter().map(zeros))
+                .collect();
+            let mut off: Vec<Vec<T>> = self.offdiag_cols.iter().map(zeros).collect();
+            let unlimited = SolveBudget::unlimited();
+            klu_numeric(
+                self,
+                a,
+                &mut l,
+                &mut u,
+                &mut off,
+                &unlimited,
+                &ParallelConfig::serial(),
+            )?;
+            let x = solve_klu(self, &l, &u, &off, b);
+            Ok(([l.concat(), u.concat(), off.concat()], x))
+        }
+    }
+
+    /// KLU numeric phase: scatter into block-local rows, factor diagonal
+    /// blocks independently (parallel across threads, supernodal kernel),
+    /// and stash off-diagonal values for the block back-substitution.
+    pub(super) fn klu_numeric<T: Scalar>(
+        klu: &KluSym,
+        a: &CsrMatrix<T>,
+        l_vals: &mut [Vec<T>],
+        u_vals: &mut [Vec<T>],
+        offdiag_vals: &mut [Vec<T>],
+        budget: &SolveBudget,
+        cfg: &ParallelConfig,
+    ) -> Result<()> {
+        let n = klu.rperm.len();
+        let nblocks = klu.blocks.len();
+        if nblocks == 0 {
+            return Ok(());
+        }
+        // Scatter the matrix rows into block-local (col, value) lists plus
+        // the off-diagonal slots. Every off-diagonal entry is structural in
+        // `offdiag_cols` and every slot is rewritten on each refactor, so
+        // no zeroing pass is needed.
+        let mut rows: Vec<Vec<Vec<(usize, T)>>> = klu
+            .blocks
+            .iter()
+            .map(|b| vec![Vec::new(); b.u_cols.len()])
+            .collect();
+        for fi in 0..n {
+            let kb = klu.block_of[fi];
+            let b = &klu.blocks[kb];
+            let hi = b.lo + b.u_cols.len();
+            for (c, v) in a.row_iter(klu.rperm.old_of(fi)) {
+                let fj = klu.cperm.new_of(c);
+                if fj < hi {
+                    debug_assert!(fj >= b.lo, "entry below the block diagonal");
+                    rows[kb][fi - b.lo].push((fj - b.lo, v));
+                } else if let Ok(slot) = klu.offdiag_cols[fi].binary_search(&fj) {
+                    offdiag_vals[fi][slot] = v;
+                } else {
+                    debug_assert!(false, "off-diagonal entry missing from the pattern");
+                }
+            }
+        }
+        // Factor the diagonal blocks. The partition is a pure function of
+        // (block count, thread count), every block is factored serially by
+        // exactly one thread, and results are consumed in block order, so
+        // values — and the *first* failing block — are bit-identical across
+        // thread counts.
+        let guard = SolveGuard::new(budget.clone());
+        let ranges = uniform_row_blocks(nblocks, cfg.blocks_for(nblocks));
+        type BlockOut<T> = (
+            usize,
+            std::result::Result<(Vec<Vec<T>>, Vec<Vec<T>>), BlockFactorError>,
+        );
+        let results: Vec<BlockOut<T>> = collect_row_blocks(&ranges, |r| {
+            r.map(|kb| {
+                let b = &klu.blocks[kb];
+                let mut lv: Vec<Vec<T>> =
+                    b.l_cols.iter().map(|c| vec![T::zero(); c.len()]).collect();
+                let mut uv: Vec<Vec<T>> =
+                    b.u_cols.iter().map(|c| vec![T::zero(); c.len()]).collect();
+                let res = crate::supernode::oracle::factor_supernodal(
+                    &b.sn, &b.l_cols, &b.u_cols, &rows[kb], &mut lv, &mut uv, &guard,
+                );
+                (kb, res.map(|()| (lv, uv)))
+            })
+            .collect()
+        });
+        for (kb, res) in results {
+            let b = &klu.blocks[kb];
+            match res {
+                Ok((lv, uv)) => {
+                    for (li, v) in lv.into_iter().enumerate() {
+                        l_vals[b.lo + li] = v;
+                    }
+                    for (li, v) in uv.into_iter().enumerate() {
+                        u_vals[b.lo + li] = v;
+                    }
+                }
+                Err(BlockFactorError::Singular(local)) => {
+                    return Err(NumericError::Singular {
+                        pivot: klu.rperm.old_of(b.lo + local),
+                    })
+                }
+                Err(BlockFactorError::Budget(e)) => return Err(budget_to_numeric(e)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Block back-substitution: blocks in reverse order, each one a
+    /// pair of triangular solves after subtracting the already-solved
+    /// off-diagonal coupling.
+    pub(super) fn solve_klu<T: Scalar>(
+        klu: &KluSym,
+        l_vals: &[Vec<T>],
+        u_vals: &[Vec<T>],
+        offdiag_vals: &[Vec<T>],
+        b: &[T],
+    ) -> Vec<T> {
+        let mut x = klu.rperm.apply(b);
+        for blk in klu.blocks.iter().rev() {
+            let lo = blk.lo;
+            let nb = blk.u_cols.len();
+            // Off-diagonal coupling into later (already final) blocks.
+            for li in 0..nb {
+                let fi = lo + li;
+                let mut acc = x[fi];
+                for (slot, &fj) in klu.offdiag_cols[fi].iter().enumerate() {
+                    acc -= offdiag_vals[fi][slot] * x[fj];
+                }
+                x[fi] = acc;
+            }
+            // Forward: L·y = rhs (unit diagonal), block-local columns.
+            for li in 0..nb {
+                let fi = lo + li;
+                let mut acc = x[fi];
+                for (slot, &lj) in blk.l_cols[li].iter().enumerate() {
+                    acc -= l_vals[fi][slot] * x[lo + lj];
+                }
+                x[fi] = acc;
+            }
+            // Backward: U·z = y.
+            for li in (0..nb).rev() {
+                let fi = lo + li;
+                let mut acc = x[fi];
+                for (slot, &cj) in blk.u_cols[li].iter().enumerate().skip(1) {
+                    acc -= u_vals[fi][slot] * x[lo + cj];
+                }
+                x[fi] = acc / u_vals[fi][0];
+            }
+        }
+        klu.cperm.apply_inverse(&x)
     }
 }
 
@@ -1495,6 +1773,273 @@ mod tests {
         // Bit-identical, not merely close.
         assert_eq!(lu1.solve(&b).unwrap(), lu4.solve(&b).unwrap());
     }
+
+    /// Bit patterns of a factor or solve value, so that `-0.0` and
+    /// `+0.0` differ.
+    trait Bits: Scalar {
+        fn bits(self) -> [u64; 2];
+    }
+    impl Bits for f64 {
+        fn bits(self) -> [u64; 2] {
+            [self.to_bits(), 0]
+        }
+    }
+    impl Bits for Complex64 {
+        fn bits(self) -> [u64; 2] {
+            [self.re.to_bits(), self.im.to_bits()]
+        }
+    }
+    fn bits<T: Bits>(v: &[T]) -> Vec<[u64; 2]> {
+        v.iter().map(|&x| x.bits()).collect()
+    }
+
+    /// xorshift64* stream for the pattern generator.
+    struct Rng(u64);
+    impl Rng {
+        fn new(seed: u64) -> Self {
+            Self(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+        }
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn coin(&mut self, p: f64) -> bool {
+            self.unit() < p
+        }
+        fn shuffled(&mut self, n: usize) -> Vec<usize> {
+            let mut p: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                p.swap(i, self.below(i + 1));
+            }
+            p
+        }
+    }
+
+    /// A random block-triangular MNA-shaped system. Up to four
+    /// conductance meshes of up to `max_side × max_side` nodes (plus
+    /// random chords and ground leaks), each with coupled inductive
+    /// branches and bordered by voltage-source rows with structurally
+    /// zero diagonals, are coupled one way only, so the BTF finds
+    /// several diagonal blocks. Some off-diagonal
+    /// entries — every one of a few rows — are stored exact zeros
+    /// (cancelling duplicates), leaving rows idle against some sources.
+    /// Rows and columns are relabelled by one random permutation, or by
+    /// two independent ones when `unsym` (the transversal-pairing path).
+    fn random_btf_mna<T: Scalar>(
+        rng: &mut Rng,
+        max_side: usize,
+        unsym: bool,
+        val: impl Fn(&mut Rng) -> T,
+    ) -> CsrMatrix<T> {
+        let mut ents: Vec<(usize, usize, T)> = Vec::new();
+        let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut n = 0;
+        let zero_frac = rng.unit() * 0.3;
+        for _ in 0..1 + rng.below(4) {
+            let (w, h) = (1 + rng.below(max_side), 1 + rng.below(max_side));
+            let (base, nn) = (n, w * h);
+            n += nn;
+            let idle: Vec<bool> = (0..nn).map(|_| rng.coin(0.1)).collect();
+            let off_entry = |rng: &mut Rng, ents: &mut Vec<_>, i: usize, j: usize, v: T| {
+                if idle[i - base] || rng.coin(zero_frac) {
+                    ents.push((i, j, v));
+                    ents.push((i, j, -v));
+                } else {
+                    ents.push((i, j, v));
+                }
+            };
+            let edge = |rng: &mut Rng, ents: &mut Vec<_>, i: usize, j: usize| {
+                let g = val(rng);
+                ents.push((i, i, g));
+                ents.push((j, j, g));
+                off_entry(rng, ents, i, j, -g);
+                off_entry(rng, ents, j, i, -g);
+            };
+            for y in 0..h {
+                for x in 0..w {
+                    let i = base + y * w + x;
+                    if x + 1 < w {
+                        edge(rng, &mut ents, i, i + 1);
+                    }
+                    if y + 1 < h {
+                        edge(rng, &mut ents, i, i + w);
+                    }
+                    if rng.coin(0.7) {
+                        ents.push((i, i, val(rng)));
+                    }
+                }
+            }
+            for _ in 0..rng.below(nn / 4 + 1) {
+                let (i, j) = (base + rng.below(nn), base + rng.below(nn));
+                if i != j {
+                    edge(rng, &mut ents, i, j);
+                }
+            }
+            // Coupled inductive branches, as PEEC stamps them: each
+            // branch current joins two nodes by ±1 incidence, and the
+            // branch rows carry a dense block of (self and mutual)
+            // inductances, some mutuals exact zeros. These dense blocks
+            // make the wide supernodes whose updates take the GEMM path.
+            let branches = rng.below(8 * max_side);
+            let first = n;
+            n += branches;
+            for r in first..n {
+                let (p, q) = (base + rng.below(nn), base + rng.below(nn));
+                ents.push((r, p, T::one()));
+                ents.push((p, r, T::one()));
+                if q != p {
+                    ents.push((r, q, -T::one()));
+                    ents.push((q, r, -T::one()));
+                }
+                for c in first..n {
+                    let m = -val(rng);
+                    ents.push((r, c, m));
+                    if c != r && rng.coin(zero_frac) {
+                        ents.push((r, c, -m));
+                    }
+                }
+            }
+            for _ in 0..rng.below(4) {
+                let r = n;
+                n += 1;
+                for (k, p) in [base + rng.below(nn), base + rng.below(nn)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    if k == 0 || rng.coin(0.5) {
+                        let s = T::from_f64(if k == 0 { 1.0 } else { -1.0 });
+                        ents.push((r, p, s));
+                        ents.push((p, r, s));
+                    }
+                }
+            }
+            groups.push(base..n);
+        }
+        // One-way couplings: rows of earlier groups reach columns of
+        // later ones, never back.
+        for _ in 0..rng.below(3 * groups.len()) {
+            let (a, b) = (rng.below(groups.len()), rng.below(groups.len()));
+            if a < b {
+                let pick = |rng: &mut Rng, g: &std::ops::Range<usize>| g.start + rng.below(g.len());
+                let (i, j) = (pick(rng, &groups[a]), pick(rng, &groups[b]));
+                ents.push((i, j, val(rng)));
+            }
+        }
+        let pr = rng.shuffled(n);
+        let pc = if unsym { rng.shuffled(n) } else { pr.clone() };
+        let mut t = Triplets::new(n, n);
+        for (i, j, v) in ents {
+            t.push(pr[i], pc[j], v);
+        }
+        t.to_csr()
+    }
+
+    /// Factors and solves `a` on the flat layout at 1 and 3 threads and
+    /// asserts every factor value, the solution and any error equal the
+    /// per-row oracle's, bit for bit.
+    fn assert_flat_matches_oracle<T: Bits>(a: &CsrMatrix<T>, b: &[T], label: &str) {
+        // A structurally singular draw has nothing to factor.
+        let Ok(sym) = SymbolicLu::analyze(a) else {
+            return;
+        };
+        let sym = Arc::new(sym);
+        let SymRepr::Klu(k) = &sym.repr else {
+            panic!("analyze takes the KLU path");
+        };
+        let want = oracle::KluSym::of(k).factor_and_solve(a, b);
+        for threads in [1, 3] {
+            let cfg = ParallelConfig::with_threads(threads);
+            let got =
+                SparseLu::factor_with_budget(Arc::clone(&sym), a, &SolveBudget::unlimited(), &cfg);
+            match (&want, got) {
+                (Ok(([l, u, off], x)), Ok(lu)) => {
+                    let Factors::Klu {
+                        l: fl,
+                        u: fu,
+                        off: foff,
+                    } = &lu.vals
+                    else {
+                        panic!("KLU pattern with per-row values");
+                    };
+                    assert!(
+                        bits(fl) == bits(l),
+                        "{label}: L values differ at {threads} threads"
+                    );
+                    assert!(
+                        bits(fu) == bits(u),
+                        "{label}: U values differ at {threads} threads"
+                    );
+                    assert!(
+                        bits(foff) == bits(off),
+                        "{label}: coupling differs at {threads} threads"
+                    );
+                    let fx = lu.solve(b).unwrap();
+                    assert!(
+                        bits(&fx) == bits(x),
+                        "{label}: solve differs at {threads} threads"
+                    );
+                }
+                (Err(e), Err(f)) => {
+                    assert_eq!(*e, f, "{label}: errors differ at {threads} threads")
+                }
+                (w, g) => panic!(
+                    "{label}: oracle {:?} vs flat {:?}",
+                    w.as_ref().err(),
+                    g.err()
+                ),
+            }
+        }
+    }
+
+    fn real(rng: &mut Rng) -> f64 {
+        0.05 + 2.0 * rng.unit()
+    }
+
+    fn complex(rng: &mut Rng) -> Complex64 {
+        Complex64::new(0.05 + 2.0 * rng.unit(), 2.0 * rng.unit() - 1.0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn flat_layout_matches_per_row_oracle_bit_for_bit(
+            seed in 0u64..1_000_000_000,
+            max_side in 1usize..19,
+            unsym in proptest::prelude::prop::bool::ANY,
+        ) {
+            let label = format!("seed {seed}, max_side {max_side}, unsym {unsym}");
+            let mut rng = Rng::new(seed);
+            let a = random_btf_mna(&mut rng, max_side, unsym, real);
+            let b: Vec<f64> = (0..a.nrows()).map(|_| real(&mut rng) - 1.0).collect();
+            assert_flat_matches_oracle(&a, &b, &label);
+            let mut rng = Rng::new(seed);
+            let a = random_btf_mna(&mut rng, max_side, unsym, complex);
+            let b: Vec<Complex64> = (0..a.nrows()).map(|_| complex(&mut rng)).collect();
+            assert_flat_matches_oracle(&a, &b, &label);
+        }
+    }
+
+    #[test]
+    fn flat_layout_matches_per_row_oracle_on_wide_panels() {
+        // Dense inductive blocks of up to 111 branches: supernodes wide
+        // enough that their updates take the GEMM path, with idle rows
+        // and padded panels among them.
+        for seed in 0..6 {
+            let mut rng = Rng::new(seed);
+            let a = random_btf_mna(&mut rng, 14, false, real);
+            let b: Vec<f64> = (0..a.nrows()).map(|_| real(&mut rng) - 1.0).collect();
+            assert_flat_matches_oracle(&a, &b, &format!("wide seed {seed}"));
+        }
+    }
 }
 
 
@@ -1539,11 +2084,10 @@ mod pivot_stability {
         }
         let csr = t.to_csr();
         let lu = SparseLu::factor(&csr).unwrap();
-        let growth = lu
-            .u_vals
-            .iter()
-            .flatten()
-            .fold(0.0f64, |m, v| m.max(v.abs_val()));
+        let Factors::Klu { u, .. } = &lu.vals else {
+            panic!("SparseLu::factor takes the KLU path");
+        };
+        let growth = u.iter().fold(0.0f64, |m, v| m.max(v.abs_val()));
         assert!(
             growth < GROWTH_LIMIT,
             "element growth {growth:e} exceeds {GROWTH_LIMIT:e}"
