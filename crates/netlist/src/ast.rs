@@ -4,88 +4,96 @@
 //! case by the parser (SPICE treats them case-insensitively); node
 //! names are preserved verbatim so decks exported from a
 //! [`ind101_circuit::Circuit`] keep its exact node labels.
+//!
+//! Every string is a [`Cow`] over the deck text `'src`: the parser
+//! borrows each name and node straight from the source and owns a
+//! string only where it had to build one — a name with a lowercase
+//! ASCII letter, upper-cased, or a scoped `X1.R2` / `X1.mid` made by
+//! [`crate::flatten()`]. A deck that did not come from text (see
+//! [`crate::deck_from_circuit`]) owns everything and is `Deck<'static>`.
 
 use crate::span::Span;
+use std::borrow::Cow;
 
 /// A parsed deck: the (free-text) title line plus its cards in source
 /// order.
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct Deck {
+pub struct Deck<'src> {
     /// First line of the file, verbatim (SPICE's mandatory title card).
-    pub title: String,
+    pub title: Cow<'src, str>,
     /// Cards in source order.
-    pub stmts: Vec<Stmt>,
+    pub stmts: Vec<Stmt<'src>>,
 }
 
 /// One card.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'src> {
     /// A primitive element (`R`/`C`/`L`/`K`/`V`/`I`).
-    Element(ElementStmt),
+    Element(ElementStmt<'src>),
     /// An `X` subcircuit instance.
-    Instance(InstanceStmt),
+    Instance(InstanceStmt<'src>),
     /// A `.SUBCKT` … `.ENDS` definition.
-    Subckt(SubcktDef),
+    Subckt(SubcktDef<'src>),
     /// An analysis card (`.OP`, `.AC`, `.TRAN`).
     Analysis(AnalysisCard),
 }
 
 /// A primitive element card.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ElementStmt {
+pub struct ElementStmt<'src> {
     /// Element name, upper-cased (`R1`, `LS0_3`, …).
-    pub name: String,
+    pub name: Cow<'src, str>,
     /// Position of the card.
     pub span: Span,
     /// What the element is.
-    pub kind: ElementKind,
+    pub kind: ElementKind<'src>,
 }
 
 /// Element payloads. Node references are names; lowering interns them.
 #[derive(Clone, Debug, PartialEq)]
-pub enum ElementKind {
+pub enum ElementKind<'src> {
     /// `Rname a b ohms`.
     Resistor {
         /// First node.
-        a: String,
+        a: Cow<'src, str>,
         /// Second node.
-        b: String,
+        b: Cow<'src, str>,
         /// Resistance, ohms.
         ohms: f64,
     },
     /// `Cname a b farads`.
     Capacitor {
         /// First node.
-        a: String,
+        a: Cow<'src, str>,
         /// Second node.
-        b: String,
+        b: Cow<'src, str>,
         /// Capacitance, farads.
         farads: f64,
     },
     /// `Lname a b henries`.
     Inductor {
         /// First node.
-        a: String,
+        a: Cow<'src, str>,
         /// Second node.
-        b: String,
+        b: Cow<'src, str>,
         /// Self inductance, henries.
         henries: f64,
     },
     /// `Kname L1 L2 k` — mutual coupling between two inductors.
     Coupling {
         /// First coupled inductor's element name (upper-cased).
-        l1: String,
+        l1: Cow<'src, str>,
         /// Second coupled inductor's element name (upper-cased).
-        l2: String,
+        l2: Cow<'src, str>,
         /// Coupling coefficient, |k| < 1.
         k: f64,
     },
     /// `Vname n+ n- <source>`.
     Vsrc {
         /// Positive terminal.
-        plus: String,
+        plus: Cow<'src, str>,
         /// Negative terminal.
-        minus: String,
+        minus: Cow<'src, str>,
         /// Waveform and AC magnitude.
         source: SourceSpec,
     },
@@ -93,9 +101,9 @@ pub enum ElementKind {
     /// through the source into `n-` (the SPICE convention).
     Isrc {
         /// Node the current leaves.
-        plus: String,
+        plus: Cow<'src, str>,
         /// Node the current enters.
-        minus: String,
+        minus: Cow<'src, str>,
         /// Waveform and AC magnitude.
         source: SourceSpec,
     },
@@ -140,30 +148,30 @@ pub enum WaveSpec {
 
 /// An `X` instance card: `Xname n1 … nK subname`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct InstanceStmt {
+pub struct InstanceStmt<'src> {
     /// Instance name, upper-cased (`X1`).
-    pub name: String,
+    pub name: Cow<'src, str>,
     /// Position of the card.
     pub span: Span,
     /// Connection nodes, in port order.
-    pub nodes: Vec<String>,
+    pub nodes: Vec<Cow<'src, str>>,
     /// Referenced subcircuit name, upper-cased.
-    pub subckt: String,
+    pub subckt: Cow<'src, str>,
 }
 
 /// A `.SUBCKT name p1 … pK` … `.ENDS` definition. Bodies hold only
 /// elements and instances (analysis cards and nested definitions are
 /// parse errors).
 #[derive(Clone, Debug, PartialEq)]
-pub struct SubcktDef {
+pub struct SubcktDef<'src> {
     /// Definition name, upper-cased.
-    pub name: String,
+    pub name: Cow<'src, str>,
     /// Position of the `.SUBCKT` card.
     pub span: Span,
     /// Port (interface node) names.
-    pub ports: Vec<String>,
+    pub ports: Vec<Cow<'src, str>>,
     /// Body cards.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'src>>,
 }
 
 /// `.AC` sweep spacing.

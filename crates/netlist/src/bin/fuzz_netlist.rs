@@ -1,9 +1,10 @@
 //! Corpus-driven fuzzer for the deck and job-file front end.
 //!
-//! Dependency-free (hand-rolled SplitMix64): mutates a seed corpus of
-//! valid decks and job files, runs each input through the full
-//! pipeline (`parse → flatten → lower`, or `jobs_from_str`), and
-//! asserts the crate's hardening contract:
+//! Dependency-free (hand-rolled SplitMix64): runs every entry of a seed
+//! corpus of decks and job files once as written, then mutates them,
+//! runs each input through the full pipeline (`parse → flatten →
+//! lower`, or `jobs_from_str`), and asserts the crate's hardening
+//! contract:
 //!
 //! 1. no panic, ever (checked under `catch_unwind`);
 //! 2. every rejection is a typed [`NetlistError`] whose
@@ -43,9 +44,10 @@ impl Rng {
     }
 }
 
-/// Valid inputs the mutator starts from; chosen to cover every card
-/// kind, subckt nesting, couplings, continuations, comments, and both
-/// job-file syntaxes.
+/// Inputs the mutator starts from; chosen to cover every card kind,
+/// subckt nesting, couplings, continuations, comments, both job-file
+/// syntaxes, lowercase names over tabs and `\r\n` with a non-ASCII
+/// node, and the `.AC` edges (equal endpoints, a count over the cap).
 const CORPUS: &[&str] = &[
     "rc divider\nV1 in 0 DC 1\nR1 in out 1k\nR2 out 0 1k\n.OP\n.END\n",
     "coupled\nL1 a 0 1n\nL2 b 0 4n\nK1 L1 L2 0.6\nI1 0 a DC 1m AC 1\n.AC DEC 10 1e8 1e10\n",
@@ -53,6 +55,10 @@ const CORPUS: &[&str] = &[
     "nested\n.SUBCKT leaf p\nC1 p 0 1p\n.ENDS\n.SUBCKT pair q\nX1 q leaf\nX2 inner leaf\n.ENDS\nX0 top pair\n* comment\nR1 top 0 50 ; trailer\n.OP\n",
     "suffix zoo\nR1 a 0 2.5MEG\nC1 a 0 30fF\nL1 a 0 1mil\nV1 a 0 DC 5k\n.OP\n",
     "pwl\nI1 0 n PWL(0 0 1n 1m 2n 0)\nR1 n 0 50\n.TRAN 10p 2n\n",
+    "ac one point\nV1 in 0 DC 1 AC 1\nR1 in 0 1k\n.AC DEC 3 1e9 1e9\n",
+    "ac over cap\nV1 in 0 DC 1 AC 1\nR1 in 0 1k\n.AC DEC 1000000000 1 1e10\n",
+    "lower case\r\nv1\tin\t0\tdc 1 ac 1\r\nr1 in\tnœud\r\n+ 1k ; value continued\r\nc1 nœud 0 1p\r\n\
+     l1 nœud out 1n\r\nl2 out 0 2n\r\nk1 l1 L2 0.5\r\n.ac dec 3 1e8 1e10\r\n.op\r\n.end\r\n",
     "{\"threads\": 2, \"jobs\": [{\"name\": \"d\", \"kind\": \"deck\", \"deck\": \"t\\nR1 a 0 1\\n.OP\\n\", \"backend\": \"sparse\", \"policy\": \"skip\"}]}",
     "threads = 2\n\n[[jobs]]\nname = \"bus\"\nkind = \"loop_bus\"\nsignals = 2\nlength_nm = 500000\nspacing_nm = 1000\nfreqs_hz = [1e9]\n",
 ];
@@ -178,6 +184,30 @@ fn main() {
     let start = std::time::Instant::now();
     let mut executed: u64 = 0;
     let mut rejected: u64 = 0;
+    // Holds one input to the contract; exits 1 on a breach.
+    let mut check = |input: &str, what: &dyn Fn() -> String| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_one(input)));
+        executed += 1;
+        let breach = match outcome {
+            Err(_) => "PANIC".to_owned(),
+            Ok(Some(err)) if !err.span().is_valid() => {
+                format!("rejection without a valid span: {err}")
+            }
+            Ok(Some(_)) => {
+                rejected += 1;
+                return;
+            }
+            Ok(None) => return,
+        };
+        eprintln!("fuzz_netlist: {breach} at {} (seed {seed})", what());
+        eprintln!("---- input ----\n{input}\n---------------");
+        std::process::exit(1);
+    };
+    // Every corpus entry as written, before any mutation; the generator
+    // is not touched, so a seed's mutation schedule stays the same.
+    for (k, input) in CORPUS.iter().enumerate() {
+        check(input, &|| format!("corpus entry {k}"));
+    }
     for n in 0..iters {
         if let Some(ms) = max_ms {
             if start.elapsed().as_millis() as u64 >= ms {
@@ -189,28 +219,7 @@ fn main() {
         for _ in 0..(1 + rng.below(4)) {
             input = mutate(&mut rng, &input);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_one(&input)));
-        executed += 1;
-        match outcome {
-            Err(_) => {
-                std::panic::set_hook(default_hook);
-                eprintln!("fuzz_netlist: PANIC at iteration {n} (seed {seed})");
-                eprintln!("---- input ----\n{input}\n---------------");
-                std::process::exit(1);
-            }
-            Ok(Some(err)) => {
-                rejected += 1;
-                if !err.span().is_valid() {
-                    eprintln!(
-                        "fuzz_netlist: rejection without a valid span at iteration {n} \
-                         (seed {seed}): {err}"
-                    );
-                    eprintln!("---- input ----\n{input}\n---------------");
-                    std::process::exit(1);
-                }
-            }
-            Ok(None) => {}
-        }
+        check(&input, &|| format!("iteration {n}"));
     }
     std::panic::set_hook(default_hook);
     println!(

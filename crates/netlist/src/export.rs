@@ -13,6 +13,7 @@ use crate::ast::{AnalysisCard, Deck, ElementKind, ElementStmt, SourceSpec, Stmt,
 use crate::print::print_deck;
 use crate::span::Span;
 use ind101_circuit::{Circuit, Element, SourceWave};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why a circuit cannot be rendered as a deck.
@@ -39,7 +40,7 @@ impl fmt::Display for ExportError {
 impl std::error::Error for ExportError {}
 
 /// Builds the deck AST for a linear circuit, appending the given
-/// analysis cards.
+/// analysis cards. The deck owns every string.
 ///
 /// # Errors
 ///
@@ -49,10 +50,10 @@ pub fn deck_from_circuit(
     c: &Circuit,
     title: &str,
     analyses: &[AnalysisCard],
-) -> Result<Deck, ExportError> {
-    let mut stmts: Vec<Stmt> = Vec::new();
+) -> Result<Deck<'static>, ExportError> {
+    let mut stmts: Vec<Stmt<'static>> = Vec::new();
     let mut counts = [0usize; 4]; // R, C, V, I
-    let node = |id: ind101_circuit::NodeId| c.node_name(id).to_owned();
+    let node = |id: ind101_circuit::NodeId| Cow::Owned(c.node_name(id).to_owned());
     for e in c.elements() {
         let stmt = match e {
             Element::Resistor { a, b, ohms } => {
@@ -135,8 +136,8 @@ pub fn deck_from_circuit(
                 stmts.push(element(
                     format!("KS{s}_{i}_{j}"),
                     ElementKind::Coupling {
-                        l1: format!("LS{s}_{i}"),
-                        l2: format!("LS{s}_{j}"),
+                        l1: Cow::Owned(format!("LS{s}_{i}")),
+                        l2: Cow::Owned(format!("LS{s}_{j}")),
                         k,
                     },
                 ));
@@ -146,7 +147,7 @@ pub fn deck_from_circuit(
 
     stmts.extend(analyses.iter().cloned().map(Stmt::Analysis));
     Ok(Deck {
-        title: title.to_owned(),
+        title: Cow::Owned(title.to_owned()),
         stmts,
     })
 }
@@ -164,9 +165,9 @@ pub fn export_deck(
     Ok(print_deck(&deck_from_circuit(c, title, analyses)?))
 }
 
-fn element(name: String, kind: ElementKind) -> Stmt {
+fn element(name: String, kind: ElementKind<'static>) -> Stmt<'static> {
     Stmt::Element(ElementStmt {
-        name,
+        name: Cow::Owned(name),
         span: Span::default(),
         kind,
     })

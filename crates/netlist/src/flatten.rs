@@ -8,10 +8,15 @@
 //! and the global ground `0` is never scoped. `K` cards inside a
 //! subcircuit couple that instance's own inductors (their references
 //! are prefixed the same way as inductor names).
+//!
+//! The flat deck borrows from the deck it flattens: a top-level
+//! element is copied with every string borrowed (only a `PWL` knot
+//! list is cloned), and a string is built only for a scoped name.
 
 use crate::ast::{AnalysisCard, Deck, ElementKind, ElementStmt, InstanceStmt, Stmt, SubcktDef};
 use crate::error::NetlistError;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 
 /// Expansion depth bound: cycles are caught by the active stack, this
 /// bounds pathological non-cyclic towers from fuzzed decks.
@@ -19,21 +24,21 @@ const MAX_DEPTH: usize = 64;
 
 /// A flattened deck: primitive elements only, plus the analysis cards.
 #[derive(Clone, Debug, PartialEq, Default)]
-pub struct FlatDeck {
+pub struct FlatDeck<'src> {
     /// Title of the source deck.
-    pub title: String,
+    pub title: Cow<'src, str>,
     /// Every primitive element, hierarchy expanded, in source order.
-    pub elements: Vec<ElementStmt>,
+    pub elements: Vec<ElementStmt<'src>>,
     /// Analysis cards, in source order.
     pub analyses: Vec<AnalysisCard>,
 }
 
-impl FlatDeck {
+impl FlatDeck<'_> {
     /// Distinct node names referenced by the elements (ground `0`
     /// included when referenced), in first-use order.
     pub fn node_names(&self) -> Vec<&str> {
         let mut names: Vec<&str> = Vec::new();
-        let mut set: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        let mut set: HashSet<&str> = HashSet::new();
         for e in &self.elements {
             for n in element_nodes(&e.kind) {
                 if set.insert(n) {
@@ -46,7 +51,7 @@ impl FlatDeck {
 }
 
 /// The node names an element references (couplings reference none).
-pub fn element_nodes(kind: &ElementKind) -> Vec<&str> {
+pub fn element_nodes<'a>(kind: &'a ElementKind<'_>) -> Vec<&'a str> {
     match kind {
         ElementKind::Resistor { a, b, .. }
         | ElementKind::Capacitor { a, b, .. }
@@ -58,7 +63,57 @@ pub fn element_nodes(kind: &ElementKind) -> Vec<&str> {
     }
 }
 
-/// Flattens a parsed deck.
+/// `kind` with its node names mapped through `node` and its coupled
+/// inductor names through `inductor`.
+fn map_names<'a, 'b>(
+    kind: &'a ElementKind<'_>,
+    node: impl Fn(&'a str) -> Cow<'b, str>,
+    inductor: impl Fn(&'a str) -> Cow<'b, str>,
+) -> ElementKind<'b> {
+    match kind {
+        ElementKind::Resistor { a, b, ohms } => ElementKind::Resistor {
+            a: node(a),
+            b: node(b),
+            ohms: *ohms,
+        },
+        ElementKind::Capacitor { a, b, farads } => ElementKind::Capacitor {
+            a: node(a),
+            b: node(b),
+            farads: *farads,
+        },
+        ElementKind::Inductor { a, b, henries } => ElementKind::Inductor {
+            a: node(a),
+            b: node(b),
+            henries: *henries,
+        },
+        ElementKind::Coupling { l1, l2, k } => ElementKind::Coupling {
+            l1: inductor(l1),
+            l2: inductor(l2),
+            k: *k,
+        },
+        ElementKind::Vsrc {
+            plus,
+            minus,
+            source,
+        } => ElementKind::Vsrc {
+            plus: node(plus),
+            minus: node(minus),
+            source: source.clone(),
+        },
+        ElementKind::Isrc {
+            plus,
+            minus,
+            source,
+        } => ElementKind::Isrc {
+            plus: node(plus),
+            minus: node(minus),
+            source: source.clone(),
+        },
+    }
+}
+
+/// Flattens a parsed deck. The result borrows every string it can from
+/// `deck`.
 ///
 /// # Errors
 ///
@@ -66,21 +121,26 @@ pub fn element_nodes(kind: &ElementKind) -> Vec<&str> {
 /// [`NetlistError::RecursiveSubckt`], or
 /// [`NetlistError::DuplicateElement`] (two elements resolving to the
 /// same flat name).
-pub fn flatten(deck: &Deck) -> Result<FlatDeck, NetlistError> {
-    let mut defs: HashMap<&str, &SubcktDef> = HashMap::new();
+pub fn flatten<'d>(deck: &'d Deck<'_>) -> Result<FlatDeck<'d>, NetlistError> {
+    let mut defs: HashMap<&'d str, &'d SubcktDef<'d>> = HashMap::new();
     for s in &deck.stmts {
         if let Stmt::Subckt(d) = s {
-            defs.insert(d.name.as_str(), d);
+            defs.insert(&d.name, d);
         }
     }
     let mut flat = FlatDeck {
-        title: deck.title.clone(),
-        ..FlatDeck::default()
+        title: Cow::Borrowed(&deck.title),
+        elements: Vec::with_capacity(deck.stmts.len()),
+        analyses: Vec::new(),
     };
     let mut stack: Vec<&str> = Vec::new();
     for s in &deck.stmts {
         match s {
-            Stmt::Element(e) => flat.elements.push(e.clone()),
+            Stmt::Element(e) => flat.elements.push(ElementStmt {
+                name: Cow::Borrowed(&e.name),
+                span: e.span,
+                kind: map_names(&e.kind, Cow::Borrowed, Cow::Borrowed),
+            }),
             Stmt::Instance(x) => expand(x, &defs, &mut stack, &mut flat)?,
             Stmt::Subckt(_) => {}
             Stmt::Analysis(a) => flat.analyses.push(a.clone()),
@@ -90,13 +150,13 @@ pub fn flatten(deck: &Deck) -> Result<FlatDeck, NetlistError> {
     Ok(flat)
 }
 
-fn check_unique_names(flat: &FlatDeck) -> Result<(), NetlistError> {
-    let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
+fn check_unique_names(flat: &FlatDeck<'_>) -> Result<(), NetlistError> {
+    let mut seen: HashSet<&str> = HashSet::with_capacity(flat.elements.len());
     for e in &flat.elements {
-        if !seen.insert(e.name.as_str()) {
+        if !seen.insert(&e.name) {
             return Err(NetlistError::DuplicateElement {
                 span: e.span,
-                name: e.name.clone(),
+                name: e.name.to_string(),
             });
         }
     }
@@ -105,113 +165,75 @@ fn check_unique_names(flat: &FlatDeck) -> Result<(), NetlistError> {
 
 /// Scopes a node name: ports map to outer nodes, ground stays global,
 /// everything else gets the instance path prefix.
-fn scope_node(name: &str, prefix: &str, ports: &HashMap<&str, &str>) -> String {
+fn scope_node<'d>(
+    name: &'d str,
+    prefix: &str,
+    ports: &HashMap<&str, &Cow<'d, str>>,
+) -> Cow<'d, str> {
     if let Some(outer) = ports.get(name) {
-        return (*outer).to_owned();
+        return (*outer).clone();
     }
     if name == "0" || name.eq_ignore_ascii_case("gnd") {
-        return name.to_owned();
+        return Cow::Borrowed(name);
     }
-    format!("{prefix}{name}")
+    Cow::Owned(format!("{prefix}{name}"))
 }
 
 /// Expands one instance whose `name` is the full hierarchical path and
 /// whose `nodes` are already resolved to global names.
-fn expand<'a>(
-    x: &InstanceStmt,
-    defs: &HashMap<&'a str, &'a SubcktDef>,
-    stack: &mut Vec<&'a str>,
-    flat: &mut FlatDeck,
+fn expand<'d>(
+    x: &InstanceStmt<'d>,
+    defs: &HashMap<&'d str, &'d SubcktDef<'d>>,
+    stack: &mut Vec<&'d str>,
+    flat: &mut FlatDeck<'d>,
 ) -> Result<(), NetlistError> {
-    let Some(def) = defs.get(x.subckt.as_str()) else {
+    let Some(&def) = defs.get(&*x.subckt) else {
         return Err(NetlistError::UnknownSubckt {
             span: x.span,
-            name: x.subckt.clone(),
+            name: x.subckt.to_string(),
         });
     };
     if def.ports.len() != x.nodes.len() {
         return Err(NetlistError::PortArity {
             span: x.span,
-            name: def.name.clone(),
+            name: def.name.to_string(),
             expected: def.ports.len(),
             got: x.nodes.len(),
         });
     }
-    if stack.len() >= MAX_DEPTH || stack.contains(&def.name.as_str()) {
+    if stack.len() >= MAX_DEPTH || stack.contains(&&*def.name) {
         return Err(NetlistError::RecursiveSubckt {
             span: x.span,
-            name: def.name.clone(),
+            name: def.name.to_string(),
         });
     }
-    let ports: HashMap<&str, &str> = def
-        .ports
-        .iter()
-        .map(String::as_str)
-        .zip(x.nodes.iter().map(String::as_str))
-        .collect();
+    let ports: HashMap<&str, &Cow<'d, str>> =
+        def.ports.iter().map(|p| &**p).zip(&x.nodes).collect();
     let prefix = format!("{}.", x.name);
-    stack.push(def.name.as_str());
+    stack.push(&def.name);
     for s in &def.body {
         match s {
-            Stmt::Element(e) => {
-                let kind = match &e.kind {
-                    ElementKind::Resistor { a, b, ohms } => ElementKind::Resistor {
-                        a: scope_node(a, &prefix, &ports),
-                        b: scope_node(b, &prefix, &ports),
-                        ohms: *ohms,
-                    },
-                    ElementKind::Capacitor { a, b, farads } => ElementKind::Capacitor {
-                        a: scope_node(a, &prefix, &ports),
-                        b: scope_node(b, &prefix, &ports),
-                        farads: *farads,
-                    },
-                    ElementKind::Inductor { a, b, henries } => ElementKind::Inductor {
-                        a: scope_node(a, &prefix, &ports),
-                        b: scope_node(b, &prefix, &ports),
-                        henries: *henries,
-                    },
-                    ElementKind::Coupling { l1, l2, k } => ElementKind::Coupling {
-                        l1: format!("{prefix}{l1}"),
-                        l2: format!("{prefix}{l2}"),
-                        k: *k,
-                    },
-                    ElementKind::Vsrc {
-                        plus,
-                        minus,
-                        source,
-                    } => ElementKind::Vsrc {
-                        plus: scope_node(plus, &prefix, &ports),
-                        minus: scope_node(minus, &prefix, &ports),
-                        source: source.clone(),
-                    },
-                    ElementKind::Isrc {
-                        plus,
-                        minus,
-                        source,
-                    } => ElementKind::Isrc {
-                        plus: scope_node(plus, &prefix, &ports),
-                        minus: scope_node(minus, &prefix, &ports),
-                        source: source.clone(),
-                    },
-                };
-                flat.elements.push(ElementStmt {
-                    name: format!("{prefix}{}", e.name),
-                    span: e.span,
-                    kind,
-                });
-            }
+            Stmt::Element(e) => flat.elements.push(ElementStmt {
+                name: Cow::Owned(format!("{prefix}{}", e.name)),
+                span: e.span,
+                kind: map_names(
+                    &e.kind,
+                    |n| scope_node(n, &prefix, &ports),
+                    |l| Cow::Owned(format!("{prefix}{l}")),
+                ),
+            }),
             Stmt::Instance(inner) => {
                 // Resolve the inner instance's nodes in this scope and
                 // extend the hierarchical path before recursing.
                 let scoped = InstanceStmt {
-                    name: format!("{prefix}{}", inner.name),
+                    name: Cow::Owned(format!("{prefix}{}", inner.name)),
                     span: inner.span,
                     nodes: inner
                         .nodes
                         .iter()
                         .map(|n| scope_node(n, &prefix, &ports))
                         .collect(),
-                    subckt: inner.subckt.clone(),
+                    subckt: Cow::Borrowed(&inner.subckt),
                 };
                 expand(&scoped, defs, stack, flat)?;
             }
@@ -242,7 +264,7 @@ mod tests {
         )
         .unwrap();
         let flat = flatten(&deck).unwrap();
-        let names: Vec<&str> = flat.elements.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = flat.elements.iter().map(|e| &*e.name).collect();
         assert_eq!(names, vec!["X1.R1", "X1.L1", "X2.R1", "X2.L1", "R9"]);
         let nodes = flat.node_names();
         assert_eq!(nodes, vec!["in", "X1.mid", "m", "X2.mid", "0"]);
@@ -264,7 +286,7 @@ mod tests {
         )
         .unwrap();
         let flat = flatten(&deck).unwrap();
-        let names: Vec<&str> = flat.elements.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = flat.elements.iter().map(|e| &*e.name).collect();
         assert_eq!(
             names,
             vec!["X0.X1.C1", "X0.X1.C2", "X0.X2.C1", "X0.X2.C2"]

@@ -56,6 +56,8 @@ pub mod job;
 pub mod json;
 pub mod lexer;
 pub mod lower;
+#[cfg(test)]
+mod oracle;
 pub mod parser;
 pub mod print;
 pub mod span;

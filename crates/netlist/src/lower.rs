@@ -17,6 +17,11 @@ use ind101_circuit::{
 use ind101_numeric::Matrix;
 use std::collections::HashMap;
 
+/// Most frequencies one `.AC` card may ask for: a deck is outside
+/// input, and `.AC DEC 1000000000 1 1e10` would otherwise size a
+/// 10¹⁰-point (80 GB) grid.
+const MAX_AC_POINTS: usize = 1 << 20;
+
 /// A lowered deck: the circuit, its analysis plan, and the name → node
 /// map (first-use order, ground excluded).
 #[derive(Clone, Debug)]
@@ -48,7 +53,7 @@ pub enum AnalysisPlan {
 /// [`NetlistError::BadValue`], [`NetlistError::BadCoupling`],
 /// [`NetlistError::UnknownInductor`], or [`NetlistError::Lowering`],
 /// each carrying the offending card's span.
-pub fn lower(deck: &Deck) -> Result<Lowered, NetlistError> {
+pub fn lower(deck: &Deck<'_>) -> Result<Lowered, NetlistError> {
     lower_flat(&flatten(deck)?)
 }
 
@@ -57,26 +62,24 @@ pub fn lower(deck: &Deck) -> Result<Lowered, NetlistError> {
 /// # Errors
 ///
 /// See [`lower`].
-pub fn lower_flat(flat: &FlatDeck) -> Result<Lowered, NetlistError> {
+pub fn lower_flat(flat: &FlatDeck<'_>) -> Result<Lowered, NetlistError> {
     let mut circuit = Circuit::new();
     let mut nodes: Vec<(String, NodeId)> = Vec::new();
     let intern = |circuit: &mut Circuit, nodes: &mut Vec<(String, NodeId)>, name: &str| {
         if name == "0" || name.eq_ignore_ascii_case("gnd") {
             return Circuit::GND;
         }
-        match circuit.find_node(name) {
-            Some(id) => id,
-            None => {
-                let id = circuit.node(name);
-                nodes.push((name.to_owned(), id));
-                id
-            }
+        let known = circuit.num_nodes();
+        let id = circuit.node(name);
+        if circuit.num_nodes() > known {
+            nodes.push((name.to_owned(), id));
         }
+        id
     };
 
     // Inductors are collected (not stamped) until couplings are known.
     let mut inds: Vec<Ind> = Vec::new();
-    let mut ind_by_name: HashMap<String, usize> = HashMap::new();
+    let mut ind_by_name: HashMap<&str, usize> = HashMap::new();
     let mut coups: Vec<Coup> = Vec::new();
 
     for e in &flat.elements {
@@ -117,7 +120,7 @@ pub fn lower_flat(flat: &FlatDeck) -> Result<Lowered, NetlistError> {
                     b,
                     henries: *henries,
                 });
-                ind_by_name.insert(e.name.clone(), idx);
+                ind_by_name.insert(&e.name, idx);
             }
             ElementKind::Coupling { l1, l2, k } => {
                 if !k.is_finite() || k.abs() >= 1.0 {
@@ -129,7 +132,7 @@ pub fn lower_flat(flat: &FlatDeck) -> Result<Lowered, NetlistError> {
                         .copied()
                         .ok_or_else(|| NetlistError::UnknownInductor {
                             span: e.span,
-                            coupling: e.name.clone(),
+                            coupling: e.name.to_string(),
                             inductor: lname.to_owned(),
                         })
                 };
@@ -205,8 +208,19 @@ struct Coup {
     k: f64,
 }
 
+/// One coupled group: its inductors in deck order and its couplings in
+/// card order.
+#[derive(Default)]
+struct Group {
+    members: Vec<usize>,
+    coups: Vec<usize>,
+}
+
 /// Groups inductors by coupling (union-find) and stamps one
-/// [`InductorSystem`] per group.
+/// [`InductorSystem`] per group, in the order of each group's first
+/// inductor. Each `K` card is filed under its group once, so a group
+/// reads only its own cards, in card order: the first conflicting
+/// pair is the one a scan of every card would meet first.
 fn stamp_inductors(
     circuit: &mut Circuit,
     inds: &[Ind],
@@ -227,31 +241,33 @@ fn stamp_inductors(
             parent[ri] = rj;
         }
     }
-    // Collect group members in inductor order.
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut roots_in_order: Vec<usize> = Vec::new();
+    // Group of each root, and each inductor's position in its group.
+    let mut group_of = vec![usize::MAX; inds.len()];
+    let mut pos = vec![0usize; inds.len()];
+    let mut groups: Vec<Group> = Vec::new();
     for i in 0..inds.len() {
         let r = find(&mut parent, i);
-        let entry = groups.entry(r).or_default();
-        if entry.is_empty() {
-            roots_in_order.push(r);
+        if group_of[r] == usize::MAX {
+            group_of[r] = groups.len();
+            groups.push(Group::default());
         }
-        entry.push(i);
+        let g = &mut groups[group_of[r]];
+        pos[i] = g.members.len();
+        g.members.push(i);
     }
-    for root in roots_in_order {
-        let members = &groups[&root];
-        let pos: HashMap<usize, usize> =
-            members.iter().enumerate().map(|(p, &i)| (i, p)).collect();
+    for (k, c) in coups.iter().enumerate() {
+        groups[group_of[find(&mut parent, c.i)]].coups.push(k);
+    }
+    for g in &groups {
+        let members = &g.members;
         let n = members.len();
         let mut m = Matrix::zeros(n, n);
         for (p, &i) in members.iter().enumerate() {
             m[(p, p)] = inds[i].henries;
         }
         let mut sys_span = inds[members[0]].span;
-        for c in coups {
-            let (Some(&pi), Some(&pj)) = (pos.get(&c.i), pos.get(&c.j)) else {
-                continue;
-            };
+        for c in g.coups.iter().map(|&k| &coups[k]) {
+            let (pi, pj) = (pos[c.i], pos[c.j]);
             let mij = c.k * (inds[c.i].henries * inds[c.j].henries).sqrt();
             if m[(pi, pj)] != 0.0 && m[(pi, pj)] != mij {
                 return Err(bad_value(
@@ -291,7 +307,7 @@ fn bad_value(span: Span, what: &str) -> NetlistError {
     }
 }
 
-fn check_positive(v: f64, what: &str, e: &ElementStmt) -> Result<(), NetlistError> {
+fn check_positive(v: f64, what: &str, e: &ElementStmt<'_>) -> Result<(), NetlistError> {
     if v > 0.0 && !v.is_nan() {
         Ok(())
     } else {
@@ -299,7 +315,7 @@ fn check_positive(v: f64, what: &str, e: &ElementStmt) -> Result<(), NetlistErro
     }
 }
 
-fn check_ac_mag(ac: Option<f64>, e: &ElementStmt) -> Result<f64, NetlistError> {
+fn check_ac_mag(ac: Option<f64>, e: &ElementStmt<'_>) -> Result<f64, NetlistError> {
     let m = ac.unwrap_or(0.0);
     if m.is_finite() {
         Ok(m)
@@ -308,7 +324,10 @@ fn check_ac_mag(ac: Option<f64>, e: &ElementStmt) -> Result<f64, NetlistError> {
     }
 }
 
-fn lower_wave(wave: &crate::ast::WaveSpec, e: &ElementStmt) -> Result<SourceWave, NetlistError> {
+fn lower_wave(
+    wave: &crate::ast::WaveSpec,
+    e: &ElementStmt<'_>,
+) -> Result<SourceWave, NetlistError> {
     use crate::ast::WaveSpec;
     match wave {
         WaveSpec::Dc(v) => {
@@ -385,7 +404,23 @@ fn lower_analysis(card: &AnalysisCard) -> Result<AnalysisPlan, NetlistError> {
                     ".AC needs 0 < fstart <= fstop (finite)",
                 ));
             }
+            // The frequency count, in f64 and before anything is
+            // allocated: `log_sweep` takes ⌈decades · n⌉ + 1 points.
+            let count = match sweep {
+                AcSweep::Dec => ((fstop / fstart).log10() * *points as f64).ceil() + 1.0,
+                AcSweep::Lin => *points as f64,
+            };
+            if count > MAX_AC_POINTS as f64 {
+                return Err(bad_value(
+                    *span,
+                    &format!(".AC asks for {count} frequencies, more than {MAX_AC_POINTS}"),
+                ));
+            }
             let opts = match sweep {
+                // A decade sweep over one frequency is that frequency.
+                AcSweep::Dec if fstop == fstart => AcOptions {
+                    freqs_hz: vec![*fstart],
+                },
                 AcSweep::Dec => AcOptions::log_sweep(*fstart, *fstop, *points),
                 AcSweep::Lin => {
                     let n = *points;
@@ -459,6 +494,20 @@ mod tests {
         assert_eq!(systems[1].len(), 1);
     }
 
+    /// Groups are checked in the order of their first inductor, and a
+    /// group's cards in card order: the first group's conflict (K4)
+    /// wins over the second group's, which comes earlier in the deck.
+    #[test]
+    fn first_conflicting_k_card_is_reported() {
+        let e = low(
+            "t\nL1 a 0 1n\nL2 b 0 1n\nL3 c 0 1n\nL4 d 0 1n\n\
+             K1 L3 L4 0.5\nK2 L3 L4 0.4\nK3 L1 L2 0.5\nK4 L1 L2 0.3\nK5 L2 L1 0.2\n",
+        )
+        .unwrap_err();
+        assert!(matches!(e, NetlistError::BadValue { .. }), "{e}");
+        assert_eq!(e.span(), Span::new(9, 1, 2));
+    }
+
     #[test]
     fn ground_aliases_merge() {
         let l = low("g\nR1 a 0 1\nR2 a gnd 1\nR3 a GND 1\nV1 a 0 DC 1\n").unwrap();
@@ -485,6 +534,39 @@ mod tests {
             let e = low(src).unwrap_err();
             assert!(e.span().is_valid(), "{src:?}: {e}");
         }
+    }
+
+    #[test]
+    fn equal_ac_endpoints_are_one_frequency() {
+        let l = low("t\nV1 in 0 DC 1 AC 1\nR1 in 0 1k\n.AC DEC 3 1e9 1e9\n").unwrap();
+        let one = AcOptions {
+            freqs_hz: vec![1e9],
+        };
+        assert_eq!(l.analyses, vec![AnalysisPlan::Ac(one.clone())]);
+        assert_eq!(l.circuit.ac_sweep(&one).unwrap().freqs_hz, one.freqs_hz);
+    }
+
+    /// Counts past the cap are refused from the card before any grid is
+    /// built (these would be 10¹⁰ + 1 and 2²⁰ + 1 frequencies).
+    #[test]
+    fn over_cap_ac_counts_are_typed() {
+        for (card, line) in [
+            (".AC DEC 1000000000 1 1e10", 3),
+            (".AC LIN 1048577 1 10", 3),
+            (".AC DEC 1 1e-300 1e300", 3),
+        ] {
+            let src = format!("t\nR1 a 0 1\n{card}\n");
+            let e = low(&src).unwrap_err();
+            assert!(matches!(e, NetlistError::BadValue { .. }), "{card}: {e}");
+            assert_eq!(e.span(), Span::new(line, 1, 3), "{card}");
+        }
+        // Just under the cap is allowed: 20 decades at 52 428 points
+        // each, plus one.
+        let l = low("t\nR1 a 0 1\n.AC DEC 52428 1 1e20\n").unwrap();
+        let AnalysisPlan::Ac(opts) = &l.analyses[0] else {
+            panic!("expected AC plan");
+        };
+        assert_eq!(opts.freqs_hz.len(), 1_048_561);
     }
 
     #[test]

@@ -18,14 +18,21 @@
 //!
 //! The first line of the file is always the title card (classic SPICE
 //! behaviour: an element on line 1 is swallowed as the title).
+//!
+//! Cards dispatch on their first byte and keywords compare with
+//! `eq_ignore_ascii_case`, so nothing is upper-cased to be recognised.
+//! Names and nodes borrow the deck text; an element, instance,
+//! subcircuit or `K`-reference name is copied (upper-cased) only when
+//! it has a lowercase ASCII letter.
 
 use crate::ast::{
     AcSweep, AnalysisCard, Deck, ElementKind, ElementStmt, InstanceStmt, SourceSpec, Stmt,
     SubcktDef, WaveSpec,
 };
 use crate::error::NetlistError;
-use crate::lexer::{lex_from, Line, Tok};
+use crate::lexer::{end_span, lex_from, Cards, Tok};
 use crate::value::parse_value;
+use std::borrow::Cow;
 
 /// Parses a full deck.
 ///
@@ -34,34 +41,30 @@ use crate::value::parse_value;
 /// Any [`NetlistError`] from the lexer or grammar; the span points at
 /// the offending token (or just past the last token for missing
 /// fields).
-pub fn parse_deck(src: &str) -> Result<Deck, NetlistError> {
+pub fn parse_deck(src: &str) -> Result<Deck<'_>, NetlistError> {
     let (title, rest) = match src.split_once('\n') {
         Some((t, rest)) => (t.strip_suffix('\r').unwrap_or(t), rest),
         None => (src, ""),
     };
-    let lines = lex_from(rest, 2)?;
+    let cards = lex_from(rest, 2)?;
     let mut i = 0usize;
-    let stmts = parse_stmts(&lines, &mut i, None)?;
-    let mut deck = Deck {
-        title: title.to_owned(),
+    let stmts = parse_stmts(&cards, &mut i, None)?;
+    let deck = Deck {
+        title: Cow::Borrowed(title),
         stmts,
     };
     check_duplicate_subckts(&deck)?;
-    normalize_nop(&mut deck);
     Ok(deck)
 }
 
-/// No-op hook kept for symmetry with future canonicalization passes.
-fn normalize_nop(_deck: &mut Deck) {}
-
-fn check_duplicate_subckts(deck: &Deck) -> Result<(), NetlistError> {
+fn check_duplicate_subckts(deck: &Deck<'_>) -> Result<(), NetlistError> {
     let mut seen: Vec<&str> = Vec::new();
     for s in &deck.stmts {
         if let Stmt::Subckt(d) = s {
             if seen.iter().any(|n| *n == d.name) {
                 return Err(NetlistError::DuplicateSubckt {
                     span: d.span,
-                    name: d.name.clone(),
+                    name: d.name.to_string(),
                 });
             }
             seen.push(&d.name);
@@ -70,62 +73,71 @@ fn check_duplicate_subckts(deck: &Deck) -> Result<(), NetlistError> {
     Ok(())
 }
 
+/// An element, instance or subcircuit name, upper-cased (SPICE names
+/// are case-insensitive): borrowed unless it has a lowercase ASCII
+/// letter to fold.
+fn fold(text: &str) -> Cow<'_, str> {
+    if text.bytes().any(|b| b.is_ascii_lowercase()) {
+        Cow::Owned(text.to_ascii_uppercase())
+    } else {
+        Cow::Borrowed(text)
+    }
+}
+
 /// Parses cards until end-of-deck, `.END`, or (inside a subckt body)
 /// `.ENDS`. `inside` carries the enclosing `.SUBCKT` for context.
-fn parse_stmts(
-    lines: &[Line],
+fn parse_stmts<'src>(
+    cards: &Cards<'src>,
     i: &mut usize,
-    inside: Option<&SubcktDef>,
-) -> Result<Vec<Stmt>, NetlistError> {
+    inside: Option<&SubcktDef<'src>>,
+) -> Result<Vec<Stmt<'src>>, NetlistError> {
     let mut out = Vec::new();
-    while *i < lines.len() {
-        let line = &lines[*i];
-        let head = &line.toks[0];
-        let head_up = head.text.to_ascii_uppercase();
-        if head_up == ".ENDS" {
-            if inside.is_some() {
-                return Ok(out); // caller consumes the .ENDS line
-            }
-            return Err(NetlistError::Expected {
-                span: head.span,
-                what: ".ENDS only closes a .SUBCKT body".to_owned(),
-            });
-        }
-        if head_up == ".END" {
-            if let Some(d) = inside {
-                return Err(NetlistError::UnterminatedSubckt {
-                    span: d.span,
-                    name: d.name.clone(),
-                });
-            }
-            *i = lines.len();
-            return Ok(out);
-        }
-        if head_up == ".SUBCKT" {
-            if inside.is_some() {
-                return Err(NetlistError::NestedSubckt { span: head.span });
-            }
-            out.push(Stmt::Subckt(parse_subckt(lines, i)?));
-            continue;
-        }
-        let stmt = match head_up.as_bytes().first() {
-            Some(b'.') => {
+    while *i < cards.len() {
+        let card = cards.card(*i);
+        let head = &card[0];
+        let stmt = match head.text.as_bytes()[0].to_ascii_uppercase() {
+            b'.' => {
+                let kw = head.text;
+                if kw.eq_ignore_ascii_case(".ENDS") {
+                    if inside.is_some() {
+                        return Ok(out); // caller consumes the .ENDS line
+                    }
+                    return Err(NetlistError::Expected {
+                        span: head.span,
+                        what: ".ENDS only closes a .SUBCKT body".to_owned(),
+                    });
+                }
+                if kw.eq_ignore_ascii_case(".END") {
+                    if let Some(d) = inside {
+                        return Err(NetlistError::UnterminatedSubckt {
+                            span: d.span,
+                            name: d.name.to_string(),
+                        });
+                    }
+                    *i = cards.len();
+                    return Ok(out);
+                }
+                if kw.eq_ignore_ascii_case(".SUBCKT") {
+                    if inside.is_some() {
+                        return Err(NetlistError::NestedSubckt { span: head.span });
+                    }
+                    out.push(Stmt::Subckt(parse_subckt(cards, i)?));
+                    continue;
+                }
                 if inside.is_some() {
                     return Err(NetlistError::Expected {
                         span: head.span,
                         what: "only elements and X instances inside .SUBCKT".to_owned(),
                     });
                 }
-                Stmt::Analysis(parse_analysis(line, &head_up)?)
+                Stmt::Analysis(parse_analysis(card)?)
             }
-            Some(b'R' | b'C' | b'L' | b'K' | b'V' | b'I') => {
-                Stmt::Element(parse_element(line, &head_up)?)
-            }
-            Some(b'X') => Stmt::Instance(parse_instance(line, &head_up)?),
+            b'R' | b'C' | b'L' | b'K' | b'V' | b'I' => Stmt::Element(parse_element(card)?),
+            b'X' => Stmt::Instance(parse_instance(card)?),
             _ => {
                 return Err(NetlistError::UnknownCard {
                     span: head.span,
-                    card: head.text.clone(),
+                    card: head.text.to_owned(),
                 })
             }
         };
@@ -135,34 +147,32 @@ fn parse_stmts(
     if let Some(d) = inside {
         return Err(NetlistError::UnterminatedSubckt {
             span: d.span,
-            name: d.name.clone(),
+            name: d.name.to_string(),
         });
     }
     Ok(out)
 }
 
-fn parse_subckt(lines: &[Line], i: &mut usize) -> Result<SubcktDef, NetlistError> {
-    let line = &lines[*i];
-    let head = &line.toks[0];
-    if line.toks.len() < 2 {
+fn parse_subckt<'src>(cards: &Cards<'src>, i: &mut usize) -> Result<SubcktDef<'src>, NetlistError> {
+    let card = cards.card(*i);
+    if card.len() < 2 {
         return Err(NetlistError::Expected {
-            span: line.end_span(),
+            span: end_span(card),
             what: "subcircuit name after .SUBCKT".to_owned(),
         });
     }
     let mut def = SubcktDef {
-        name: line.toks[1].text.to_ascii_uppercase(),
-        span: head.span,
-        ports: line.toks[2..].iter().map(|t| t.text.clone()).collect(),
+        name: fold(card[1].text),
+        span: card[0].span,
+        ports: card[2..].iter().map(|t| Cow::Borrowed(t.text)).collect(),
         body: Vec::new(),
     };
     *i += 1;
-    def.body = parse_stmts(lines, i, Some(&def))?;
+    def.body = parse_stmts(cards, i, Some(&def))?;
     // parse_stmts returned at a `.ENDS` line; consume it (an optional
     // name operand must match).
-    let ends = &lines[*i];
-    if let Some(tok) = ends.toks.get(1) {
-        if tok.text.to_ascii_uppercase() != def.name {
+    if let Some(tok) = cards.card(*i).get(1) {
+        if !tok.text.eq_ignore_ascii_case(&def.name) {
             return Err(NetlistError::Expected {
                 span: tok.span,
                 what: format!(".ENDS {} (or bare .ENDS)", def.name),
@@ -174,11 +184,15 @@ fn parse_subckt(lines: &[Line], i: &mut usize) -> Result<SubcktDef, NetlistError
 }
 
 /// Expects exactly `n` operand tokens after the card keyword/name.
-fn operands<'l>(line: &'l Line, n: usize, what: &str) -> Result<&'l [Tok], NetlistError> {
-    let ops = &line.toks[1..];
+fn operands<'c, 'src>(
+    card: &'c [Tok<'src>],
+    n: usize,
+    what: &str,
+) -> Result<&'c [Tok<'src>], NetlistError> {
+    let ops = &card[1..];
     if ops.len() < n {
         return Err(NetlistError::Expected {
-            span: line.end_span(),
+            span: end_span(card),
             what: format!("{what} ({n} field(s), got {})", ops.len()),
         });
     }
@@ -191,53 +205,58 @@ fn operands<'l>(line: &'l Line, n: usize, what: &str) -> Result<&'l [Tok], Netli
     Ok(ops)
 }
 
-fn parse_element(line: &Line, head_up: &str) -> Result<ElementStmt, NetlistError> {
-    let head = &line.toks[0];
-    let name = head_up.to_owned();
-    let kind = match head_up.as_bytes()[0] {
+/// A token in value position.
+fn value(tok: &Tok<'_>) -> Result<f64, NetlistError> {
+    parse_value(tok.text, tok.span)
+}
+
+fn parse_element<'src>(card: &[Tok<'src>]) -> Result<ElementStmt<'src>, NetlistError> {
+    let head = &card[0];
+    let node = |t: &Tok<'src>| Cow::Borrowed(t.text);
+    let kind = match head.text.as_bytes()[0].to_ascii_uppercase() {
         b'R' => {
-            let ops = operands(line, 3, "node node value")?;
+            let ops = operands(card, 3, "node node value")?;
             ElementKind::Resistor {
-                a: ops[0].text.clone(),
-                b: ops[1].text.clone(),
-                ohms: parse_value(&ops[2].text, ops[2].span)?,
+                a: node(&ops[0]),
+                b: node(&ops[1]),
+                ohms: value(&ops[2])?,
             }
         }
         b'C' => {
-            let ops = operands(line, 3, "node node value")?;
+            let ops = operands(card, 3, "node node value")?;
             ElementKind::Capacitor {
-                a: ops[0].text.clone(),
-                b: ops[1].text.clone(),
-                farads: parse_value(&ops[2].text, ops[2].span)?,
+                a: node(&ops[0]),
+                b: node(&ops[1]),
+                farads: value(&ops[2])?,
             }
         }
         b'L' => {
-            let ops = operands(line, 3, "node node value")?;
+            let ops = operands(card, 3, "node node value")?;
             ElementKind::Inductor {
-                a: ops[0].text.clone(),
-                b: ops[1].text.clone(),
-                henries: parse_value(&ops[2].text, ops[2].span)?,
+                a: node(&ops[0]),
+                b: node(&ops[1]),
+                henries: value(&ops[2])?,
             }
         }
         b'K' => {
-            let ops = operands(line, 3, "inductor inductor k")?;
+            let ops = operands(card, 3, "inductor inductor k")?;
             ElementKind::Coupling {
-                l1: ops[0].text.to_ascii_uppercase(),
-                l2: ops[1].text.to_ascii_uppercase(),
-                k: parse_value(&ops[2].text, ops[2].span)?,
+                l1: fold(ops[0].text),
+                l2: fold(ops[1].text),
+                k: value(&ops[2])?,
             }
         }
-        b'V' | b'I' => {
-            if line.toks.len() < 3 {
+        letter @ (b'V' | b'I') => {
+            if card.len() < 3 {
                 return Err(NetlistError::Expected {
-                    span: line.end_span(),
+                    span: end_span(card),
                     what: "two nodes after source name".to_owned(),
                 });
             }
-            let plus = line.toks[1].text.clone();
-            let minus = line.toks[2].text.clone();
-            let source = parse_source(&line.toks[3..])?;
-            if head_up.as_bytes()[0] == b'V' {
+            let plus = node(&card[1]);
+            let minus = node(&card[2]);
+            let source = parse_source(&card[3..])?;
+            if letter == b'V' {
                 ElementKind::Vsrc {
                     plus,
                     minus,
@@ -256,40 +275,59 @@ fn parse_element(line: &Line, head_up: &str) -> Result<ElementStmt, NetlistError
         _ => {
             return Err(NetlistError::UnknownCard {
                 span: head.span,
-                card: head.text.clone(),
+                card: head.text.to_owned(),
             })
         }
     };
     Ok(ElementStmt {
-        name,
+        name: fold(head.text),
         span: head.span,
         kind,
     })
 }
 
+/// The keywords of a source specification.
+#[derive(Clone, Copy)]
+enum SourceKeyword {
+    Dc,
+    Ac,
+    Pulse,
+    Pwl,
+}
+
+fn source_keyword(text: &str) -> Option<SourceKeyword> {
+    [
+        ("DC", SourceKeyword::Dc),
+        ("AC", SourceKeyword::Ac),
+        ("PULSE", SourceKeyword::Pulse),
+        ("PWL", SourceKeyword::Pwl),
+    ]
+    .into_iter()
+    .find_map(|(kw, which)| text.eq_ignore_ascii_case(kw).then_some(which))
+}
+
 /// Parses the source-specification tail of a `V`/`I` card.
-fn parse_source(toks: &[Tok]) -> Result<SourceSpec, NetlistError> {
+fn parse_source(toks: &[Tok<'_>]) -> Result<SourceSpec, NetlistError> {
     let mut wave: Option<WaveSpec> = None;
     let mut ac_mag: Option<f64> = None;
     let mut i = 0usize;
     // Collects the numeric run starting at `i` (up to `max` values).
-    let numeric_run = |toks: &[Tok], i: &mut usize, max: usize| -> Result<Vec<f64>, NetlistError> {
+    let numeric_run = |i: &mut usize, max: usize| -> Result<Vec<f64>, NetlistError> {
         let mut vals = Vec::new();
         while *i < toks.len() && vals.len() < max {
             let t = &toks[*i];
-            if is_source_keyword(&t.text) {
+            if source_keyword(t.text).is_some() {
                 break;
             }
-            vals.push(parse_value(&t.text, t.span)?);
+            vals.push(value(t)?);
             *i += 1;
         }
         Ok(vals)
     };
     while i < toks.len() {
         let t = &toks[i];
-        let up = t.text.to_ascii_uppercase();
-        match up.as_str() {
-            "DC" => {
+        match source_keyword(t.text) {
+            Some(SourceKeyword::Dc) => {
                 i += 1;
                 let Some(v) = toks.get(i) else {
                     return Err(NetlistError::Expected {
@@ -297,10 +335,10 @@ fn parse_source(toks: &[Tok]) -> Result<SourceSpec, NetlistError> {
                         what: "value after DC".to_owned(),
                     });
                 };
-                wave = Some(WaveSpec::Dc(parse_value(&v.text, v.span)?));
+                wave = Some(WaveSpec::Dc(value(v)?));
                 i += 1;
             }
-            "AC" => {
+            Some(SourceKeyword::Ac) => {
                 i += 1;
                 let Some(v) = toks.get(i) else {
                     return Err(NetlistError::Expected {
@@ -308,12 +346,12 @@ fn parse_source(toks: &[Tok]) -> Result<SourceSpec, NetlistError> {
                         what: "magnitude after AC".to_owned(),
                     });
                 };
-                ac_mag = Some(parse_value(&v.text, v.span)?);
+                ac_mag = Some(value(v)?);
                 i += 1;
             }
-            "PULSE" => {
+            Some(SourceKeyword::Pulse) => {
                 i += 1;
-                let vals = numeric_run(toks, &mut i, 7)?;
+                let vals = numeric_run(&mut i, 7)?;
                 if vals.len() < 2 {
                     return Err(NetlistError::Expected {
                         span: t.span,
@@ -331,9 +369,9 @@ fn parse_source(toks: &[Tok]) -> Result<SourceSpec, NetlistError> {
                     period: vals.get(6).copied().unwrap_or(f64::INFINITY),
                 });
             }
-            "PWL" => {
+            Some(SourceKeyword::Pwl) => {
                 i += 1;
-                let vals = numeric_run(toks, &mut i, usize::MAX)?;
+                let vals = numeric_run(&mut i, usize::MAX)?;
                 if vals.is_empty() || vals.len() % 2 != 0 {
                     return Err(NetlistError::Expected {
                         span: t.span,
@@ -344,10 +382,10 @@ fn parse_source(toks: &[Tok]) -> Result<SourceSpec, NetlistError> {
                     vals.chunks_exact(2).map(|p| (p[0], p[1])).collect(),
                 ));
             }
-            _ => {
+            None => {
                 // A bare leading number is shorthand for `DC <number>`.
                 if wave.is_none() && ac_mag.is_none() {
-                    wave = Some(WaveSpec::Dc(parse_value(&t.text, t.span)?));
+                    wave = Some(WaveSpec::Dc(value(t)?));
                     i += 1;
                 } else {
                     return Err(NetlistError::Expected {
@@ -364,80 +402,74 @@ fn parse_source(toks: &[Tok]) -> Result<SourceSpec, NetlistError> {
     })
 }
 
-fn is_source_keyword(text: &str) -> bool {
-    matches!(
-        text.to_ascii_uppercase().as_str(),
-        "DC" | "AC" | "PULSE" | "PWL"
-    )
-}
-
-fn parse_instance(line: &Line, head_up: &str) -> Result<InstanceStmt, NetlistError> {
-    let head = &line.toks[0];
-    if line.toks.len() < 2 {
+fn parse_instance<'src>(card: &[Tok<'src>]) -> Result<InstanceStmt<'src>, NetlistError> {
+    let head = &card[0];
+    if card.len() < 2 {
         return Err(NetlistError::Expected {
-            span: line.end_span(),
+            span: end_span(card),
             what: "nodes and a subcircuit name after X instance".to_owned(),
         });
     }
-    let last = line.toks.len() - 1;
+    let last = card.len() - 1;
     Ok(InstanceStmt {
-        name: head_up.to_owned(),
+        name: fold(head.text),
         span: head.span,
-        nodes: line.toks[1..last].iter().map(|t| t.text.clone()).collect(),
-        subckt: line.toks[last].text.to_ascii_uppercase(),
+        nodes: card[1..last]
+            .iter()
+            .map(|t| Cow::Borrowed(t.text))
+            .collect(),
+        subckt: fold(card[last].text),
     })
 }
 
-fn parse_analysis(line: &Line, head_up: &str) -> Result<AnalysisCard, NetlistError> {
-    let head = &line.toks[0];
-    match head_up {
-        ".OP" => {
-            operands(line, 0, ".OP takes no fields")?;
-            Ok(AnalysisCard::Op { span: head.span })
-        }
-        ".AC" => {
-            let ops = operands(line, 4, "DEC|LIN n fstart fstop")?;
-            let sweep = match ops[0].text.to_ascii_uppercase().as_str() {
-                "DEC" => AcSweep::Dec,
-                "LIN" => AcSweep::Lin,
-                _ => {
-                    return Err(NetlistError::Expected {
-                        span: ops[0].span,
-                        what: "DEC or LIN".to_owned(),
-                    })
-                }
-            };
-            let points = parse_count(&ops[1])?;
-            Ok(AnalysisCard::Ac {
-                span: head.span,
-                sweep,
-                points,
-                fstart: parse_value(&ops[2].text, ops[2].span)?,
-                fstop: parse_value(&ops[3].text, ops[3].span)?,
-            })
-        }
-        ".TRAN" => {
-            let ops = operands(line, 2, "tstep tstop")?;
-            Ok(AnalysisCard::Tran {
-                span: head.span,
-                tstep: parse_value(&ops[0].text, ops[0].span)?,
-                tstop: parse_value(&ops[1].text, ops[1].span)?,
-            })
-        }
-        _ => Err(NetlistError::UnknownCard {
+fn parse_analysis(card: &[Tok<'_>]) -> Result<AnalysisCard, NetlistError> {
+    let head = &card[0];
+    let kw = head.text;
+    if kw.eq_ignore_ascii_case(".OP") {
+        operands(card, 0, ".OP takes no fields")?;
+        Ok(AnalysisCard::Op { span: head.span })
+    } else if kw.eq_ignore_ascii_case(".AC") {
+        let ops = operands(card, 4, "DEC|LIN n fstart fstop")?;
+        let sweep = if ops[0].text.eq_ignore_ascii_case("DEC") {
+            AcSweep::Dec
+        } else if ops[0].text.eq_ignore_ascii_case("LIN") {
+            AcSweep::Lin
+        } else {
+            return Err(NetlistError::Expected {
+                span: ops[0].span,
+                what: "DEC or LIN".to_owned(),
+            });
+        };
+        let points = parse_count(&ops[1])?;
+        Ok(AnalysisCard::Ac {
             span: head.span,
-            card: head.text.clone(),
-        }),
+            sweep,
+            points,
+            fstart: value(&ops[2])?,
+            fstop: value(&ops[3])?,
+        })
+    } else if kw.eq_ignore_ascii_case(".TRAN") {
+        let ops = operands(card, 2, "tstep tstop")?;
+        Ok(AnalysisCard::Tran {
+            span: head.span,
+            tstep: value(&ops[0])?,
+            tstop: value(&ops[1])?,
+        })
+    } else {
+        Err(NetlistError::UnknownCard {
+            span: head.span,
+            card: kw.to_owned(),
+        })
     }
 }
 
 /// Parses a positive integer count field.
-fn parse_count(tok: &Tok) -> Result<usize, NetlistError> {
+fn parse_count(tok: &Tok<'_>) -> Result<usize, NetlistError> {
     match tok.text.parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
         _ => Err(NetlistError::BadNumber {
             span: tok.span,
-            text: tok.text.clone(),
+            text: tok.text.to_owned(),
         }),
     }
 }
@@ -468,8 +500,8 @@ mod tests {
         assert_eq!(
             r.kind,
             ElementKind::Resistor {
-                a: "in".to_owned(),
-                b: "out".to_owned(),
+                a: "in".into(),
+                b: "out".into(),
                 ohms: 5e3,
             }
         );

@@ -12,7 +12,7 @@ use crate::value::format_value;
 use std::fmt::Write as _;
 
 /// Renders a deck to canonical text (ends with `.END`).
-pub fn print_deck(deck: &Deck) -> String {
+pub fn print_deck(deck: &Deck<'_>) -> String {
     let mut out = String::new();
     out.push_str(&deck.title);
     out.push('\n');
@@ -23,7 +23,7 @@ pub fn print_deck(deck: &Deck) -> String {
     out
 }
 
-fn print_stmt(out: &mut String, s: &Stmt) {
+fn print_stmt(out: &mut String, s: &Stmt<'_>) {
     match s {
         Stmt::Element(e) => print_element(out, e),
         Stmt::Instance(x) => {
@@ -53,7 +53,7 @@ fn print_stmt(out: &mut String, s: &Stmt) {
     }
 }
 
-fn print_element(out: &mut String, e: &ElementStmt) {
+fn print_element(out: &mut String, e: &ElementStmt<'_>) {
     match &e.kind {
         ElementKind::Resistor { a, b, ohms } => {
             let _ = writeln!(out, "{} {a} {b} {}", e.name, format_value(*ohms));

@@ -134,7 +134,7 @@ proptest! {
         prop_assert_eq!(flat.elements.len(), expected + instances * body);
 
         // Names are unique.
-        let mut names: Vec<&str> = flat.elements.iter().map(|e| e.name.as_str()).collect();
+        let mut names: Vec<&str> = flat.elements.iter().map(|e| e.name.as_ref()).collect();
         names.sort_unstable();
         names.dedup();
         prop_assert_eq!(names.len(), flat.elements.len());
@@ -144,12 +144,12 @@ proptest! {
             .elements
             .iter()
             .filter(|e| matches!(e.kind, ElementKind::Inductor { .. }))
-            .map(|e| e.name.as_str())
+            .map(|e| e.name.as_ref())
             .collect();
         for e in &flat.elements {
             if let ElementKind::Coupling { l1, l2, .. } = &e.kind {
-                prop_assert!(inductors.contains(l1.as_str()), "dangling {l1}");
-                prop_assert!(inductors.contains(l2.as_str()), "dangling {l2}");
+                prop_assert!(inductors.contains(l1.as_ref()), "dangling {l1}");
+                prop_assert!(inductors.contains(l2.as_ref()), "dangling {l2}");
             }
         }
 

@@ -154,6 +154,7 @@ impl<T: Scalar> Matrix<T> {
                         nb,
                         rows.end,
                         -T::one(),
+                        &mut Vec::new(),
                     );
                 });
             }

@@ -75,6 +75,10 @@ pub(crate) fn row_blocks_for(cfg: &ParallelConfig, rows: usize, flops: usize) ->
 /// entry no matter which code path (micro-kernel or remainder) handles
 /// it, and tile boundaries are pure functions of the tile constants, so
 /// parallel callers get bit-identical results to a serial pass.
+///
+/// `bp` is the caller's scratch for packed B tiles, reused across calls
+/// so a kernel that runs many small GEMMs allocates it once; what it
+/// holds on entry is ignored.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_chunk<T: Scalar>(
     c: &mut [T],
@@ -90,13 +94,13 @@ pub(crate) fn gemm_chunk<T: Scalar>(
     kd: usize,
     nd: usize,
     alpha: T,
+    bp: &mut Vec<T>,
 ) {
     // B tiles are repacked into contiguous MICRO_COLS-wide micro-panels
     // (`bp[g]` holds columns `jj + g·MICRO_COLS ..` for all k of the
     // tile) so the micro-kernel streams B sequentially instead of
     // striding `bs` elements per k step. Packing is value-preserving, so
     // it cannot perturb the float ops.
-    let mut bp: Vec<T> = Vec::new();
     let mut jj = 0;
     while jj < nd {
         let jb = BLOCK_N.min(nd - jj);
@@ -253,6 +257,7 @@ pub fn gemm_into<T: Scalar>(
             k,
             n,
             alpha,
+            &mut Vec::new(),
         );
     });
     Ok(())

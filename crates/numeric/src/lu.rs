@@ -158,6 +158,7 @@ impl<T: Scalar> Matrix<T> {
                         nb,
                         mt,
                         -T::one(),
+                        &mut Vec::new(),
                     );
                 });
             }
@@ -424,6 +425,7 @@ impl<T: Scalar> LuFactors<T> {
                         nb,
                         nrhs,
                         -T::one(),
+                        &mut Vec::new(),
                     );
                 });
             }
@@ -474,6 +476,7 @@ impl<T: Scalar> LuFactors<T> {
                         nb,
                         nrhs,
                         -T::one(),
+                        &mut Vec::new(),
                     );
                 });
             }

@@ -401,9 +401,10 @@ pub(crate) fn factor_supernodal<T: Scalar>(
     let mut w = vec![T::zero(); wmax * nb];
     // The dense L rows of the panel rows active against the current
     // source, packed (row `k` belongs to panel row `active[k]`), and
-    // their GEMM product.
+    // their GEMM product, and the GEMM's packed-B scratch.
     let mut ltmp = vec![T::zero(); wmax * wmax];
     let mut gtmp: Vec<T> = Vec::new();
+    let mut bpack: Vec<T> = Vec::new();
     // Per-panel-row cursor into the L slots (gather position).
     let mut lpos = vec![0usize; wmax];
     // Panel rows that picked something up from the current source, in
@@ -525,6 +526,7 @@ pub(crate) fn factor_supernodal<T: Scalar>(
                     sw,
                     nd,
                     -T::one(),
+                    &mut bpack,
                 );
                 for (grow, &r) in gtmp.chunks_exact(nd).zip(&active) {
                     let wrow = &mut w[r * nb..(r + 1) * nb];
@@ -637,6 +639,7 @@ pub(crate) mod oracle {
         // Scratch for the per-source dense L panel and GEMM result.
         let mut ltmp = vec![T::zero(); wmax * wmax];
         let mut gtmp: Vec<T> = Vec::new();
+        let mut bpack: Vec<T> = Vec::new();
         // Per-panel-row cursor into `l_cols` (gather position).
         let mut lpos = vec![0usize; wmax];
         // Per-panel-row flag: did this row pick up anything from the
@@ -765,6 +768,7 @@ pub(crate) mod oracle {
                             sw,
                             nd,
                             -T::one(),
+                            &mut bpack,
                         );
                         for r in 0..width {
                             if !active[r] {

@@ -418,15 +418,20 @@ impl JobServer {
     /// A result cache poisoned before the job could claim its slot
     /// fails the job with [`ServeError::Poisoned`]. One poisoned after
     /// the solve leaves the answer uncached but still returns it.
+    ///
+    /// A `path` deck is read once: the job is keyed and solved from that
+    /// one text, so a file that changes mid-job cannot file one
+    /// content's answer under another's key.
     pub fn run_job_with(
         &self,
         job: &JobRequest,
         cancel: Option<&CancelToken>,
     ) -> (Result<Arc<JobOutcome>, ServeError>, bool) {
-        let key = match payload_key(job) {
-            Ok(k) => k,
+        let (kind, payload) = match payload(job) {
+            Ok(p) => p,
             Err(e) => return (Err(e), false),
         };
+        let key = payload_key(kind, &payload, &job.options);
         let poisoned = || {
             let err = ServeError::Poisoned {
                 job: job.name.clone(),
@@ -452,7 +457,7 @@ impl JobServer {
                 }
             }
         }
-        let res = self.solve(job, cancel);
+        let res = self.solve(job, &payload, cancel);
         if let Ok(mut cache) = self.results.lock() {
             cache.settle(key, &res);
         }
@@ -463,10 +468,12 @@ impl JobServer {
     fn solve(
         &self,
         job: &JobRequest,
+        payload: &str,
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<JobOutcome>, ServeError> {
         let outcome = match &job.spec {
-            JobSpec::Deck(source) => self.run_deck(job, source, cancel)?,
+            // A deck job's payload is the deck text it was keyed by.
+            JobSpec::Deck(_) => self.run_deck(job, payload, cancel)?,
             JobSpec::FilamentGrid(grid) => self.run_grid(job, grid)?,
             JobSpec::LoopBus(bus) => self.run_loop_bus(job, bus, cancel)?,
         };
@@ -476,22 +483,15 @@ impl JobServer {
     fn run_deck(
         &self,
         job: &JobRequest,
-        source: &DeckSource,
+        src: &str,
         cancel: Option<&CancelToken>,
     ) -> Result<JobOutcome, ServeError> {
         let name = &job.name;
-        let src = match source {
-            DeckSource::Inline(text) => text.clone(),
-            DeckSource::Path(path) => std::fs::read_to_string(path).map_err(|e| ServeError::Io {
-                job: name.clone(),
-                what: format!("{path}: {e}"),
-            })?,
-        };
         let parse_err = |err: NetlistError| ServeError::Parse {
             job: name.clone(),
             err,
         };
-        let deck = parse_deck(&src).map_err(parse_err)?;
+        let deck = parse_deck(src).map_err(parse_err)?;
         let flat = flatten(&deck).map_err(parse_err)?;
         let lowered = lower_flat(&flat).map_err(parse_err)?;
         let mut c = lowered.circuit;
@@ -701,14 +701,11 @@ impl Fnv {
     }
 }
 
-/// Content key: the SHA-256 digest of the job's canonical payload —
-/// kind tag, payload text (deck text for deck jobs — a file-backed deck
-/// is keyed by its *contents*, so editing the file invalidates — or the
-/// spec's debug form) and the options token, each length-prefixed so
-/// the encoding is unambiguous. The job name is deliberately excluded:
-/// two differently named but identical jobs share one solve.
-fn payload_key(job: &JobRequest) -> Result<PayloadKey, ServeError> {
-    let (kind, payload): (&str, Cow<'_, str>) = match &job.spec {
+/// A job's kind tag and payload text, obtained once per job: a deck's
+/// text (borrowed from an inline job, read once from a `path` job's
+/// file) or a geometry spec's debug form.
+fn payload(job: &JobRequest) -> Result<(&'static str, Cow<'_, str>), ServeError> {
+    Ok(match &job.spec {
         JobSpec::Deck(DeckSource::Inline(text)) => ("deck", Cow::Borrowed(text)),
         JobSpec::Deck(DeckSource::Path(path)) => (
             "deck",
@@ -719,13 +716,23 @@ fn payload_key(job: &JobRequest) -> Result<PayloadKey, ServeError> {
         ),
         JobSpec::FilamentGrid(g) => ("grid", Cow::Owned(format!("{g:?}"))),
         JobSpec::LoopBus(b) => ("loop_bus", Cow::Owned(format!("{b:?}"))),
-    };
+    })
+}
+
+/// Content key: the SHA-256 digest of the job's canonical payload —
+/// kind tag, payload text (the deck text for deck jobs, whether inline
+/// or read from a file, so a `path` deck and an inline deck with the
+/// same text share one entry; or the spec's debug form) and the options
+/// token, each length-prefixed so the encoding is unambiguous. The job
+/// name is deliberately excluded: two differently named but identical
+/// jobs share one solve. No I/O: [`payload`] obtained the text.
+fn payload_key(kind: &str, payload: &str, options: &JobOptions) -> PayloadKey {
     let mut h = sha256::Sha256::new();
-    for field in [kind, &payload, &job.options.cache_token()] {
+    for field in [kind, payload, &options.cache_token()] {
         h.update(&(field.len() as u64).to_le_bytes());
         h.update(field.as_bytes());
     }
-    Ok(h.finish())
+    h.finish()
 }
 
 /// Structural hash of a circuit's MNA pattern: element topology and
@@ -772,6 +779,11 @@ fn structure_hash(c: &Circuit) -> u64 {
 mod tests {
     use super::*;
 
+    fn key(job: &JobRequest) -> PayloadKey {
+        let (kind, text) = payload(job).unwrap();
+        payload_key(kind, &text, &job.options)
+    }
+
     fn deck_job(name: &str, deck: &str) -> JobRequest {
         JobRequest {
             name: name.to_owned(),
@@ -784,14 +796,14 @@ mod tests {
     fn name_is_not_part_of_the_key() {
         let a = deck_job("a", "t\nR1 x 0 1\n.OP\n");
         let b = deck_job("b", "t\nR1 x 0 1\n.OP\n");
-        assert_eq!(payload_key(&a).unwrap(), payload_key(&b).unwrap());
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
     fn one_character_changes_the_key() {
         let a = deck_job("a", "t\nR1 x 0 1\n.OP\n");
         let b = deck_job("a", "t\nR1 x 0 2\n.OP\n");
-        assert_ne!(payload_key(&a).unwrap(), payload_key(&b).unwrap());
+        assert_ne!(key(&a), key(&b));
     }
 
     #[test]
@@ -799,7 +811,7 @@ mod tests {
         let mut b = deck_job("a", "t\nR1 x 0 1\n.OP\n");
         b.options.verify = false;
         let a = deck_job("a", "t\nR1 x 0 1\n.OP\n");
-        assert_ne!(payload_key(&a).unwrap(), payload_key(&b).unwrap());
+        assert_ne!(key(&a), key(&b));
     }
 
     /// Hashes every key to the same value, so every key lands in one
@@ -819,8 +831,8 @@ mod tests {
     fn equal_hashes_never_share_a_slot() {
         use std::hash::BuildHasherDefault;
         let hasher = BuildHasherDefault::<ConstHasher>::default();
-        let a = payload_key(&deck_job("a", "t\nR1 x 0 1\n.OP\n")).unwrap();
-        let b = payload_key(&deck_job("b", "t\nR1 x 0 2\n.OP\n")).unwrap();
+        let a = key(&deck_job("a", "t\nR1 x 0 1\n.OP\n"));
+        let b = key(&deck_job("b", "t\nR1 x 0 2\n.OP\n"));
         assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
         let outcome = |nodes| {
             Arc::new(JobOutcome::Deck(DeckReport {
@@ -847,7 +859,7 @@ mod tests {
         assert_eq!(cache.slots.len(), 2);
         assert_eq!((cache.hits, cache.misses), (2, 2));
         // A failed claim frees its slot for a retry and leaves the other.
-        let c = payload_key(&deck_job("c", "t\nR1 x 0 3\n.OP\n")).unwrap();
+        let c = key(&deck_job("c", "t\nR1 x 0 3\n.OP\n"));
         assert!(matches!(cache.lookup(c), Lookup::Claimed));
         assert!(matches!(cache.lookup(c), Lookup::InFlight));
         cache.settle(
@@ -914,6 +926,29 @@ mod tests {
             }) => assert_eq!(job, "fight"),
             other => panic!("expected a typed singular system, got {other:?}"),
         }
+    }
+
+    /// A `path` deck is keyed by the text read from its file: a path job
+    /// and an inline job with that text share one cache entry.
+    #[test]
+    fn path_and_inline_decks_share_an_entry() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/decks/");
+        let path_job = |file: &str| JobRequest {
+            name: file.to_owned(),
+            spec: JobSpec::Deck(DeckSource::Path(format!("{dir}{file}"))),
+            options: JobOptions::default(),
+        };
+        let text = include_str!("../../../tests/decks/sec4_bus.cir");
+        let server = JobServer::new();
+        let (first, cached) = server.run_job(&path_job("sec4_bus.cir"));
+        assert!(!cached);
+        let (second, cached) = server.run_job(&deck_job("inline", text));
+        assert!(cached);
+        assert_eq!(first.unwrap(), second.unwrap());
+        let stats = server.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        let (missing, _) = server.run_job(&path_job("no_such_deck.cir"));
+        assert!(matches!(missing, Err(ServeError::Io { .. })), "{missing:?}");
     }
 
     #[test]
