@@ -1,4 +1,4 @@
-//! Criterion benchmark of the simulation engines: banded-MNA transient
+//! Criterion benchmark of the simulation engines: sparse-MNA transient
 //! (RC grid), dense-MNA transient (coupled RLC), PRIMA reduction +
 //! reduced transient, and the SPD/Cholesky combined-technique solver.
 
@@ -17,9 +17,9 @@ fn bench_solvers(c: &mut Criterion) {
     let mut g = c.benchmark_group("solver");
     g.sample_size(10);
 
-    // RC model — banded backend after RCM.
+    // RC model — sparse backend (AMD-ordered KLU-class LU).
     let rc_model = PeecModel::build(&case.par, InductanceMode::None).expect("rc");
-    g.bench_function("transient_rc_banded", |b| {
+    g.bench_function("transient_rc_sparse", |b| {
         b.iter(|| {
             let mut ckt = rc_model.circuit.clone();
             let drv = rc_model.port_node(&case.par, "clk_drv").expect("port");

@@ -11,8 +11,8 @@
 //! A sweep plans once. The complex MNA pattern does not depend on the
 //! frequency (for `f > 0` every `jωC`/`jωM` stamp is structurally
 //! nonzero), so the first frequency's assembled matrix is planned — the
-//! rung decision, the banded rung's RCM order, the sparse rung's
-//! symbolic analysis ([`crate::solver`]) — and then factored, and every
+//! rung decision and the sparse rung's symbolic analysis
+//! ([`crate::solver`]) — and then factored, and every
 //! later frequency runs only the numeric phase on that plan, shared
 //! read-only across the worker threads. A frequency whose pattern
 //! differs (a stamp that underflows to an exact zero is dropped) is
@@ -43,17 +43,20 @@ pub struct AcOptions {
 impl AcOptions {
     /// Logarithmic sweep from `f_start` to `f_stop` with
     /// `points_per_decade` points per decade (inclusive of endpoints).
+    /// Equal endpoints give the one frequency `[f_start]`.
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive or inverted range.
+    /// Panics on a non-positive or inverted range, and on zero points
+    /// per decade.
     pub fn log_sweep(f_start: f64, f_stop: f64, points_per_decade: usize) -> Self {
-        assert!(f_start > 0.0 && f_stop > f_start, "invalid sweep range");
+        assert!(f_start > 0.0 && f_stop >= f_start, "invalid sweep range");
         assert!(points_per_decade > 0);
         let decades = (f_stop / f_start).log10();
         let n = (decades * points_per_decade as f64).ceil() as usize + 1;
+        let last = (n - 1).max(1) as f64;
         let freqs_hz = (0..n)
-            .map(|i| f_start * 10f64.powf(decades * i as f64 / (n - 1) as f64))
+            .map(|i| f_start * 10f64.powf(decades * i as f64 / last))
             .collect();
         Self { freqs_hz }
     }
@@ -225,7 +228,7 @@ impl Circuit {
     /// analysis is the expensive frequency-independent part of a sparse
     /// sweep. Obtain a pattern from [`Circuit::ac_symbolic`]. The hint
     /// is used when the plan lands on the sparse rung and is ignored on
-    /// the dense and banded rungs. Safety of a wrong hint: the sparse
+    /// the dense rung. Safety of a wrong hint: the sparse
     /// solver compares the hint's stored pattern exactly (row pointers
     /// and column indices) with the first frequency's assembled matrix
     /// and analyzes afresh on any difference, so a stale hint costs the
@@ -365,8 +368,8 @@ impl Circuit {
     /// planned exactly as a sweep would plan it. Returns `None` when
     /// that plan has no symbolic analysis — its rung is dense (the dense
     /// backend, a system at or below the small-dense floor, a pattern
-    /// too dense for the sparse rung) or banded — and when planning
-    /// fails or `probe_hz` is not positive. The pattern is
+    /// too dense for the sparse rung) — and when planning fails or
+    /// `probe_hz` is not positive. The pattern is
     /// frequency-independent for `probe_hz > 0` (every jωC/jωM stamp
     /// is structurally nonzero), so any in-band probe yields the same
     /// pattern.
@@ -635,6 +638,17 @@ mod tests {
     }
 
     #[test]
+    fn log_sweep_over_equal_endpoints_is_one_frequency() {
+        for (f, n) in [(1e9, 1), (3.3e7, 10), (f64::MIN_POSITIVE, 3)] {
+            assert_eq!(AcOptions::log_sweep(f, f, n).freqs_hz, vec![f]);
+        }
+        for (lo, hi, n) in [(1e9, 1e8, 3), (0.0, 1e9, 3), (1e6, 1e9, 0)] {
+            let panicked = std::panic::catch_unwind(|| AcOptions::log_sweep(lo, hi, n)).is_err();
+            assert!(panicked, "log_sweep({lo:e}, {hi:e}, {n}) must panic");
+        }
+    }
+
+    #[test]
     fn mutual_coupling_induces_victim_voltage() {
         use ind101_numeric::Matrix;
         let mut c = Circuit::new();
@@ -663,7 +677,7 @@ mod tests {
     /// An RC ladder of `n` nodes driven by a 1 A AC probe, with a
     /// coupled inductor system from the first `k` nodes to ground whose
     /// single off-diagonal pair is `m01` (the rest uncoupled): well past
-    /// the small-dense floor, and banded under `Auto`.
+    /// the small-dense floor, and sparse under `Auto`.
     fn coupled_ladder(n: usize, k: usize, m01: f64) -> Circuit {
         use ind101_numeric::Matrix;
         let mut c = Circuit::new();
@@ -772,14 +786,14 @@ mod tests {
 
     #[test]
     fn ac_symbolic_is_none_off_the_sparse_rung() {
-        // Auto plans the ladder banded: no symbolic analysis to hand out
-        // (and none is made) — unless `IND101_SOLVER_BACKEND` forces the
-        // sparse family onto `Auto`.
+        // Auto plans the ladder sparse and hands out its one symbolic
+        // analysis — unless `IND101_SOLVER_BACKEND` forces the dense
+        // family onto `Auto`, which makes none.
         let c = coupled_ladder(40, 20, 0.3e-9);
         let (sym, analyses, _) = crate::solver::probe::record(|| c.ac_symbolic(1e9));
-        let forced_sparse = SolverBackend::Auto.resolve() == SolverBackend::Sparse;
-        assert_eq!(sym.is_some(), forced_sparse);
-        assert_eq!(analyses, usize::from(forced_sparse));
+        let forced_dense = SolverBackend::Auto.resolve() == SolverBackend::Dense;
+        assert_eq!(sym.is_some(), !forced_dense);
+        assert_eq!(analyses, usize::from(!forced_dense));
         let mut dense = coupled_ladder(40, 20, 0.3e-9);
         dense.set_solver_backend(SolverBackend::Dense);
         assert!(dense.ac_symbolic(1e9).is_none());

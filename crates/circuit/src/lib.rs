@@ -17,10 +17,9 @@
 //! * **Measurements** — 50 % delay, skew, overshoot, ringing, noise
 //!   peaks ([`measure`]).
 //!
-//! The linear solver self-selects between banded LU after reverse
-//! Cuthill–McKee ordering (RC grids), a KLU-class sparse LU (wide or
-//! block-reducible patterns, including the PEEC-RLC systems with their
-//! dense mutual-inductance blocks) and dense LU for small or
+//! The linear solver self-selects between a KLU-class sparse LU (sparse
+//! or block-reducible patterns: RC grids, and the PEEC-RLC systems with
+//! their dense mutual-inductance blocks) and dense LU for small or
 //! irreducibly dense systems. The mutual blocks fill the sparse factor,
 //! which is why PEEC-RLC stays the slow Table 1 model, as in the paper.
 //!

@@ -1,32 +1,30 @@
-//! Linear solver backend with automatic dense/banded/sparse selection.
+//! Linear solver backend with automatic dense/sparse selection.
 //!
-//! RC-dominated circuits (grids) reorder into tight bands under reverse
-//! Cuthill–McKee and factor in near-linear time; wide but still sparse
-//! patterns route to the AMD-ordered sparse LU, and so do denser
-//! patterns whose block-triangular form splits into small blocks; only
-//! what is left takes dense LU. A dense mutual-inductance block does
-//! not force the dense rung: on the Table-1 Medium clock net `Auto`
-//! puts the PEEC-RC step matrix (379 unknowns) on the banded rung and
-//! the PEEC-RLC (1 021) and block-diagonal (901) step matrices on the
-//! sparse rung. PEEC-RLC is slower than PEEC-RC there because its
-//! mutual block fills the sparse factor, not because it changes rung.
+//! Sparse patterns — RC grids, and wider ones — route to the AMD-ordered
+//! KLU-class sparse LU, and so do denser patterns whose block-triangular
+//! form splits into small blocks; only what is left takes dense LU. A
+//! dense mutual-inductance block does not force the dense rung: on the
+//! Table-1 Medium clock net `Auto` puts the PEEC-RC (379 unknowns),
+//! PEEC-RLC (1 021) and block-diagonal (901) step matrices all on the
+//! sparse rung. PEEC-RLC is slower than PEEC-RC there because its mutual
+//! block fills the sparse factor, not because it changes rung.
 //!
 //! The [`SolverBackend`] knob picks the family: `Dense` keeps the dense
 //! kernel as the differential oracle, `Sparse` forces the sparse direct
 //! path (KLU-class: BTF blocks + supernodal LU), and `Auto` (the
-//! default) selects by structure — small systems dense, tight bands
-//! banded, low-density patterns sparse, and denser patterns whose BTF
-//! decomposes into small irreducible blocks sparse as well. `Auto` also
-//! honours the `IND101_SOLVER_BACKEND` environment variable so CI can
-//! run the whole suite under either family without code changes.
+//! default) selects by structure — small systems dense, low-density
+//! patterns sparse, and denser patterns whose BTF decomposes into small
+//! irreducible blocks sparse as well. `Auto` also honours the
+//! `IND101_SOLVER_BACKEND` environment variable so CI can run the whole
+//! suite under either family without code changes.
 //!
 //! Every factorization is **plan, then factor**. A [`SolvePlan`] is the
 //! structural half of a solve, decided once per sparsity pattern: the
-//! rung, the RCM permutation and band of the banded rung, and the
-//! shared [`SymbolicLu`] of the sparse rung. [`SolvePlan::factor`] runs
-//! only the numeric phase on a matrix with the planned pattern, checked
-//! exactly once per call, and plans afresh any matrix whose pattern
-//! differs. Every analysis that factors one pattern more than once
+//! rung and the shared [`SymbolicLu`] of the sparse rung, whose
+//! analysis is the only place an ordering is computed.
+//! [`SolvePlan::factor`] runs only the numeric phase on a matrix with
+//! the planned pattern, checked exactly once per call, and plans afresh
+//! any matrix whose pattern differs. Every analysis that factors one pattern more than once
 //! keeps one plan through [`factor_planned`]: a transient for its
 //! backward-Euler start, its trapezoidal steps and every adaptive step
 //! size; a DC operating point for its plain rung, each gmin step and
@@ -58,14 +56,14 @@
 //! rescue ladder and the adaptive transient path — where stiff,
 //! marginal systems actually arise — enable it.
 //! Singular pivots are mapped back from the
-//! solver's internal (possibly RCM-permuted) ordering to the original
-//! MNA unknown index, so analyses can name the offending node instead
-//! of an opaque pivot position.
+//! sparse rung's internal (BTF- and AMD-permuted) ordering to the
+//! original MNA unknown index, so analyses can name the offending node
+//! instead of an opaque pivot position.
 
 use crate::Result;
 use ind101_numeric::{
-    bandwidth, refine, reverse_cuthill_mckee, BandedMatrix, BtfForm, CsrMatrix, CsrPattern,
-    LuFactors, Matrix, NumericError, Permutation, Scalar, SparseLu, SymbolicLu, Triplets,
+    refine, BtfForm, CsrMatrix, CsrPattern, LuFactors, Matrix, NumericError, Scalar, SparseLu,
+    SymbolicLu, Triplets,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -79,7 +77,7 @@ pub(crate) const SMALL_DENSE: usize = 48;
 const ILL_COND_THRESHOLD: f64 = 1e8;
 
 /// Auto heuristic: patterns at or below this stored-entry fraction route
-/// to the sparse direct kernel when they are not tightly banded.
+/// to the sparse direct kernel.
 const SPARSE_DENSITY: f64 = 0.1;
 
 /// Auto heuristic, BTF clause: when the largest irreducible diagonal
@@ -92,8 +90,8 @@ const BTF_SMALL_BLOCK_DIVISOR: usize = 4;
 ///
 /// `Dense` is the reference oracle (partial-pivot LU on the full
 /// matrix), `Sparse` is the AMD-ordered sparse direct LU with reusable
-/// symbolic factorization, and `Auto` picks per system by size, band
-/// structure, and density. `Auto` defers to the
+/// symbolic factorization, and `Auto` picks per system by size,
+/// density, and BTF block sizes. `Auto` defers to the
 /// `IND101_SOLVER_BACKEND` environment variable (`dense` | `sparse` |
 /// `auto`) when it is set, which is how the CI matrix forces each
 /// family.
@@ -150,11 +148,10 @@ impl SolverBackend {
 
 /// The structural half of a solve, decided once per sparsity pattern.
 ///
-/// Planning runs the `Auto` rung decision (RCM bandwidth, density, BTF
-/// block sizes) — the only place it is made — and the structural setup
-/// of the chosen rung: the RCM permutation and band of the banded rung,
-/// the symbolic analysis of the sparse rung. [`SolvePlan::factor`] then
-/// runs only the numeric phase for each matrix with that pattern.
+/// Planning runs the `Auto` rung decision (size, density, BTF block
+/// sizes) — the only place it is made — and, on the sparse rung, the
+/// symbolic analysis. [`SolvePlan::factor`] then runs only the numeric
+/// phase for each matrix with that pattern.
 #[derive(Clone, Debug)]
 pub(crate) struct SolvePlan {
     /// Backend the plan was made under; a differing pattern is planned
@@ -167,16 +164,10 @@ pub(crate) struct SolvePlan {
 #[derive(Clone, Debug)]
 enum Rung {
     /// Dense partial-pivot LU. `pattern` is the pattern `Auto` found
-    /// neither banded nor sparse enough; `None` when the size floor or a
-    /// forced dense backend chose dense whatever the pattern.
+    /// neither sparse enough nor decomposable into small BTF blocks (or
+    /// structurally singular); `None` when the size floor or a forced
+    /// dense backend chose dense whatever the pattern.
     Dense { pattern: Option<CsrPattern> },
-    /// Banded LU in the RCM order `perm`, half-bandwidths `kl`/`ku`.
-    Banded {
-        pattern: CsrPattern,
-        perm: Permutation,
-        kl: usize,
-        ku: usize,
-    },
     /// KLU-class sparse LU on a shared symbolic analysis (which keeps
     /// the pattern it was made for). Under `Auto`, a singular static
     /// pivot, or a solve whose refinement misses its tolerance, retries
@@ -236,12 +227,12 @@ impl SolvePlan {
         }
     }
 
-    /// The sparse rung's symbolic analysis; `None` on the dense and
-    /// banded rungs, which never consult one.
+    /// The sparse rung's symbolic analysis; `None` on the dense rung,
+    /// which never consults one.
     pub(crate) fn symbolic(&self) -> Option<&Arc<SymbolicLu>> {
         match &self.rung {
             Rung::Sparse { sym, .. } => Some(sym),
-            Rung::Dense { .. } | Rung::Banded { .. } => None,
+            Rung::Dense { .. } => None,
         }
     }
 
@@ -296,42 +287,27 @@ impl SolvePlan {
                 sym: symbolic()?,
                 dense_retry: false,
             }
-        } else {
-            // Structural analysis: RCM + bandwidth.
-            let perm = reverse_cuthill_mckee(&csr.adjacency());
-            let stored = (0..n).flat_map(|i| csr.row_iter(i).map(move |(j, _)| (i, j)));
-            let (kl, ku) = bandwidth(stored, &perm);
-            // Banded factorization costs ~ n·(kl+ku)²; dense ~ n³/3.
-            // Prefer banded when the band is comfortably below n.
-            if (kl + ku + 1) * 3 < n {
-                Rung::Banded {
-                    pattern: CsrPattern::of(&csr),
-                    perm,
-                    kl,
-                    ku,
-                }
-            } else if csr.density() <= SPARSE_DENSITY || btf_prefers_sparse(&csr) {
-                // Wide-band but sparse pattern — or a denser pattern
-                // whose BTF decomposes into small independent blocks:
-                // the sparse direct kernel. A *structurally* singular
-                // pattern plans dense, so the error the caller sees
-                // names a numeric pivot, as the dense oracle always has.
-                match symbolic() {
-                    Ok(sym) => Rung::Sparse {
-                        sym,
-                        dense_retry: true,
-                    },
-                    Err(crate::CircuitError::Numeric(NumericError::StructurallySingular {
-                        ..
-                    })) => Rung::Dense {
-                        pattern: Some(CsrPattern::of(&csr)),
-                    },
-                    Err(e) => return Err(e),
-                }
-            } else {
-                Rung::Dense {
+        } else if csr.density() <= SPARSE_DENSITY || btf_prefers_sparse(&csr) {
+            // A sparse pattern — or a denser one whose BTF decomposes
+            // into small independent blocks: the sparse direct kernel. A
+            // *structurally* singular pattern plans dense, so the error
+            // the caller sees names a numeric pivot, as the dense oracle
+            // always has.
+            match symbolic() {
+                Ok(sym) => Rung::Sparse {
+                    sym,
+                    dense_retry: true,
+                },
+                Err(crate::CircuitError::Numeric(NumericError::StructurallySingular {
+                    ..
+                })) => Rung::Dense {
                     pattern: Some(CsrPattern::of(&csr)),
-                }
+                },
+                Err(e) => return Err(e),
+            }
+        } else {
+            Rung::Dense {
+                pattern: Some(CsrPattern::of(&csr)),
             }
         };
         Ok((Self { backend, rung }, Some(csr)))
@@ -345,7 +321,7 @@ impl SolvePlan {
         }
         let pattern = match &self.rung {
             Rung::Dense { pattern: None } => return Numeric::Done(Solver::build_dense(t)),
-            Rung::Dense { pattern: Some(p) } | Rung::Banded { pattern: p, .. } => Some(p),
+            Rung::Dense { pattern: Some(p) } => Some(p),
             Rung::Sparse { .. } => None,
         };
         let csr = csr.unwrap_or_else(|| t.to_csr());
@@ -354,7 +330,6 @@ impl SolvePlan {
         }
         Numeric::Done(match &self.rung {
             Rung::Dense { .. } => Solver::build_dense(t),
-            Rung::Banded { perm, kl, ku, .. } => Solver::build_banded(t, perm, *kl, *ku),
             Rung::Sparse { sym, dense_retry } => {
                 // `factor_with` is the sparse rung's pattern check.
                 match SparseLu::factor_with(Arc::clone(sym), &csr) {
@@ -421,10 +396,6 @@ pub(crate) enum Solver<T: Scalar> {
         /// Iteratively refine ill-conditioned solves (opt-in).
         refine: bool,
     },
-    Banded {
-        fac: BandedMatrix<T>,
-        perm: Permutation,
-    },
     Sparse {
         lu: SparseLu<T>,
         /// Assembled matrix, kept for the refinement's residuals.
@@ -447,30 +418,6 @@ impl<T: Scalar> Solver<T> {
         SolvePlan::first(t, backend, None)?.1
     }
 
-    /// Banded LU of `t` in the RCM order `perm`.
-    fn build_banded(t: &Triplets<T>, perm: &Permutation, kl: usize, ku: usize) -> Result<Self> {
-        let mut pt = Triplets::new(t.nrows(), t.ncols());
-        for &(i, j, v) in t.entries() {
-            pt.push(perm.new_of(i), perm.new_of(j), v);
-        }
-        let mut fac = BandedMatrix::from_triplets(&pt, kl, ku)?;
-        if let Err(e) = fac.factor() {
-            // Pivot indices inside the banded kernel live in RCM
-            // coordinates; translate back before reporting.
-            return Err(match e {
-                NumericError::Singular { pivot } => NumericError::Singular {
-                    pivot: perm.old_of(pivot),
-                }
-                .into(),
-                other => other.into(),
-            });
-        }
-        Ok(Self::Banded {
-            fac,
-            perm: perm.clone(),
-        })
-    }
-
     fn build_dense(t: &Triplets<T>) -> Result<Self> {
         let a = t.to_dense();
         let fac = a.lu()?;
@@ -488,7 +435,7 @@ impl<T: Scalar> Solver<T> {
     }
 
     /// Enables one round of iterative refinement on ill-conditioned
-    /// dense solves. No-op for the banded backend.
+    /// dense solves. No-op for the sparse backend, which always refines.
     #[must_use]
     pub(crate) fn with_refinement(mut self) -> Self {
         if let Self::Dense { refine, .. } = &mut self {
@@ -523,11 +470,6 @@ impl<T: Scalar> Solver<T> {
                 } else {
                     Ok(fac.solve(b)?)
                 }
-            }
-            Self::Banded { fac, perm } => {
-                let pb = perm.apply(b);
-                let px = fac.solve(&pb)?;
-                Ok(perm.apply_inverse(&px))
             }
             Self::Sparse { lu, a, dense } => {
                 // Once escalated, the dense factor answers directly.
@@ -568,26 +510,19 @@ impl<T: Scalar> Solver<T> {
     pub(crate) fn solve_approx(&self, b: &[T]) -> Result<Vec<T>> {
         match self {
             Self::Sparse { lu, a, .. } => Ok(lu.solve_refined(a, b)?.x),
-            Self::Dense { .. } | Self::Banded { .. } => self.solve(b),
+            Self::Dense { .. } => self.solve(b),
         }
     }
 
     /// Hager 1-norm condition estimate (dense backend only; `None` for
-    /// banded systems, whose RCM band structure keeps them benign in
-    /// practice and whose factors don't support the estimator).
+    /// sparse systems, whose accuracy rests on the refinement's measured
+    /// backward error instead).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn condition_estimate(&self) -> Option<f64> {
         match self {
             Self::Dense { cond, .. } => Some(*cond),
-            Self::Banded { .. } | Self::Sparse { .. } => None,
+            Self::Sparse { .. } => None,
         }
-    }
-
-    /// Whether the banded backend was selected (exposed for tests and
-    /// run-time reporting).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_banded(&self) -> bool {
-        matches!(self, Self::Banded { .. })
     }
 
     /// Whether the sparse direct backend was selected.
@@ -681,7 +616,7 @@ pub(crate) mod tests {
     fn small_systems_use_dense() {
         let t = tridiag(8);
         let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
-        assert!(!s.is_banded());
+        assert!(!s.is_sparse());
         let x = s.solve(&vec![1.0; 8]).unwrap();
         let r = t.to_dense().matvec(&x).unwrap();
         for v in r {
@@ -689,23 +624,34 @@ pub(crate) mod tests {
         }
     }
 
+    /// A tridiagonal system, in natural order and under a stride
+    /// permutation that scatters its band across the whole matrix:
+    /// either way `Auto` plans the sparse rung, whose AMD order needs no
+    /// band to find the fill-free elimination.
     #[test]
-    fn large_sparse_systems_use_banded() {
+    fn large_sparse_systems_use_sparse_in_any_order() {
         let n = 400;
-        let t = tridiag(n);
-        let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
-        assert!(s.is_banded());
+        let natural = tridiag(n);
+        let p: Vec<usize> = (0..n).map(|i| (i * 7) % n).collect();
+        let mut scrambled = Triplets::new(n, n);
+        for &(i, j, v) in natural.entries() {
+            scrambled.push(p[i], p[j], v);
+        }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let x = s.solve(&b).unwrap();
-        let r = t.to_dense().matvec(&x).unwrap();
-        for (u, v) in r.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
+        for t in [natural, scrambled] {
+            let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
+            assert!(s.is_sparse());
+            let x = s.solve(&b).unwrap();
+            let r = t.to_dense().matvec(&x).unwrap();
+            for (u, v) in r.iter().zip(&b) {
+                assert!((u - v).abs() < 1e-10);
+            }
         }
     }
 
     #[test]
     fn dense_block_forces_dense_backend() {
-        // A 100×100 fully dense system cannot be banded.
+        // A 100×100 fully dense system is one irreducible BTF block.
         let n = 100;
         let mut t = Triplets::new(n, n);
         for i in 0..n {
@@ -714,29 +660,7 @@ pub(crate) mod tests {
             }
         }
         let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
-        assert!(!s.is_banded());
-    }
-
-    #[test]
-    fn scrambled_band_recovers_via_rcm() {
-        // A tridiagonal system under a random permutation has huge
-        // natural bandwidth; RCM must recover it.
-        let n = 300;
-        let t = tridiag(n);
-        // Scramble indices with a fixed stride permutation.
-        let p: Vec<usize> = (0..n).map(|i| (i * 7) % n).collect();
-        let mut scrambled = Triplets::new(n, n);
-        for &(i, j, v) in t.entries() {
-            scrambled.push(p[i], p[j], v);
-        }
-        let s = Solver::build_with(&scrambled, SolverBackend::Auto).unwrap();
-        assert!(s.is_banded(), "RCM should recover the band");
-        let b = vec![1.0; n];
-        let x = s.solve(&b).unwrap();
-        let r = scrambled.to_dense().matvec(&x).unwrap();
-        for (u, v) in r.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
-        }
+        assert!(!s.is_sparse());
     }
 
     #[test]
@@ -775,8 +699,8 @@ pub(crate) mod tests {
         assert!(resid < 1e-9 * 7.0, "residual {resid}");
     }
 
-    /// 2-D resistive grid: wide band after RCM relative to a 1-D chain,
-    /// still very sparse — the sparse backend's home turf.
+    /// 2-D resistive grid: very sparse, and AMD keeps its fill low — the
+    /// sparse backend's home turf.
     fn grid2d(w: usize, h: usize) -> Triplets {
         let n = w * h;
         let idx = |x: usize, y: usize| y * w + x;
@@ -811,7 +735,7 @@ pub(crate) mod tests {
         let sp = Solver::build_with(&t, SolverBackend::Sparse).unwrap();
         assert!(sp.is_sparse());
         let de = Solver::build_with(&t, SolverBackend::Dense).unwrap();
-        assert!(!de.is_sparse() && !de.is_banded());
+        assert!(!de.is_sparse());
         let xs = sp.solve(&b).unwrap();
         let xd = de.solve(&b).unwrap();
         for (s, d) in xs.iter().zip(&xd) {
@@ -864,9 +788,8 @@ pub(crate) mod tests {
     fn auto_consults_btf_blocks_above_density_cutoff() {
         // Eight dense 26×26 irreducible blocks, each coupled one-way
         // into the last one: overall density ≈ 0.13 (above
-        // SPARSE_DENSITY) and the star coupling defeats RCM banding,
-        // yet BTF sees small independent blocks, so Auto must still
-        // route to the sparse kernel.
+        // SPARSE_DENSITY), yet BTF sees small independent blocks, so
+        // Auto must still route to the sparse kernel.
         let nb = 8usize;
         let w = 26usize;
         let n = nb * w;
@@ -902,8 +825,8 @@ pub(crate) mod tests {
     }
 
     /// A real system on which static pivoting stalls refinement. Its
-    /// star-coupled chain has a wide band after RCM and a density below
-    /// `SPARSE_DENSITY`, so `Auto` plans the sparse rung. Unknowns 0–2
+    /// star-coupled chain has a density below `SPARSE_DENSITY`, so `Auto`
+    /// plans the sparse rung. Unknowns 0–2
     /// form the block `[[ε, 1, 1], [1, 1, 1], [1, 0.95, 1]]`, ε = 3e-15:
     /// the static order pivots on ε first, the 1/ε fill swamps the
     /// block's other entries, and refinement stops far above
@@ -1009,37 +932,48 @@ pub(crate) mod tests {
         assert_eq!(SolverBackend::Sparse.resolve(), SolverBackend::Sparse);
     }
 
+    /// A singular unknown is named by its original index, whatever
+    /// permutation the rung applied. A structurally empty unknown makes
+    /// the pattern structurally singular: `Auto` plans it dense, and
+    /// forced `Sparse` rejects the pattern. A numerically singular 2×2
+    /// block `[[1, 1], [1, 1]]` has a structurally sound pattern: the
+    /// sparse rung's static pivot fails on it, and `Auto`'s dense retry
+    /// fails at the same unknown.
     #[test]
-    fn banded_singular_pivot_maps_to_original_ordering() {
-        // Decouple one unknown entirely (zero row/column) in a system
-        // large enough for the banded backend; the reported pivot must
-        // be the *original* index of that unknown, not its RCM position.
+    fn singular_unknown_is_named_in_original_ordering() {
         let n = 300;
-        let dead = 137usize;
-        let mut t = Triplets::new(n, n);
-        for i in 0..n {
-            if i == dead {
-                continue;
-            }
-            t.push(i, i, 4.0);
-            let mut nb = |j: usize| {
-                if j != dead && j < n {
-                    t.push(i, j, -1.0);
+        // A tridiagonal chain of `n` unknowns with the `cut` ones left out.
+        let chain = |cut: &[usize]| {
+            let mut t = Triplets::new(n, n);
+            for i in (0..n).filter(|i| !cut.contains(i)) {
+                t.push(i, i, 4.0);
+                for j in [i.wrapping_sub(1), i + 1] {
+                    if j < n && !cut.contains(&j) {
+                        t.push(i, j, -1.0);
+                    }
                 }
-            };
-            if i > 0 {
-                nb(i - 1);
             }
-            nb(i + 1);
+            t
+        };
+        let singular_at = |t: &Triplets, backend| match Solver::build_with(t, backend) {
+            Err(crate::CircuitError::Numeric(NumericError::Singular { pivot })) => pivot,
+            other => panic!("{backend:?}: expected a singular pivot, got {other:?}"),
+        };
+        let dead = 137;
+        let empty = chain(&[dead]);
+        assert_eq!(singular_at(&empty, SolverBackend::Auto), dead);
+        match Solver::build_with(&empty, SolverBackend::Sparse) {
+            Err(crate::CircuitError::Numeric(NumericError::StructurallySingular {
+                row, ..
+            })) => assert_eq!(row, dead),
+            other => panic!("expected a structurally singular pattern, got {other:?}"),
         }
-        // Keep the dead unknown structurally present but numerically
-        // zero so the factorization (not assembly) detects it.
-        t.push(dead, dead, 0.0);
-        match Solver::build_with(&t, SolverBackend::Auto) {
-            Err(crate::CircuitError::Numeric(NumericError::Singular { pivot })) => {
-                assert_eq!(pivot, dead, "pivot must map back to original index");
-            }
-            other => panic!("expected singular failure, got {other:?}"),
+        let (a, b) = (137, 212);
+        let mut block = chain(&[a, b]);
+        for (i, j) in [(a, a), (a, b), (b, a), (b, b)] {
+            block.push(i, j, 1.0);
         }
+        assert_eq!(singular_at(&block, SolverBackend::Sparse), b);
+        assert_eq!(singular_at(&block, SolverBackend::Auto), b);
     }
 }

@@ -148,7 +148,7 @@ fn power_grid_agrees_across_backends() {
 }
 
 /// Distributed RC ladder (the paper's lumped-line baseline): linear,
-/// banded-unfriendly once the AC source row lands at the far end.
+/// with the AC source row landing at the far end of the ordering.
 #[test]
 fn rc_ladder_agrees_across_backends() {
     const SECTIONS: usize = 150;

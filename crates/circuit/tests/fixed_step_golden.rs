@@ -119,7 +119,7 @@ fn nonlinear_fixed_step_is_bit_identical_to_seed() {
 /// An inverter driving a 60-section RC ladder with an inductor tail: 67
 /// unknowns, above the small-dense floor, so the step matrices take the
 /// rung `backend` picks (`Auto` without an environment override picks
-/// the banded one).
+/// the sparse one).
 fn inverter_ladder_rl(backend: SolverBackend) -> (Circuit, Vec<ind101_circuit::NodeId>) {
     let mut c = Circuit::new();
     let vdd = c.node("vdd");
@@ -145,22 +145,21 @@ fn inverter_ladder_rl(backend: SolverBackend) -> (Circuit, Vec<ind101_circuit::N
 }
 
 /// The pin of a run under `Auto`, picked by what `Auto` resolves to
-/// under `IND101_SOLVER_BACKEND`.
-fn under_auto(banded: u64, dense: u64, sparse: u64) -> u64 {
+/// under `IND101_SOLVER_BACKEND`: the sparse rung's unless it is forced
+/// dense.
+fn under_auto(dense: u64, sparse: u64) -> u64 {
     match SolverBackend::Auto.resolve() {
-        SolverBackend::Auto => banded,
         SolverBackend::Dense => dense,
-        SolverBackend::Sparse => sparse,
+        SolverBackend::Auto | SolverBackend::Sparse => sparse,
     }
 }
 
 const LADDER_DENSE: u64 = 0xa99e2fa625256ef2;
 const LADDER_SPARSE: u64 = 0x1771b4d1b1fa37a7;
-const LADDER_BANDED: u64 = 0x27cfee0ec03e3257;
 
 #[test]
 fn nonlinear_ladder_fixed_step_is_pinned_on_forced_sparse_and_auto() {
-    let auto = under_auto(LADDER_BANDED, LADDER_DENSE, LADDER_SPARSE);
+    let auto = under_auto(LADDER_DENSE, LADDER_SPARSE);
     for (backend, expected) in [(SolverBackend::Sparse, LADDER_SPARSE), (SolverBackend::Auto, auto)]
     {
         let (c, probes) = inverter_ladder_rl(backend);
@@ -182,6 +181,6 @@ fn nonlinear_ladder_adaptive_run_is_pinned_on_auto() {
         (res.steps_attempted, res.steps_rejected, res.newton_iterations),
         (393, 54, 980)
     );
-    let expected = under_auto(0x0f404c261081ef7c, 0x04d90b97b3aadf2e, 0xe34d8b2572ff704b);
+    let expected = under_auto(0x04d90b97b3aadf2e, 0xe34d8b2572ff704b);
     assert_eq!(waveform_hash(&res, &probes), expected);
 }

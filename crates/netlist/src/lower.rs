@@ -417,10 +417,6 @@ fn lower_analysis(card: &AnalysisCard) -> Result<AnalysisPlan, NetlistError> {
                 ));
             }
             let opts = match sweep {
-                // A decade sweep over one frequency is that frequency.
-                AcSweep::Dec if fstop == fstart => AcOptions {
-                    freqs_hz: vec![*fstart],
-                },
                 AcSweep::Dec => AcOptions::log_sweep(*fstart, *fstop, *points),
                 AcSweep::Lin => {
                     let n = *points;

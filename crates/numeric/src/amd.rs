@@ -1,10 +1,10 @@
 //! Approximate-minimum-degree (AMD) fill-reducing ordering.
 //!
-//! Reverse Cuthill–McKee (see [`crate::reverse_cuthill_mckee`]) minimizes
-//! *bandwidth*, which is the right objective for the banded kernel. The
-//! sparse LU/Cholesky kernels store the factors themselves sparsely, so
-//! the objective changes to minimizing *fill-in* — and greedy minimum
-//! degree on the quotient (elimination) graph is the classic answer.
+//! The sparse LU/Cholesky kernels store the factors themselves sparsely,
+//! so the ordering's objective is minimizing *fill-in* — and greedy
+//! minimum degree on the quotient (elimination) graph is the classic
+//! answer. It is the only fill-reducing ordering the toolkit computes;
+//! [`crate::SymbolicLu::analyze`] runs it per diagonal block.
 //!
 //! The implementation follows the AMD family: eliminated pivots become
 //! **elements** whose boundaries stand in for the clique their

@@ -32,17 +32,6 @@ pub enum NumericError {
         /// Value of that pivot (≤ 0 or NaN).
         value: f64,
     },
-    /// An entry fell outside the declared band of a banded matrix.
-    OutsideBand {
-        /// Row of the offending entry.
-        row: usize,
-        /// Column of the offending entry.
-        col: usize,
-        /// Sub-diagonal half-bandwidth of the matrix.
-        kl: usize,
-        /// Super-diagonal half-bandwidth of the matrix.
-        ku: usize,
-    },
     /// An iterative method failed to converge within its iteration cap.
     NoConvergence {
         /// Number of iterations performed before giving up.
@@ -124,10 +113,6 @@ impl fmt::Display for NumericError {
             Self::NotPositiveDefinite { pivot, value } => write!(
                 f,
                 "matrix is not positive definite: pivot {pivot} = {value:e}"
-            ),
-            Self::OutsideBand { row, col, kl, ku } => write!(
-                f,
-                "entry ({row},{col}) lies outside the declared band (kl={kl}, ku={ku})"
             ),
             Self::NoConvergence { iterations } => {
                 write!(f, "failed to converge after {iterations} iterations")

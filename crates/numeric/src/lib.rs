@@ -7,16 +7,17 @@
 //!   and symmetric positive definite (Cholesky), and sparsified variants
 //!   must be *checked* for positive definiteness (Householder-tridiagonal
 //!   QL eigenvalues);
-//! * **banded/general LU** — modified-nodal-analysis (MNA) matrices of the
-//!   PEEC circuit are sparse and, after reverse Cuthill–McKee reordering,
-//!   tightly banded; AC analysis needs the same factorization over
-//!   complex numbers;
+//! * **sparse/general LU** — modified-nodal-analysis (MNA) matrices of
+//!   the PEEC circuit are sparse, and the inductive coupling is what
+//!   fills them in; a KLU-class sparse LU (BTF blocks, AMD ordering,
+//!   supernodal panels) factors them, dense LU what is left, and AC
+//!   analysis needs the same factorizations over complex numbers;
 //! * **block orthonormalization** — PRIMA model-order reduction is a block
 //!   Arnoldi process built on modified Gram–Schmidt.
 //!
 //! Everything here is implemented from scratch and kept deliberately
-//! small: row-major dense matrices, LAPACK-layout banded storage, CSR
-//! sparse matrices, and a couple of classic orderings.
+//! small: row-major dense matrices, CSR sparse matrices, and the
+//! orderings the sparse LU needs (BTF transversal, AMD).
 //!
 //! # Example
 //!
@@ -38,7 +39,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 mod amd;
-mod banded;
 mod btf;
 mod budget;
 mod cholesky;
@@ -66,7 +66,6 @@ mod toeplitz;
 mod vecops;
 
 pub use amd::approximate_minimum_degree;
-pub use banded::BandedMatrix;
 pub use btf::BtfForm;
 pub use budget::{BudgetError, CancelToken, SolveBudget, SolveGuard};
 pub use cholesky::CholeskyFactor;
@@ -87,7 +86,7 @@ pub use krylov_rescue::{
     KrylovRescueRung, KrylovRungTrace, NoEscalation, PrecondEscalation, RescueProvider,
 };
 pub use lu::{LuFactors, LU_BLOCK};
-pub use ordering::{bandwidth, reverse_cuthill_mckee, Permutation};
+pub use ordering::Permutation;
 pub use partition::ParallelConfig;
 pub use qr::{mgs_orthonormalize, orthonormalize_against};
 pub use refine::{refine, Refined, REFINE_MAX_ROUNDS, REFINE_TOL};

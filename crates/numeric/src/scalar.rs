@@ -1,4 +1,4 @@
-//! Scalar abstraction so dense/banded kernels work over `f64` and
+//! Scalar abstraction so dense/sparse kernels work over `f64` and
 //! [`Complex64`] with a single implementation.
 
 use crate::Complex64;

@@ -4,8 +4,8 @@
 //! MNA stamping naturally produces duplicate coordinate entries (every
 //! element stamps its own contribution); [`Triplets`] accumulates them
 //! and [`Triplets::to_csr`] merges duplicates. The CSR form feeds
-//! matrix–vector products (PRIMA), bandwidth-reducing orderings
-//! ([`crate::ordering`]), and banded assembly ([`crate::BandedMatrix`]).
+//! matrix–vector products (PRIMA) and the sparse LU's symbolic analysis
+//! ([`crate::SymbolicLu`]).
 
 use crate::{Matrix, NumericError, Result, Scalar};
 
@@ -251,7 +251,7 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Undirected adjacency lists of the structural pattern of a square
     /// matrix (`i ~ j` when either `(i,j)` or `(j,i)` is stored),
-    /// excluding self-loops. Input to the RCM ordering.
+    /// excluding self-loops. Input to the AMD ordering.
     ///
     /// Each list is sorted and free of duplicates. A counting sort by
     /// column gives the transpose with every column's rows ascending;

@@ -1,10 +1,7 @@
 //! Larger-scale stress tests for the solver stack — the sizes the PEEC
 //! flows actually produce.
 
-use ind101_numeric::{
-    bandwidth, reverse_cuthill_mckee, symmetric_eigenvalues, BandedMatrix, Complex64, Matrix,
-    Triplets,
-};
+use ind101_numeric::{symmetric_eigenvalues, Complex64, Matrix, SparseLu, Triplets};
 
 /// 2-D grid Laplacian + identity: the structural twin of a power-grid
 /// conductance matrix.
@@ -30,27 +27,14 @@ fn grid_matrix(w: usize, h: usize) -> Triplets {
 }
 
 #[test]
-fn banded_solver_handles_thousand_node_grid() {
+fn sparse_solver_handles_thousand_node_grid() {
     let (w, h) = (40usize, 30usize);
     let t = grid_matrix(w, h);
     let n = w * h;
     let csr = t.to_csr();
-    let adj = csr.adjacency();
-    let perm = reverse_cuthill_mckee(&adj);
-    let pattern: Vec<(usize, usize)> = t.entries().iter().map(|&(i, j, _)| (i, j)).collect();
-    let (kl, ku) = bandwidth(pattern.iter().copied(), &perm);
-    assert!(kl <= 45 && ku <= 45, "RCM bandwidth {kl}/{ku}");
-
-    let mut pt = Triplets::new(n, n);
-    for &(i, j, v) in t.entries() {
-        pt.push(perm.new_of(i), perm.new_of(j), v);
-    }
-    let mut band = BandedMatrix::from_triplets(&pt, kl, ku).unwrap();
-    band.factor().unwrap();
+    let lu = SparseLu::factor(&csr).unwrap();
     let b: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 - 6.0).collect();
-    let pb = perm.apply(&b);
-    let px = band.solve(&pb).unwrap();
-    let x = perm.apply_inverse(&px);
+    let x = lu.solve_refined(&csr, &b).unwrap().into_met().unwrap();
     // Residual against the original operator.
     let r = csr.matvec(&x).unwrap();
     let resid = r
@@ -97,7 +81,7 @@ fn symmetric_eigenvalues_handle_clustered_spectrum() {
 }
 
 #[test]
-fn complex_banded_ac_like_system() {
+fn complex_sparse_ac_like_system() {
     // G + jωC pattern at three decades — the AC sweep's inner kernel.
     let n = 500;
     for &omega in &[1e6f64, 1e9, 1e12] {
@@ -109,10 +93,10 @@ fn complex_banded_ac_like_system() {
                 t.push(i + 1, i, Complex64::new(-1.0, 0.0));
             }
         }
-        let mut band = BandedMatrix::from_triplets(&t, 1, 1).unwrap();
-        band.factor().unwrap();
+        let csr = t.to_csr();
+        let lu = SparseLu::factor(&csr).unwrap();
         let b: Vec<Complex64> = (0..n).map(|i| Complex64::new(1.0, i as f64 * 1e-3)).collect();
-        let x = band.solve(&b).unwrap();
+        let x = lu.solve_refined(&csr, &b).unwrap().into_met().unwrap();
         // Residual.
         let dense = t.to_dense();
         let r = dense.matvec(&x).unwrap();

@@ -550,7 +550,7 @@ impl JobServer {
 
     /// Looks up (or computes and caches) the symbolic analysis for
     /// this circuit's sparsity pattern; `None` when the circuit's AC
-    /// plan is dense or banded. A structure-hash collision at worst
+    /// plan is dense. A structure-hash collision at worst
     /// hands the sweep a non-matching hint, which the solver's exact
     /// pattern comparison refuses before any numeric work.
     fn symbolic_hint(&self, c: &Circuit, f0: Option<f64>) -> Option<Arc<SymbolicLu>> {

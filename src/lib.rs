@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`numeric`] | `ind101-numeric` | dense/banded/sparse linear algebra |
+//! | [`numeric`] | `ind101-numeric` | dense/sparse linear algebra |
 //! | [`geom`] | `ind101-geom` | layout & technology substrate |
 //! | [`extract`] | `ind101-extract` | R / partial-L / C extraction |
 //! | [`circuit`] | `ind101-circuit` | MNA simulator (DC/AC/transient) |
