@@ -18,8 +18,10 @@
 //!
 //! The committed JSON is the scaling record behind the EXPERIMENTS.md
 //! entry; CI re-runs the sweep in `--quick` mode and asserts the sparse
-//! backend keeps its ≥5× lead over dense and the supernodal path stays
-//! ahead of the scalar one at the largest swept sizes.
+//! backend keeps its ≥5× lead over dense, the supernodal path stays
+//! ahead of the scalar one at the largest swept sizes, and `auto` stays
+//! within 1.15× of forced `sparse` (so those two alternate sample by
+//! sample).
 //!
 //! Every sparse solve is cross-checked against the dense oracle before
 //! timing, so a silently wrong factorization fails the run rather than
@@ -73,31 +75,54 @@ fn power_mesh(w: usize) -> Circuit {
     c
 }
 
-fn time_dcop(c: &Circuit, backend: SolverBackend, samples: usize) -> (Row, Vec<f64>, usize) {
-    let mut cb = c.clone();
-    cb.set_solver_backend(backend);
-    // Warm-up (and correctness) run outside the timed loop.
-    let op = cb.dc_op().expect("dc_op");
-    let n = op.unknowns().len();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            let op = cb.dc_op().expect("dc_op");
-            let dt = t0.elapsed().as_nanos() as f64;
-            assert_eq!(op.unknowns().len(), n);
-            dt
+/// Times `dc_op` under each of `backends`: one warm-up (and
+/// correctness) run each, then `samples` rounds that time every backend
+/// once in turn. A host-speed shift during the run therefore reads on
+/// all of them alike, not as a ratio between them.
+fn time_dcop(
+    c: &Circuit,
+    backends: &[SolverBackend],
+    samples: usize,
+) -> Vec<(Row, Vec<f64>, usize)> {
+    let circuits: Vec<Circuit> = backends
+        .iter()
+        .map(|&b| {
+            let mut cb = c.clone();
+            cb.set_solver_backend(b);
+            cb
         })
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let row = Row {
-        id: format!("dcop_{}/{}", backend.name(), n),
-        min_ns: times[0],
-        median_ns: times[times.len() / 2],
-        mean_ns: times.iter().sum::<f64>() / times.len() as f64,
-        samples,
-        extra: String::new(),
-    };
-    (row, op.unknowns().to_vec(), n)
+    let ops: Vec<_> = circuits
+        .iter()
+        .map(|cb| cb.dc_op().expect("dc_op"))
+        .collect();
+    let mut times = vec![Vec::with_capacity(samples); backends.len()];
+    for _ in 0..samples {
+        for ((cb, op), t) in circuits.iter().zip(&ops).zip(&mut times) {
+            let t0 = Instant::now();
+            let again = cb.dc_op().expect("dc_op");
+            t.push(t0.elapsed().as_nanos() as f64);
+            assert_eq!(again.unknowns().len(), op.unknowns().len());
+        }
+    }
+    backends
+        .iter()
+        .zip(ops)
+        .zip(times)
+        .map(|((b, op), mut times)| {
+            times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let n = op.unknowns().len();
+            let row = Row {
+                id: format!("dcop_{}/{}", b.name(), n),
+                min_ns: times[0],
+                median_ns: times[times.len() / 2],
+                mean_ns: times.iter().sum::<f64>() / times.len() as f64,
+                samples,
+                extra: String::new(),
+            };
+            (row, op.unknowns().to_vec(), n)
+        })
+        .collect()
 }
 
 /// Builds the MNA system of a `w × w` conductance mesh with four
@@ -221,32 +246,40 @@ fn main() {
         let c = power_mesh(w);
         let samples = if w >= 40 { 3 } else { 5 };
         let mut oracle: Option<Vec<f64>> = None;
-        for &b in &backends {
-            let (row, x, n) = time_dcop(&c, b, samples);
-            // Cross-check every backend against the first one timed at
-            // this size (dense when running the full matrix).
-            match &oracle {
-                None => oracle = Some(x),
-                Some(x0) => {
-                    let scale = x0.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-                    for (k, (a, bb)) in x0.iter().zip(&x).enumerate() {
-                        assert!(
-                            (a - bb).abs() <= 1e-8 * scale,
-                            "backend {} disagrees with oracle at unknown {k}",
-                            b.name()
-                        );
+        // Dense times its samples back to back. Sparse and auto alternate
+        // sample by sample, so CI's bound on their ratio measures the
+        // backends, not a host-speed shift between two blocks of samples;
+        // with dense in the rotation every sample would follow a much
+        // longer dense one.
+        let (dense, rest): (Vec<SolverBackend>, Vec<SolverBackend>) =
+            backends.iter().partition(|&&b| b == SolverBackend::Dense);
+        for group in [dense, rest] {
+            for (b, (row, x, n)) in group.iter().copied().zip(time_dcop(&c, &group, samples)) {
+                // Cross-check every backend against the first one timed at
+                // this size (dense when running the full matrix).
+                match &oracle {
+                    None => oracle = Some(x),
+                    Some(x0) => {
+                        let scale = x0.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                        for (k, (a, bb)) in x0.iter().zip(&x).enumerate() {
+                            assert!(
+                                (a - bb).abs() <= 1e-8 * scale,
+                                "backend {} disagrees with oracle at unknown {k}",
+                                b.name()
+                            );
+                        }
                     }
                 }
+                println!(
+                    "  {:>5} unknowns  {:>6}  min {:>10.3} ms  (median {:.3} ms, {} samples)",
+                    n,
+                    b.name(),
+                    row.min_ns / 1e6,
+                    row.median_ns / 1e6,
+                    row.samples
+                );
+                rows.push(row);
             }
-            println!(
-                "  {:>5} unknowns  {:>6}  min {:>10.3} ms  (median {:.3} ms, {} samples)",
-                n,
-                b.name(),
-                row.min_ns / 1e6,
-                row.median_ns / 1e6,
-                row.samples
-            );
-            rows.push(row);
         }
     }
 

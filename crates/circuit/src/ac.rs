@@ -33,6 +33,12 @@ use ind101_numeric::partition::{collect_row_blocks_until, uniform_row_blocks};
 use ind101_numeric::{CancelToken, Complex64, ParallelConfig, SolveGuard, SymbolicLu, Triplets};
 use std::sync::Arc;
 
+/// Most frequencies [`AcOptions::log_sweep`] builds. A deck is outside
+/// input, and `.AC DEC 1000000000 1 1e10` would otherwise size a
+/// 10¹⁰-point (80 GB) grid; deck lowering checks a card's count against
+/// this bound first, so a deck gets a typed error rather than the panic.
+pub const MAX_AC_POINTS: usize = 1 << 20;
+
 /// AC sweep options: explicit frequency list.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AcOptions {
@@ -42,18 +48,29 @@ pub struct AcOptions {
 
 impl AcOptions {
     /// Logarithmic sweep from `f_start` to `f_stop` with
-    /// `points_per_decade` points per decade (inclusive of endpoints).
-    /// Equal endpoints give the one frequency `[f_start]`.
+    /// `points_per_decade` points per decade (inclusive of endpoints):
+    /// `⌈decades · points_per_decade⌉ + 1` frequencies. Equal endpoints
+    /// give the one frequency `[f_start]`.
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive or inverted range, and on zero points
-    /// per decade.
+    /// Panics with "invalid sweep range" unless `0 < f_start ≤ f_stop`
+    /// with `f_stop` finite, on zero points per decade, and — counted in
+    /// `f64` before anything is allocated — when the sweep would have
+    /// more than [`MAX_AC_POINTS`] frequencies.
     pub fn log_sweep(f_start: f64, f_stop: f64, points_per_decade: usize) -> Self {
-        assert!(f_start > 0.0 && f_stop >= f_start, "invalid sweep range");
-        assert!(points_per_decade > 0);
+        assert!(
+            f_start > 0.0 && f_stop >= f_start && f_stop.is_finite(),
+            "invalid sweep range"
+        );
+        assert!(points_per_decade > 0, "zero points per decade");
         let decades = (f_stop / f_start).log10();
-        let n = (decades * points_per_decade as f64).ceil() as usize + 1;
+        let count = (decades * points_per_decade as f64).ceil() + 1.0;
+        assert!(
+            count <= MAX_AC_POINTS as f64,
+            "log sweep of {count} frequencies exceeds MAX_AC_POINTS = {MAX_AC_POINTS}"
+        );
+        let n = count as usize;
         let last = (n - 1).max(1) as f64;
         let freqs_hz = (0..n)
             .map(|i| f_start * 10f64.powf(decades * i as f64 / last))
@@ -646,6 +663,26 @@ mod tests {
             let panicked = std::panic::catch_unwind(|| AcOptions::log_sweep(lo, hi, n)).is_err();
             assert!(panicked, "log_sweep({lo:e}, {hi:e}, {n}) must panic");
         }
+    }
+
+    #[test]
+    fn log_sweep_bounds_its_grid_before_allocating() {
+        // Each count is checked in f64 before a frequency is allocated:
+        // an infinite stop (whose count used to overflow usize), a NaN
+        // stop, one frequency past the bound, a 10¹⁰-point sweep and a
+        // span whose ratio overflows to infinity.
+        let huge = MAX_AC_POINTS;
+        for (lo, hi, n) in [
+            (1.0, f64::INFINITY, 10),
+            (1.0, f64::NAN, 10),
+            (1.0, 10.0, huge),
+            (1.0, 1e10, 1_000_000_000),
+            (f64::MIN_POSITIVE, f64::MAX, 10_000),
+        ] {
+            let panicked = std::panic::catch_unwind(|| AcOptions::log_sweep(lo, hi, n)).is_err();
+            assert!(panicked, "log_sweep({lo:e}, {hi:e}, {n}) must panic");
+        }
+        assert_eq!(AcOptions::log_sweep(1e6, 1e8, 4).freqs_hz.len(), 9);
     }
 
     #[test]

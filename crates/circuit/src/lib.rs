@@ -62,7 +62,7 @@ mod system;
 mod tran;
 mod waveform;
 
-pub use ac::{AcOptions, AcResult};
+pub use ac::{AcOptions, AcResult, MAX_AC_POINTS};
 pub use ac_matrix_free::MatrixFreeAcOptions;
 pub use dcop::DcOperatingPoint;
 pub use elements::{Element, MosPolarity, Mosfet};

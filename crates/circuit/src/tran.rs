@@ -39,7 +39,7 @@ use crate::rescue::{RescuePolicy, RescueReport};
 use crate::solver::factor_planned;
 use crate::waveform::Trace;
 use crate::Result;
-use ind101_numeric::dot;
+use ind101_numeric::Matrix;
 
 /// Newton convergence tolerance per time point (infinity norm of the
 /// iterate update, volts/amperes).
@@ -440,8 +440,20 @@ impl Stepper {
 struct TranState {
     caps: Vec<(NodeId, NodeId, f64)>,
     cap_state: Vec<CapState>,
-    /// Inductor branch history per system: (current, branch voltage).
-    ind_state: Vec<Vec<(f64, f64)>>,
+    /// Inductor branch history, one per system.
+    inductors: Vec<InductorHistory>,
+}
+
+/// One inductor system's branch history, and its coupling matrix laid
+/// out by columns for the history flux `M·i`.
+struct InductorHistory {
+    /// Branch currents.
+    current: Vec<f64>,
+    /// Branch voltages.
+    voltage: Vec<f64>,
+    /// `Mᵀ`, whose row `c` is column `c` of `M`; `None` when `M` is
+    /// bitwise symmetric, so that its own row `c` is that column.
+    transposed: Option<Matrix<f64>>,
 }
 
 impl TranState {
@@ -461,20 +473,25 @@ impl TranState {
                 i: 0.0,
             })
             .collect();
-        let ind_state: Vec<Vec<(f64, f64)>> = ckt
+        let inductors = ckt
             .inductor_systems()
             .iter()
             .enumerate()
             .map(|(s, sys)| {
-                (0..sys.len())
-                    .map(|j| (x[layout.ind_offsets[s] + j], 0.0))
-                    .collect()
+                let (m, n) = (&sys.m, sys.len());
+                let symmetric =
+                    (0..n).all(|i| (0..i).all(|j| m[(i, j)].to_bits() == m[(j, i)].to_bits()));
+                InductorHistory {
+                    current: x[layout.ind_offsets[s]..][..n].to_vec(),
+                    voltage: vec![0.0; n],
+                    transposed: (!symmetric).then(|| m.transpose()),
+                }
             })
             .collect();
         Self {
             caps,
             cap_state,
-            ind_state,
+            inductors,
         }
     }
 
@@ -509,12 +526,20 @@ impl TranState {
             stamp_current(&mut rhs, layout, b, a, ieq);
         }
         for (s, sys) in ckt.inductor_systems().iter().enumerate() {
-            let off = layout.ind_offsets[s];
-            let hist = &self.ind_state[s];
-            let cur: Vec<f64> = hist.iter().map(|&(i, _)| i).collect();
-            for (j, &(_, v)) in hist.iter().enumerate() {
-                let flux = dot(sys.m.row(j), &cur);
-                rhs[off + j] = -k * flux - if trap { v } else { 0.0 };
+            let hist = &self.inductors[s];
+            let columns = hist.transposed.as_ref().unwrap_or(&sys.m);
+            let flux = &mut rhs[layout.ind_offsets[s]..][..sys.len()];
+            flux.fill(0.0);
+            // M·i column by column: flux[j] receives M[j][c]·i[c] for c
+            // ascending, the additions of a row-by-row dot product in
+            // the same order, while the inner loop runs across j.
+            for (c, &ic) in hist.current.iter().enumerate() {
+                for (fj, &mjc) in flux.iter_mut().zip(columns.row(c)) {
+                    *fj += mjc * ic;
+                }
+            }
+            for (fj, &v) in flux.iter_mut().zip(&hist.voltage) {
+                *fj = -k * *fj - if trap { v } else { 0.0 };
             }
         }
         rhs
@@ -531,10 +556,10 @@ impl TranState {
         }
         for (s, sys) in ckt.inductor_systems().iter().enumerate() {
             let off = layout.ind_offsets[s];
+            let hist = &mut self.inductors[s];
             for (j, &(a, b)) in sys.branches.iter().enumerate() {
-                let i_new = x_next[off + j];
-                let v_new = node_v(layout, x_next, a) - node_v(layout, x_next, b);
-                self.ind_state[s][j] = (i_new, v_new);
+                hist.current[j] = x_next[off + j];
+                hist.voltage[j] = node_v(layout, x_next, a) - node_v(layout, x_next, b);
             }
         }
     }
@@ -760,6 +785,44 @@ mod tests {
         let v2 = res.voltage(s2);
         // Induced noise on the victim must be visible.
         assert!(v2.max().abs() > 1e-3 || v2.min().abs() > 1e-3);
+    }
+
+    #[test]
+    fn history_flux_matches_row_dot_products_bit_for_bit() {
+        // A bitwise symmetric coupling matrix, and one asymmetric within
+        // the symmetry tolerance: the column-order flux must equal the
+        // row-by-row dot products M[j]·i exactly, in both.
+        let n = 7;
+        for asymmetry in [0.0, 1e-12] {
+            let mut c = Circuit::new();
+            let nodes: Vec<NodeId> = (0..n).map(|k| c.node(format!("n{k}"))).collect();
+            let m = Matrix::from_fn(n, n, |i, j| {
+                let base = 1e-9 / (1.0 + (i as f64 - j as f64).abs()).powf(1.3);
+                if i < j {
+                    base * (1.0 + asymmetry)
+                } else {
+                    base
+                }
+            });
+            c.add_inductor_system(crate::netlist::InductorSystem {
+                branches: nodes.iter().map(|&a| (a, Circuit::GND)).collect(),
+                m: m.clone(),
+            })
+            .unwrap();
+            let layout = MnaLayout::build(&c);
+            let x: Vec<f64> = (0..layout.n).map(|i| (0.37 * i as f64).sin()).collect();
+            let mut state = TranState::new(&c, &layout, &x);
+            assert_eq!(state.inductors[0].transposed.is_some(), asymmetry != 0.0);
+            state.commit(&c, &layout, &x, 2e12, true);
+            let (k, off) = (3e12, layout.ind_offsets[0]);
+            let rhs = state.assemble_rhs(&c, &layout, 1e-9, k, true);
+            let current = &x[off..off + n];
+            for j in 0..n {
+                let v = node_v(&layout, &x, nodes[j]);
+                let want = -k * ind101_numeric::dot(m.row(j), current) - v;
+                assert_eq!(rhs[off + j].to_bits(), want.to_bits(), "row {j}");
+            }
+        }
     }
 
     /// An inverter, its input rising at 50 ps, driving 50 fF.

@@ -12,15 +12,10 @@ use crate::error::NetlistError;
 use crate::flatten::{flatten, FlatDeck};
 use crate::span::Span;
 use ind101_circuit::{
-    AcOptions, Circuit, InductorSystem, NodeId, SourceWave, TranOptions,
+    AcOptions, Circuit, InductorSystem, NodeId, SourceWave, TranOptions, MAX_AC_POINTS,
 };
 use ind101_numeric::Matrix;
 use std::collections::HashMap;
-
-/// Most frequencies one `.AC` card may ask for: a deck is outside
-/// input, and `.AC DEC 1000000000 1 1e10` would otherwise size a
-/// 10¹⁰-point (80 GB) grid.
-const MAX_AC_POINTS: usize = 1 << 20;
 
 /// A lowered deck: the circuit, its analysis plan, and the name → node
 /// map (first-use order, ground excluded).
@@ -405,7 +400,8 @@ fn lower_analysis(card: &AnalysisCard) -> Result<AnalysisPlan, NetlistError> {
                 ));
             }
             // The frequency count, in f64 and before anything is
-            // allocated: `log_sweep` takes ⌈decades · n⌉ + 1 points.
+            // allocated: `log_sweep` takes ⌈decades · n⌉ + 1 points and
+            // panics past the same bound, so a deck gets `BadValue`.
             let count = match sweep {
                 AcSweep::Dec => ((fstop / fstart).log10() * *points as f64).ceil() + 1.0,
                 AcSweep::Lin => *points as f64,

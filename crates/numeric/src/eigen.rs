@@ -4,26 +4,22 @@
 //! partial-inductance matrices: simple truncation "can become
 //! non-positive definite, and the sparsified system becomes active and
 //! can generate energy". The sparsification crate answers that question
-//! from the eigenvalue spectrum.
+//! from the two extreme eigenvalues.
 //!
-//! [`symmetric_eigenvalues`] is LAPACK's values-only path (`dsytrd` then
-//! `dsterf`; Golub & Van Loan, *Matrix Computations*, §8.3): Householder
-//! reduction to tridiagonal form, then implicit QL with Wilkinson shifts
-//! on the tridiagonal. It costs ≈ 4/3·n³ flops once.
+//! [`extreme_eigenvalues`] is LAPACK's path for a few eigenvalues
+//! (`dsytrd` then `dstebz`; Golub & Van Loan, *Matrix Computations*,
+//! §8.3 and §8.4.1): Householder reduction to tridiagonal form, ≈ 4/3·n³
+//! flops once, then Sturm-sequence bisection (Kahan's method) for λ_min
+//! and λ_max alone, O(n) per halving. No full spectrum is formed.
 //! [`jacobi_eigenvectors`] — cyclic Jacobi, several sweeps of
-//! ≈ 1.5·n³ flops each — is the reference oracle the differential tests
-//! compare against; no production path calls it.
+//! ≈ 1.5·n³ flops each — is the full-spectrum reference oracle the
+//! differential tests compare against; no production path calls it.
 
 use crate::vecops::{axpy, dot, norm_inf, scale};
 use crate::{Matrix, NumericError, Result};
 
 /// Maximum number of full Jacobi sweeps before giving up.
 const MAX_SWEEPS: usize = 100;
-
-/// QL iterations allowed per eigenvalue before [`symmetric_eigenvalues`]
-/// gives up. With Wilkinson shifts an eigenvalue typically deflates in
-/// two or three iterations; EISPACK's `tql1` uses the same cap.
-const QL_MAX_ITERATIONS_PER_EIGENVALUE: usize = 30;
 
 /// Eigen-decomposition of a symmetric matrix: `A = V·diag(λ)·Vᵀ`.
 #[derive(Clone, Debug)]
@@ -41,21 +37,40 @@ const OFF_DIAGONAL_REL_TOL: f64 = 1e-14;
 /// rotation; skipping them saves work without affecting convergence.
 const ROTATION_SKIP_FRACTION: f64 = 1e-2;
 
-/// Computes all eigenvalues of a symmetric matrix, ascending.
+/// Exponent of the largest lower-triangle entry the Householder
+/// reduction takes as is. Its intermediates grow to ≈ n·max|A|, so a
+/// matrix with a larger entry is first scaled by `2^−REDUCTION_MAX_EXP`
+/// (exact, as LAPACK's `dsyev` scales into `[√safmin, √bignum]`).
+const REDUCTION_MAX_EXP: i32 = 512;
+/// Bisection stops once its bracket is at most this multiple of
+/// `max(max|T|, |λ|)` wide (`2ε`, LAPACK `dstebz`'s `RELFAC·ULP`), which
+/// is below the reduction's own rounding of `O(n·ε·‖A‖)`.
+const BISECTION_REL_WIDTH: f64 = 2.0 * f64::EPSILON;
+/// Widening of the Gershgorin interval, in units of `n·ε·‖T‖` and of
+/// the pivot floor, so rounding in a Sturm count cannot place an
+/// eigenvalue outside it (LAPACK `dstebz`'s `FUDGE`).
+const GERSHGORIN_FUDGE: f64 = 2.1;
+
+/// The smallest and largest eigenvalue of a symmetric matrix,
+/// `(λ_min, λ_max)`.
 ///
 /// Only the lower triangle is read. Householder reflections reduce it
-/// to tridiagonal form, and implicit QL with Wilkinson shifts finds the
-/// eigenvalues of the tridiagonal. No eigenvectors are formed.
+/// to tridiagonal form `T`, which is rescaled by a power of two (exact)
+/// so that its largest entry lies in `[½, 1)` and no square of a
+/// sub-diagonal entry can overflow. Bisection with a Sturm count then
+/// brackets each extreme inside the Gershgorin interval until the
+/// bracket is within `2ε·max(max|T|, |λ|)` and returns its midpoint, so
+/// it cannot fail to converge. A `T` whose sub-diagonal is all zero (a
+/// diagonal matrix, or `n = 1`) gives its diagonal extremes exactly.
+/// The empty matrix gives `(∞, −∞)`, the minimum and maximum of no
+/// values, so `λ_min > 0` holds for it as it does vacuously.
 ///
 /// # Errors
 ///
 /// * [`NumericError::NotSquare`] for non-square input.
 /// * [`NumericError::NonFinite`] naming the first NaN or infinite entry
 ///   of the lower triangle, before any arithmetic.
-/// * [`NumericError::NoConvergence`] if one eigenvalue does not deflate
-///   within the per-eigenvalue QL iteration cap (not expected for finite
-///   symmetric input).
-pub fn symmetric_eigenvalues(a: &Matrix<f64>) -> Result<Vec<f64>> {
+pub fn extreme_eigenvalues(a: &Matrix<f64>) -> Result<(f64, f64)> {
     if !a.is_square() {
         return Err(NumericError::NotSquare {
             rows: a.nrows(),
@@ -64,18 +79,122 @@ pub fn symmetric_eigenvalues(a: &Matrix<f64>) -> Result<Vec<f64>> {
     }
     let n = a.nrows();
     let mut w = a.as_slice().to_vec();
+    let mut a_max = 0.0f64;
     for row in 0..n {
-        if let Some(col) = w[row * n..=row * n + row]
-            .iter()
-            .position(|x| !x.is_finite())
-        {
+        let lower = &w[row * n..=row * n + row];
+        if let Some(col) = lower.iter().position(|x| !x.is_finite()) {
             return Err(NumericError::NonFinite { row, col });
         }
+        a_max = a_max.max(norm_inf(lower));
     }
-    let (mut d, mut e) = tridiagonalize(n, &mut w);
-    tridiagonal_ql(&mut d, &mut e)?;
-    d.sort_by(f64::total_cmp);
-    Ok(d)
+    let pre = if a_max >= mul_pow2(1.0, REDUCTION_MAX_EXP) {
+        w.iter_mut()
+            .for_each(|x| *x = mul_pow2(*x, -REDUCTION_MAX_EXP));
+        REDUCTION_MAX_EXP
+    } else {
+        0
+    };
+    let (d, e) = tridiagonalize(n, &mut w);
+    let e = &e[..n.saturating_sub(1)];
+    let (lo, hi) = if e.iter().all(|&x| x == 0.0) {
+        (
+            d.iter().copied().fold(f64::INFINITY, f64::min),
+            d.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        )
+    } else {
+        let k = binary_exponent(norm_inf(&d).max(norm_inf(e)));
+        let d: Vec<f64> = d.iter().map(|&x| mul_pow2(x, -k)).collect();
+        let e: Vec<f64> = e.iter().map(|&x| mul_pow2(x, -k)).collect();
+        let (lo, hi) = tridiagonal_extremes(&d, &e);
+        (mul_pow2(lo, k), mul_pow2(hi, k))
+    };
+    Ok((mul_pow2(lo, pre), mul_pow2(hi, pre)))
+}
+
+/// `k` such that `x·2^−k` lies in `[½, 1)`, for finite positive `x`
+/// (C's `frexp` exponent, subnormal `x` included).
+fn binary_exponent(x: f64) -> i32 {
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    if biased == 0 {
+        // Subnormal: x = m·2^−1074 with m < 2^52.
+        64 - (bits & ((1 << 52) - 1)).leading_zeros() as i32 - 1074
+    } else {
+        biased - 1022
+    }
+}
+
+/// `x·2^k`, exact unless the product is subnormal or overflows. Two
+/// factors, because `2^k` alone need not be representable (`|k| ≤ 2044`).
+fn mul_pow2(x: f64, k: i32) -> f64 {
+    let pow2 = |k: i32| f64::from_bits(((k + 1023) as u64) << 52);
+    let half = k / 2;
+    x * pow2(half) * pow2(k - half)
+}
+
+/// `(λ_min, λ_max)` of the symmetric tridiagonal `T` with diagonal `d`
+/// and sub-diagonal `e` (`e[k]` couples `d[k]` and `d[k + 1]`), whose
+/// largest entry lies in `[½, 1)`.
+///
+/// The two bisections share one loop: each pass runs both Sturm counts
+/// over `T` as two independent recurrences, which costs little more
+/// than one, since a count waits on its chain of divisions.
+fn tridiagonal_extremes(d: &[f64], e: &[f64]) -> (f64, f64) {
+    let n = d.len();
+    // e2[i] = e[i − 1]² couples d[i − 1] and d[i]; e2[0] = 0.
+    let e2: Vec<f64> = std::iter::once(0.0)
+        .chain(e.iter().map(|x| x * x))
+        .collect();
+    let (mut gl, mut gu) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (i, &di) in d.iter().enumerate() {
+        let above = if i > 0 { e[i - 1].abs() } else { 0.0 };
+        let r = above + e.get(i).map_or(0.0, |x| x.abs());
+        gl = gl.min(di - r);
+        gu = gu.max(di + r);
+    }
+    let t_norm = gl.abs().max(gu.abs());
+    let slack = GERSHGORIN_FUDGE * (n as f64 * f64::EPSILON * t_norm + 2.0 * f64::MIN_POSITIVE);
+    let t_max = norm_inf(d).max(norm_inf(e));
+    let wide = |lo: f64, hi: f64| hi - lo > BISECTION_REL_WIDTH * t_max.max(lo.abs()).max(hi.abs());
+    // (rank, lo, hi): fewer than `rank` eigenvalues lie below `lo`, and
+    // at least `rank` below `hi`.
+    let mut brackets = [(1, gl - slack, gu + slack), (n, gl - slack, gu + slack)];
+    while brackets.iter().any(|&(_, lo, hi)| wide(lo, hi)) {
+        let mid = brackets.map(|(_, lo, hi)| 0.5 * (lo + hi));
+        let below = sturm_counts(d, &e2, mid);
+        for ((bracket, x), count) in brackets.iter_mut().zip(mid).zip(below) {
+            let (rank, lo, hi) = bracket;
+            if count >= *rank {
+                *hi = x;
+            } else {
+                *lo = x;
+            }
+        }
+    }
+    let [lambda_min, lambda_max] = brackets.map(|(_, lo, hi)| 0.5 * (lo + hi));
+    (lambda_min, lambda_max)
+}
+
+/// Number of eigenvalues of `T` below each of `x`: the negative pivots
+/// of the `LDLᵀ` factorization of `T − x·I` (`e2[i]` is the squared
+/// coupling of `d[i − 1]` and `d[i]`, `e2[0] = 0`). A pivot smaller than
+/// the safe minimum in magnitude is replaced by its negative, as
+/// LAPACK's `dlaebz` does with `pivmin`, so no division is by zero
+/// (`e2 < 1` keeps `e2/pivmin` finite) and an eigenvalue exactly at `x`
+/// may count as below it.
+fn sturm_counts(d: &[f64], e2: &[f64], x: [f64; 2]) -> [usize; 2] {
+    let mut q = [1.0; 2];
+    let mut count = [0; 2];
+    for (&di, &e2i) in d.iter().zip(e2) {
+        for j in 0..2 {
+            q[j] = (di - x[j]) - e2i / q[j];
+            if q[j].abs() < f64::MIN_POSITIVE {
+                q[j] = -f64::MIN_POSITIVE;
+            }
+            count[j] += usize::from(q[j] < 0.0);
+        }
+    }
+    count
 }
 
 /// Reduces the symmetric `n × n` matrix whose lower triangle is stored
@@ -172,83 +291,14 @@ fn dot4(x: &[f64], y: &[f64]) -> f64 {
     acc.iter().sum::<f64>() + tail
 }
 
-/// Eigenvalues of the symmetric tridiagonal matrix with diagonal `d` and
-/// sub-diagonal `e` (`e[n − 1]` is scratch), left unsorted in `d`.
-///
-/// Implicit QL with Wilkinson shifts: each iteration chases the bulge of
-/// one shifted QL step up the unreduced block `l..=m` with Givens
-/// rotations.
-/// A sub-diagonal entry is negligible once it falls below one ulp of the
-/// largest entry of the tridiagonal: zeroing it moves no eigenvalue by
-/// more than that (Weyl), which is below the reduction's own rounding.
-/// A test relative to the two diagonal neighbours alone would stall on
-/// blocks that are pure rounding noise, as a rank-deficient matrix's
-/// null space is after the reduction.
-///
-/// # Errors
-///
-/// [`NumericError::NoConvergence`] when an eigenvalue needs more than
-/// [`QL_MAX_ITERATIONS_PER_EIGENVALUE`] iterations.
-fn tridiagonal_ql(d: &mut [f64], e: &mut [f64]) -> Result<()> {
-    let n = d.len();
-    let negligible = f64::EPSILON * d.iter().chain(&*e).fold(0.0f64, |m, x| m.max(x.abs()));
-    for l in 0..n {
-        let mut iterations = 0;
-        loop {
-            let m = (l..n - 1)
-                .find(|&m| e[m].abs() <= negligible)
-                .unwrap_or(n - 1);
-            if m == l {
-                break;
-            }
-            if iterations == QL_MAX_ITERATIONS_PER_EIGENVALUE {
-                return Err(NumericError::NoConvergence { iterations });
-            }
-            iterations += 1;
-            // Wilkinson shift: the eigenvalue of the leading 2×2 block
-            // nearer d[l]. e[l] is not negligible, so it is non-zero.
-            let g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let r = g.hypot(1.0);
-            let mut g = d[m] - d[l] + e[l] / (g + r.copysign(g));
-            let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let f = s * e[i];
-                let b = c * e[i];
-                let r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    // The rotation underflowed: the block splits at i + 1.
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                let g_next = d[i + 1] - p;
-                let r = (d[i] - g_next) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g_next + p;
-                g = c * r - b;
-            }
-            if !underflow {
-                d[l] -= p;
-                e[l] = g;
-                e[m] = 0.0;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Computes the full symmetric eigen-decomposition by the cyclic Jacobi
 /// method. Only the lower triangle is read.
 ///
-/// This is the reference oracle for [`symmetric_eigenvalues`]: slower
-/// (several sweeps of ≈ 1.5·n³ flops each) but simple, and accurate to
-/// a few ulps of the largest entry. The differential tests compare the
-/// two; no production path calls it.
+/// This is the full-spectrum reference oracle for
+/// [`extreme_eigenvalues`]: slower (several sweeps of ≈ 1.5·n³ flops
+/// each) but simple, and accurate to a few ulps of the largest entry.
+/// The differential tests compare its first and last values with the
+/// two extremes; no production path calls it.
 ///
 /// # Errors
 ///
@@ -337,38 +387,49 @@ pub fn jacobi_eigenvectors(a: &Matrix<f64>) -> Result<SymmetricEigen> {
 mod tests {
     use super::*;
 
+    /// Asserts `got` is within `tol` of `want`, both `(λ_min, λ_max)`.
+    fn assert_extremes(got: (f64, f64), want: (f64, f64), tol: f64) {
+        assert!(
+            (got.0 - want.0).abs() <= tol && (got.1 - want.1).abs() <= tol,
+            "got {got:?}, want {want:?} (tolerance {tol:e})"
+        );
+    }
+
     #[test]
-    fn diagonal_matrix_eigenvalues() {
+    fn diagonal_matrix_eigenvalues_are_exact() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 1.0]]);
-        let ev = symmetric_eigenvalues(&a).unwrap();
-        assert_eq!(ev, vec![1.0, 3.0]);
+        assert_eq!(extreme_eigenvalues(&a).unwrap(), (1.0, 3.0));
     }
 
     #[test]
     fn known_2x2() {
         // [[2,1],[1,2]] has eigenvalues 1 and 3.
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let ev = symmetric_eigenvalues(&a).unwrap();
-        assert!((ev[0] - 1.0).abs() < 1e-12);
-        assert!((ev[1] - 3.0).abs() < 1e-12);
+        assert_extremes(extreme_eigenvalues(&a).unwrap(), (1.0, 3.0), 1e-15);
     }
 
     #[test]
     fn known_3x3_needs_a_reflection() {
         // [[2,1,1],[1,2,1],[1,1,2]] = I + 𝟙𝟙ᵀ: eigenvalues 1, 1, 4.
         let a = Matrix::from_fn(3, 3, |i, j| if i == j { 2.0 } else { 1.0 });
-        let ev = symmetric_eigenvalues(&a).unwrap();
-        for (got, want) in ev.iter().zip([1.0, 1.0, 4.0]) {
-            assert!((got - want).abs() < 1e-14, "{ev:?}");
-        }
+        assert_extremes(extreme_eigenvalues(&a).unwrap(), (1.0, 4.0), 1e-14);
     }
 
     #[test]
     fn indefinite_matrix_has_negative_eigenvalue() {
+        // [[1,2],[2,1]] has eigenvalues −1 and 3.
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]);
-        let ev = symmetric_eigenvalues(&a).unwrap();
-        assert!(ev[0] < 0.0);
+        let (lo, hi) = extreme_eigenvalues(&a).unwrap();
+        assert!(lo < 0.0);
         assert!(!a.is_positive_definite());
+        assert_extremes((lo, hi), (-1.0, 3.0), 1e-15);
+    }
+
+    #[test]
+    fn negative_definite_matrix_has_negative_extremes() {
+        // −(I + 𝟙𝟙ᵀ) in 4×4: eigenvalues −5 and −1 (three times).
+        let a = Matrix::from_fn(4, 4, |i, j| if i == j { -2.0 } else { -1.0 });
+        assert_extremes(extreme_eigenvalues(&a).unwrap(), (-5.0, -1.0), 1e-14);
     }
 
     #[test]
@@ -379,8 +440,8 @@ mod tests {
             lower[(i, j)] = f64::NAN;
         }
         assert_eq!(
-            symmetric_eigenvalues(&lower).unwrap(),
-            symmetric_eigenvalues(&full).unwrap()
+            extreme_eigenvalues(&lower).unwrap(),
+            extreme_eigenvalues(&full).unwrap()
         );
     }
 
@@ -389,13 +450,13 @@ mod tests {
         let mut a = Matrix::identity(3);
         a[(2, 1)] = f64::INFINITY;
         assert_eq!(
-            symmetric_eigenvalues(&a),
+            extreme_eigenvalues(&a),
             Err(NumericError::NonFinite { row: 2, col: 1 })
         );
         a[(2, 1)] = 0.0;
         a[(1, 1)] = f64::NAN;
         assert_eq!(
-            symmetric_eigenvalues(&a),
+            extreme_eigenvalues(&a),
             Err(NumericError::NonFinite { row: 1, col: 1 })
         );
     }
@@ -403,7 +464,7 @@ mod tests {
     #[test]
     fn non_square_is_rejected() {
         assert!(matches!(
-            symmetric_eigenvalues(&Matrix::zeros(2, 3)),
+            extreme_eigenvalues(&Matrix::zeros(2, 3)),
             Err(NumericError::NotSquare { rows: 2, cols: 3 })
         ));
     }
@@ -412,10 +473,76 @@ mod tests {
     fn tiny_and_huge_scales_survive_squaring() {
         for s in [1e-200, 1e200] {
             let a = Matrix::from_fn(3, 3, |i, j| s * if i == j { 2.0 } else { 1.0 });
-            let ev = symmetric_eigenvalues(&a).unwrap();
-            for (got, want) in ev.iter().zip([1.0, 1.0, 4.0]) {
-                assert!((got / s - want).abs() < 1e-14, "scale {s}: {ev:?}");
-            }
+            let (lo, hi) = extreme_eigenvalues(&a).unwrap();
+            assert_extremes((lo / s, hi / s), (1.0, 4.0), 1e-14);
+        }
+    }
+
+    #[test]
+    fn entries_near_the_largest_float_do_not_overflow_the_reduction() {
+        // (I + 𝟙𝟙ᵀ)·s of order n: eigenvalues s and (n + 1)·s, within
+        // 10 % of f64::MAX. Unscaled, the reduction overflows on both.
+        for (n, s) in [(3, 4e307), (10, 1.6e307)] {
+            let a = Matrix::from_fn(n, n, |i, j| s * if i == j { 2.0 } else { 1.0 });
+            let (lo, hi) = extreme_eigenvalues(&a).unwrap();
+            assert_extremes((lo / s, hi / s), (1.0, n as f64 + 1.0), 1e-13);
+        }
+    }
+
+    #[test]
+    fn empty_and_single() {
+        let a = Matrix::<f64>::zeros(0, 0);
+        assert_eq!(
+            extreme_eigenvalues(&a).unwrap(),
+            (f64::INFINITY, f64::NEG_INFINITY)
+        );
+        let b = Matrix::from_rows(&[&[7.0]]);
+        assert_eq!(extreme_eigenvalues(&b).unwrap(), (7.0, 7.0));
+        let c = Matrix::from_rows(&[&[-2.5e-300]]);
+        assert_eq!(extreme_eigenvalues(&c).unwrap(), (-2.5e-300, -2.5e-300));
+    }
+
+    #[test]
+    fn sturm_count_counts_eigenvalues_below_x() {
+        // T = tridiag(−1, 2, −1) of order 4: λ_k = 2 − 2·cos(kπ/5).
+        let d = [2.0; 4];
+        let e2 = [0.0, 1.0, 1.0, 1.0];
+        let ev: Vec<f64> = (1..=4)
+            .map(|k| 2.0 - 2.0 * (k as f64 * std::f64::consts::PI / 5.0).cos())
+            .collect();
+        let below = |x: f64| ev.iter().filter(|&&l| l < x).count();
+        for x in [[-1.0, 5.0], [0.2, 3.7], [1.0, 3.0], [2.0, 2.0]] {
+            assert_eq!(sturm_counts(&d, &e2, x), x.map(below), "x = {x:?}");
+        }
+        // x = 2 makes the first pivot exactly zero, and with a zero
+        // coupling the next would be 0/0: the floor turns each into
+        // −pivmin, so the eigenvalue 2 of [2] ⊕ [[2,1],[1,5]] counts as
+        // below x = 2, as does 3.5 − √3.25.
+        assert_eq!(sturm_counts(&[2.0, 2.0], &[0.0, 1.0], [2.0, 0.0]), [1, 0]);
+        assert_eq!(
+            sturm_counts(&[2.0, 2.0, 5.0], &[0.0, 0.0, 1.0], [2.0, 6.0]),
+            [2, 3]
+        );
+    }
+
+    #[test]
+    fn binary_exponent_and_mul_pow2_are_frexp_and_ldexp() {
+        for x in [
+            1.0,
+            0.5,
+            0.75,
+            3.0,
+            1e-200,
+            1e200,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            3e-310,
+        ] {
+            let k = binary_exponent(x);
+            let m = mul_pow2(x, -k);
+            assert!((0.5..1.0).contains(&m), "x = {x:e}: k = {k}, m = {m}");
+            assert_eq!(mul_pow2(m, k), x, "x = {x:e}");
         }
     }
 
@@ -445,23 +572,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_equals_eigenvalue_sum() {
+    fn extremes_bracket_the_diagonal() {
+        // Rayleigh: λ_min ≤ a_ii ≤ λ_max for every i, and λ_min ≤
+        // trace/n ≤ λ_max.
         let n = 10;
         let a = Matrix::from_fn(n, n, |i, j| {
             1.0 / (1.0 + (i as f64 - j as f64).abs()) + if i == j { 2.0 } else { 0.0 }
         });
-        let s = Matrix::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-        let ev = symmetric_eigenvalues(&s).unwrap();
-        let trace: f64 = (0..n).map(|i| s[(i, i)]).sum();
-        let sum: f64 = ev.iter().sum();
-        assert!((trace - sum).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_and_single() {
-        let a = Matrix::<f64>::zeros(0, 0);
-        assert!(symmetric_eigenvalues(&a).unwrap().is_empty());
-        let b = Matrix::from_rows(&[&[7.0]]);
-        assert_eq!(symmetric_eigenvalues(&b).unwrap(), vec![7.0]);
+        let (lo, hi) = extreme_eigenvalues(&a).unwrap();
+        let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
+        assert!(lo <= trace / n as f64 && trace / n as f64 <= hi);
+        for i in 0..n {
+            assert!(lo <= a[(i, i)] && a[(i, i)] <= hi, "{lo} {hi}");
+        }
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! * **dense symmetric solvers** — partial-inductance matrices are dense
 //!   and symmetric positive definite (Cholesky), and sparsified variants
-//!   must be *checked* for positive definiteness (Householder-tridiagonal
-//!   QL eigenvalues);
+//!   must be *checked* for positive definiteness (Householder reduction,
+//!   then Sturm bisection for the extreme eigenvalues);
 //! * **sparse/general LU** — modified-nodal-analysis (MNA) matrices of
 //!   the PEEC circuit are sparse, and the inductive coupling is what
 //!   fills them in; a KLU-class sparse LU (BTF blocks, AMD ordering,
@@ -72,7 +72,7 @@ pub use cholesky::CholeskyFactor;
 pub use complex::Complex64;
 pub use condition::RefinedSolve;
 pub use dense::Matrix;
-pub use eigen::{jacobi_eigenvectors, symmetric_eigenvalues, SymmetricEigen};
+pub use eigen::{extreme_eigenvalues, jacobi_eigenvectors, SymmetricEigen};
 pub use error::NumericError;
 pub use fft::Fft;
 pub use gemm::gemm_into;

@@ -1,13 +1,15 @@
-//! Differential suite for the Householder-tridiagonal QL eigensolver.
+//! Differential suite for the extreme-eigenvalue solver.
 //!
-//! `symmetric_eigenvalues` is checked against the cyclic Jacobi oracle
-//! (`jacobi_eigenvectors`) on random symmetric, SPD Gram and
+//! `extreme_eigenvalues` (Householder reduction, then Sturm bisection)
+//! is checked against the first and last values of the cyclic Jacobi
+//! oracle (`jacobi_eigenvectors`) on random symmetric, SPD Gram and
 //! rank-deficient matrices, plus hand-built hard cases: a clustered
-//! spectrum, a graded diagonal and degenerate shapes. Every case must
-//! come out ascending, agree with the oracle to `REL_TOL·max|λ|`, and
-//! sum to the trace.
+//! spectrum, one clustered at both ends, a graded diagonal, a reducible
+//! tridiagonal and degenerate shapes. Every case must agree with the
+//! oracle to `REL_TOL·max|λ|` and bracket the diagonal
+//! (`λ_min ≤ a_ii ≤ λ_max`).
 
-use ind101_numeric::{jacobi_eigenvectors, symmetric_eigenvalues, Matrix};
+use ind101_numeric::{extreme_eigenvalues, jacobi_eigenvectors, mgs_orthonormalize, Matrix};
 use proptest::prelude::*;
 
 /// Largest allowed |Δλ| between solver and oracle, relative to the
@@ -46,41 +48,43 @@ fn gram(seed: u64, n: usize, r: usize) -> Matrix<f64> {
     b.matmul(&b.transpose()).unwrap()
 }
 
-/// Compares the solver with the Jacobi oracle on `a`; returns the first
+/// Compares the solver with the Jacobi oracle on `a` and returns its
+/// `(λ_min, λ_max)` and the tolerance `REL_TOL·max|λ|`, or the first
 /// violated property as an error message.
-fn differential(a: &Matrix<f64>) -> Result<(), String> {
+fn differential(a: &Matrix<f64>) -> Result<((f64, f64), f64), String> {
     let n = a.nrows();
-    let got = symmetric_eigenvalues(a).map_err(|e| format!("solver failed: {e}"))?;
+    let got = extreme_eigenvalues(a).map_err(|e| format!("solver failed: {e}"))?;
     let want = jacobi_eigenvectors(a)
         .map_err(|e| format!("oracle failed: {e}"))?
         .values;
-    if got.len() != n {
-        return Err(format!("{} eigenvalues for n = {n}", got.len()));
-    }
-    if let Some(w) = got.windows(2).find(|w| w[0] > w[1]) {
-        return Err(format!("not ascending: {} > {}", w[0], w[1]));
-    }
     let radius = want.iter().fold(0.0f64, |m, x| m.max(x.abs()));
     let tol = REL_TOL * radius;
-    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+    if n == 0 {
+        return if got == (f64::INFINITY, f64::NEG_INFINITY) {
+            Ok((got, tol))
+        } else {
+            Err(format!("{got:?} for the empty matrix"))
+        };
+    }
+    for (name, g, w) in [("λ_min", got.0, want[0]), ("λ_max", got.1, want[n - 1])] {
         if (g - w).abs() > tol {
             return Err(format!(
-                "λ[{k}] = {g:e}, oracle {w:e}: |Δλ| = {:e} > {tol:e}",
+                "{name} = {g:e}, oracle {w:e}: |Δλ| = {:e} > {tol:e}",
                 (g - w).abs()
             ));
         }
     }
-    let trace: f64 = (0..n).map(|i| a[(i, i)]).sum();
-    let sum: f64 = got.iter().sum();
-    if (sum - trace).abs() > tol {
-        return Err(format!("Σλ = {sum:e} but trace = {trace:e}"));
+    // Rayleigh quotients of the unit vectors: λ_min ≤ a_ii ≤ λ_max.
+    if let Some(i) = (0..n).find(|&i| !(got.0 - tol <= a[(i, i)] && a[(i, i)] <= got.1 + tol)) {
+        return Err(format!("a[{i}][{i}] = {:e} outside {got:?}", a[(i, i)]));
     }
-    Ok(())
+    Ok((got, tol))
 }
 
-fn assert_differential(a: &Matrix<f64>) {
-    if let Err(msg) = differential(a) {
-        panic!("{msg}");
+fn assert_differential(a: &Matrix<f64>) -> (f64, f64) {
+    match differential(a) {
+        Ok((got, _)) => got,
+        Err(msg) => panic!("{msg}"),
     }
 }
 
@@ -93,10 +97,9 @@ proptest! {
 
     #[test]
     fn spd_gram_matches_oracle(seed in 0u64..1_000_000, n in 1usize..MAX_N + 1) {
-        let a = gram(seed, n, n + 2);
-        let r = differential(&a);
-        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-        prop_assert!(symmetric_eigenvalues(&a).unwrap()[0] > 0.0);
+        let r = differential(&gram(seed, n, n + 2));
+        prop_assert!(r.is_ok(), "{}", r.as_ref().unwrap_err());
+        prop_assert!(r.unwrap().0 .0 > 0.0);
     }
 
     #[test]
@@ -106,14 +109,12 @@ proptest! {
         rank_frac in 0.0f64..1.0,
     ) {
         let rank = ((rank_frac * n as f64) as usize).min(n - 1);
-        let a = gram(seed, n, rank);
-        let r = differential(&a);
-        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-        // The n − rank null directions stay at zero to within tolerance.
-        let ev = symmetric_eigenvalues(&a).unwrap();
-        let radius = ev.iter().fold(0.0f64, |m, x| m.max(x.abs()));
-        let near_zero = ev.iter().filter(|x| x.abs() <= REL_TOL * radius.max(1.0)).count();
-        prop_assert!(near_zero >= n - rank, "{near_zero} null eigenvalues, want {}", n - rank);
+        let r = differential(&gram(seed, n, rank));
+        prop_assert!(r.is_ok(), "{}", r.as_ref().unwrap_err());
+        // The n − rank null directions put λ_min at zero to within
+        // tolerance.
+        let ((lo, _), tol) = r.unwrap();
+        prop_assert!(lo.abs() <= tol, "λ_min = {lo:e}, tolerance {tol:e}");
     }
 }
 
@@ -128,6 +129,48 @@ fn clustered_spectrum_matches_oracle() {
         base + 1e-9 * noise[(i, j)]
     });
     assert_differential(&a);
+}
+
+#[test]
+fn spectrum_clustered_at_both_ends_matches_oracle() {
+    // Q·diag(λ)·Qᵀ with a random orthogonal Q and half the spectrum
+    // within 2e-11 of each end: 1 and 9.
+    let n = MAX_N;
+    let q = mgs_orthonormalize(&random_symmetric(13, n));
+    assert_eq!(q.ncols(), n);
+    let lambda: Vec<f64> = (0..n)
+        .map(|k| {
+            if k < n / 2 {
+                1.0 + 1e-12 * k as f64
+            } else {
+                9.0 - 1e-12 * (n - 1 - k) as f64
+            }
+        })
+        .collect();
+    let a = Matrix::from_fn(n, n, |i, j| {
+        (0..n).map(|k| q[(i, k)] * lambda[k] * q[(j, k)]).sum()
+    });
+    let (lo, hi) = assert_differential(&a);
+    assert!(
+        (lo - 1.0).abs() <= 1e-12 * 9.0 && (hi - 9.0).abs() <= 1e-12 * 9.0,
+        "{lo} {hi}"
+    );
+}
+
+#[test]
+fn reducible_tridiagonal_matches_oracle() {
+    // Already tridiagonal, with zero sub-diagonal entries splitting it
+    // into [[2,1],[1,2]] (1, 3), [−5] and [[10,3],[3,1]] (5.5 ± √29.25):
+    // the extremes come from different blocks.
+    let d = [2.0, 2.0, -5.0, 10.0, 1.0];
+    let e = [1.0, 0.0, 0.0, 3.0];
+    let a = Matrix::from_fn(5, 5, |i, j| match i.abs_diff(j) {
+        0 => d[i],
+        1 => e[i.min(j)],
+        _ => 0.0,
+    });
+    let (lo, hi) = assert_differential(&a);
+    assert!((lo + 5.0).abs() <= 1e-14 && (hi - (5.5 + 29.25f64.sqrt())).abs() <= 1e-14);
 }
 
 #[test]
@@ -149,8 +192,7 @@ fn graded_diagonal_matches_oracle() {
     });
     assert_differential(&a);
     let pure = Matrix::from_fn(n, n, |i, j| if i == j { d[i] } else { 0.0 });
-    assert_differential(&pure);
-    assert_eq!(symmetric_eigenvalues(&pure).unwrap(), d);
+    assert_eq!(assert_differential(&pure), (d[0], d[n - 1]));
 }
 
 #[test]
@@ -160,12 +202,7 @@ fn degenerate_shapes_match_oracle() {
         assert_differential(&Matrix::zeros(n, n));
     }
     let one = Matrix::from_rows(&[&[-3.5]]);
-    assert_differential(&one);
-    assert_eq!(symmetric_eigenvalues(&one).unwrap(), vec![-3.5]);
+    assert_eq!(assert_differential(&one), (-3.5, -3.5));
     let diag = Matrix::from_fn(6, 6, |i, j| if i == j { 3.0 - i as f64 } else { 0.0 });
-    assert_differential(&diag);
-    assert_eq!(
-        symmetric_eigenvalues(&diag).unwrap(),
-        vec![-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]
-    );
+    assert_eq!(assert_differential(&diag), (-2.0, 3.0));
 }

@@ -1,6 +1,12 @@
 //! Shared result types and quality metrics for sparsification.
+//!
+//! [`stability_report`] answers the paper's Section-4 question (is the
+//! sparsified matrix still positive definite?) from λ_min and λ_max
+//! alone, which [`ind101_numeric::extreme_eigenvalues`] computes by one
+//! Householder reduction and Sturm bisection; no full spectrum is
+//! formed.
 
-use ind101_numeric::{symmetric_eigenvalues, Matrix};
+use ind101_numeric::{extreme_eigenvalues, Matrix};
 use std::fmt;
 
 /// Typed error from coupling-coefficient evaluation.
@@ -161,7 +167,8 @@ pub struct StabilityReport {
     pub positive_definite: bool,
 }
 
-/// Computes the eigenvalue-based stability report.
+/// Computes the eigenvalue-based stability report from the two extreme
+/// eigenvalues.
 ///
 /// A non-positive-definite inductance matrix represents an *active*
 /// element — a transient simulation through it can generate energy and
@@ -175,19 +182,16 @@ pub fn stability_report(m: &Matrix<f64>) -> StabilityReport {
             positive_definite: true,
         };
     }
-    // `symmetric_eigenvalues` fails on non-square input and on a NaN or
+    // `extreme_eigenvalues` fails on non-square input and on a NaN or
     // infinite entry; neither has a meaningful spectrum, so report "not
     // positive definite" rather than panicking or trusting NaN arithmetic.
-    match symmetric_eigenvalues(m)
-        .ok()
-        .and_then(|ev| Some((*ev.first()?, *ev.last()?)))
-    {
-        Some((min_ev, max_ev)) => StabilityReport {
+    match extreme_eigenvalues(m) {
+        Ok((min_ev, max_ev)) => StabilityReport {
             min_eigenvalue: min_ev,
             max_eigenvalue: max_ev,
             positive_definite: min_ev > 0.0,
         },
-        None => StabilityReport {
+        Err(_) => StabilityReport {
             min_eigenvalue: f64::NAN,
             max_eigenvalue: f64::NAN,
             positive_definite: false,

@@ -17,10 +17,12 @@
 //!    the pivot that broke when it fails,
 //! 7. on failure, an eigenvalue post-mortem producing a *verified*
 //!    repair: the diagonal shift `δ = −λ_min·(1 + margin)` that
-//!    restores definiteness, or the advice to switch screens.
+//!    restores definiteness, or the advice to switch screens. λ_min
+//!    comes from [`ind101_numeric::extreme_eigenvalues`] (one Householder
+//!    reduction, then Sturm bisection), not from a full spectrum.
 
 use crate::diagnostic::{Severity, VerifyReport};
-use ind101_numeric::{symmetric_eigenvalues, Matrix, NumericError};
+use ind101_numeric::{extreme_eigenvalues, Matrix, NumericError};
 use ind101_sparsify::{coupling_coefficient, CouplingError, Sparsified};
 
 /// Tunables of the matrix audit.
@@ -274,9 +276,7 @@ pub fn audit_matrix(m: &Matrix<f64>, label: &str, cfg: &MatrixAuditConfig) -> Ma
         Ok(_) => MatrixAudit::clean(report),
         Err(NumericError::NotPositiveDefinite { pivot, value }) => {
             // 7. Eigenvalue post-mortem → verified repair suggestion.
-            let min_eig = symmetric_eigenvalues(m)
-                .ok()
-                .and_then(|ev| ev.first().copied());
+            let min_eig = extreme_eigenvalues(m).ok().map(|(lo, _)| lo);
             let shift = min_eig.map(|lam| {
                 if lam >= 0.0 {
                     // Semi-definite edge: nudge by the matrix scale.
