@@ -482,10 +482,10 @@ impl Circuit {
         for e in self.elements() {
             match e {
                 Element::Resistor { a, b, ohms } => {
-                    stamp_admittance(&mut t, &layout, *a, *b, Complex64::from_real(1.0 / ohms));
+                    stamp_admittance(&mut t, layout, *a, *b, Complex64::from_real(1.0 / ohms));
                 }
                 Element::Capacitor { a, b, farads } => {
-                    stamp_admittance(&mut t, &layout, *a, *b, jw * *farads);
+                    stamp_admittance(&mut t, layout, *a, *b, jw * *farads);
                 }
                 Element::Vsrc { plus, minus, ac_mag, .. } => {
                     let row = layout.vsrc_rows[vseq];

@@ -374,9 +374,7 @@ impl Circuit {
 
 /// Rescue provider for the matrix-free AC solve: the dense-direct rung
 /// assembles the *full* MNA matrix (every `−jωM` stamp included) and
-/// lets the ladder LU-solve it. No preconditioner escalation is
-/// offered — the matrix-free path's baseline preconditioner is already
-/// a direct factorization, stronger than Jacobi or block-Jacobi.
+/// lets the ladder LU-solve it.
 struct FullStampProvider<'a> {
     circuit: &'a Circuit,
     layout: &'a MnaLayout,

@@ -18,7 +18,8 @@ use crate::solver::factor_planned;
 use crate::Result;
 use ind101_numeric::{norm_inf, Triplets};
 
-/// Maximum Newton iterations for the operating point.
+/// Maximum Newton iterations for the operating point, and for each
+/// homotopy solve of the rescue rungs.
 const MAX_ITER: usize = 200;
 /// Per-iteration cap on any unknown's change, volts/amperes.
 const DAMP_LIMIT: f64 = 1.0;
@@ -68,28 +69,38 @@ struct NewtonOutcome {
     residuals: Vec<f64>,
 }
 
+/// Initial shunt conductance for gmin-stepping, siemens — large enough
+/// to tame any reasonable MOS Jacobian, then relaxed a decade per solve.
+const GMIN_START_S: f64 = 1e-3;
+/// Geometric gmin relaxation steps before the unmodified solve.
+const GMIN_STEPS: usize = 10;
+/// Uniform source-ramp steps; bisection may insert more when a ramp
+/// step fails.
+const SOURCE_STEPS: usize = 10;
+/// Extra solves the source-stepping bisection may spend on top of the
+/// uniform ramp before the rung gives up.
+const MAX_BISECTIONS: usize = 40;
 /// Source-stepping gives up when the bisected ramp step shrinks below
 /// this fraction of the full ramp — further halving cannot converge.
 const MIN_ALPHA_STEP: f64 = 1e-6;
 
-/// Damped Newton from `x0`: one base solve of `rhs`, then each
-/// iteration solves the exact linearized system (via Woodbury) and
-/// applies the update with a per-component clamp of [`DAMP_LIMIT`]. A
-/// singular Jacobian or a non-finite update ends the run as a failed
-/// iteration, so plain `dc_op` reports divergence and the rescue ladder
-/// moves on.
+/// Damped Newton from `x0`: one base solve of `rhs`, then each of at
+/// most [`MAX_ITER`] iterations solves the exact linearized system (via
+/// Woodbury) and applies the update with a per-component clamp of
+/// [`DAMP_LIMIT`]. A singular Jacobian or a non-finite update ends the
+/// run as a failed iteration, so plain `dc_op` reports divergence and
+/// the rescue ladder moves on.
 fn damped_newton(
     wb: &WoodburySolver,
     mosfets: &[Mosfet],
     rhs: &[f64],
     mut x: Vec<f64>,
-    max_iter: usize,
 ) -> Result<NewtonOutcome> {
     let n = x.len();
     let y0 = wb.base_solve(rhs)?;
     let mut residuals = Vec::new();
     let mut final_delta = f64::INFINITY;
-    for iter in 0..max_iter {
+    for iter in 0..MAX_ITER {
         let Some(x_new) = wb.newton_update(mosfets, &x, &y0) else {
             residuals.push(f64::INFINITY);
             return Ok(NewtonOutcome {
@@ -121,7 +132,7 @@ fn damped_newton(
     Ok(NewtonOutcome {
         x,
         converged: false,
-        iterations: max_iter,
+        iterations: MAX_ITER,
         final_delta,
         residuals,
     })
@@ -205,7 +216,7 @@ impl Circuit {
         let mut total_iterations = 0usize;
 
         // Rung 1: plain damped Newton, standard budget.
-        let plain = damped_newton(&wb, &mosfets, &rhs0, vec![0.0; layout.n], MAX_ITER)?;
+        let plain = damped_newton(&wb, &mosfets, &rhs0, vec![0.0; layout.n])?;
         #[cfg(feature = "solver-faults")]
         let plain_converged = plain.converged && !crate::faults::plain_newton_forced_fail();
         #[cfg(not(feature = "solver-faults"))]
@@ -240,14 +251,13 @@ impl Circuit {
                 residuals: vec![],
             };
             let mut x = vec![0.0; layout.n];
-            let steps = policy.gmin_steps.max(1);
-            for k in 0..=steps {
-                // Decades down from gmin_start; the last pass solves the
-                // *unmodified* system so the answer is the true one.
-                let extra = if k == steps {
+            for k in 0..=GMIN_STEPS {
+                // Decades down from GMIN_START_S; the last pass solves
+                // the *unmodified* system so the answer is the true one.
+                let extra = if k == GMIN_STEPS {
                     0.0
                 } else {
-                    policy.gmin_start * 0.1f64.powi(k as i32)
+                    GMIN_START_S * 0.1f64.powi(k as i32)
                 };
                 let mut t = static_t.clone();
                 if extra > 0.0 {
@@ -259,7 +269,7 @@ impl Circuit {
                     trace.converged = false;
                     break;
                 };
-                let out = damped_newton(&wb_g, &mosfets, &rhs0, x.clone(), policy.max_iter)?;
+                let out = damped_newton(&wb_g, &mosfets, &rhs0, x.clone())?;
                 trace.steps += 1;
                 trace.iterations += out.iterations;
                 trace.residuals.push(out.final_delta);
@@ -297,7 +307,7 @@ impl Circuit {
                 steps: 0,
                 residuals: vec![],
             };
-            let uniform = 1.0 / policy.source_steps.max(1) as f64;
+            let uniform = 1.0 / SOURCE_STEPS as f64;
             let mut alpha = 0.0f64;
             let mut d_alpha = uniform;
             let mut bisections = 0usize;
@@ -306,7 +316,7 @@ impl Circuit {
             while !done {
                 let target = (alpha + d_alpha).min(1.0);
                 let rhs: Vec<f64> = rhs0.iter().map(|v| v * target).collect();
-                let out = damped_newton(&wb_s, &mosfets, &rhs, x.clone(), policy.max_iter)?;
+                let out = damped_newton(&wb_s, &mosfets, &rhs, x.clone())?;
                 trace.steps += 1;
                 trace.iterations += out.iterations;
                 trace.residuals.push(out.final_delta);
@@ -320,7 +330,7 @@ impl Circuit {
                 } else {
                     bisections += 1;
                     d_alpha *= 0.5;
-                    if bisections > policy.max_bisections || d_alpha < MIN_ALPHA_STEP {
+                    if bisections > MAX_BISECTIONS || d_alpha < MIN_ALPHA_STEP {
                         break;
                     }
                 }

@@ -7,6 +7,7 @@ use crate::waveform::SourceWave;
 use crate::Result;
 use ind101_numeric::Matrix;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A circuit node. `NodeId(0)` is ground.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -119,8 +120,10 @@ pub struct ElementCounts {
 /// A circuit under construction / analysis.
 #[derive(Clone, Debug, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
-    by_name: HashMap<String, NodeId>,
+    /// Node names in id order; a named node's entry shares its one
+    /// allocation with its `by_name` key.
+    node_names: Vec<Arc<str>>,
+    by_name: HashMap<Arc<str>, NodeId>,
     pub(crate) elements: Vec<Element>,
     pub(crate) inductors: Vec<InductorSystem>,
     solver_backend: SolverBackend,
@@ -132,15 +135,14 @@ impl Circuit {
 
     /// Creates an empty circuit (ground pre-registered).
     pub fn new() -> Self {
-        let mut c = Self {
-            node_names: vec!["0".to_owned()],
-            by_name: HashMap::new(),
+        let ground: Arc<str> = Arc::from("0");
+        Self {
+            node_names: vec![Arc::clone(&ground)],
+            by_name: HashMap::from([(ground, Self::GND)]),
             elements: Vec::new(),
             inductors: Vec::new(),
             solver_backend: SolverBackend::Auto,
-        };
-        c.by_name.insert("0".to_owned(), Self::GND);
-        c
+        }
     }
 
     /// Selects the linear-solver family used by every analysis on this
@@ -170,15 +172,25 @@ impl Circuit {
             return id;
         }
         let id = NodeId(self.node_names.len());
-        self.node_names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.node_names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
         id
     }
 
     /// Creates a fresh anonymous node.
     pub fn anon_node(&mut self) -> NodeId {
+        use std::io::Write;
         let id = NodeId(self.node_names.len());
-        self.node_names.push(format!("_n{}", id.0));
+        // `_n{id}` is formatted on the stack, so the name's one
+        // allocation is its `Arc`.
+        let mut buf = [0u8; 24];
+        let mut rest = &mut buf[..];
+        let _ = write!(rest, "_n{}", id.0);
+        let unused = rest.len();
+        let len = buf.len() - unused;
+        let name = std::str::from_utf8(&buf[..len]).unwrap_or_default();
+        self.node_names.push(Arc::from(name));
         id
     }
 
@@ -481,6 +493,21 @@ mod tests {
         assert_eq!(c.node_name(a), "a");
         assert_ne!(c.node("b"), a);
         assert_eq!(c.num_nodes(), 3);
+        assert_eq!(c.node_name(Circuit::GND), "0");
+        assert_eq!(c.find_node("0"), Some(Circuit::GND));
+    }
+
+    #[test]
+    fn anonymous_nodes_are_named_by_id_and_not_interned() {
+        let mut c = Circuit::new();
+        let m = c.anon_node();
+        assert_eq!(c.node_name(m), "_n1");
+        assert_eq!(c.find_node("_n1"), None);
+        for _ in 0..11 {
+            c.anon_node();
+        }
+        let last = c.anon_node();
+        assert_eq!(c.node_name(last), "_n13");
     }
 
     #[test]

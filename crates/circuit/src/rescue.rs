@@ -53,19 +53,6 @@ pub struct RescuePolicy {
     pub gmin_stepping: bool,
     /// Attempt source-stepping when gmin-stepping fails (or is off).
     pub source_stepping: bool,
-    /// Initial extra node-to-ground conductance for gmin-stepping,
-    /// siemens. Relaxed geometrically to zero over `gmin_steps` solves.
-    pub gmin_start: f64,
-    /// Number of geometric gmin relaxation steps (≥ 1).
-    pub gmin_steps: usize,
-    /// Number of uniform source-ramp steps (≥ 1); bisection may insert
-    /// more when a ramp step fails.
-    pub source_steps: usize,
-    /// Maximum extra solves the source-stepping bisection may spend on
-    /// top of the uniform ramp before the rung gives up.
-    pub max_bisections: usize,
-    /// Newton iteration budget per homotopy solve.
-    pub max_iter: usize,
 }
 
 impl Default for RescuePolicy {
@@ -74,17 +61,12 @@ impl Default for RescuePolicy {
     }
 }
 
-/// Initial shunt conductance for gmin-stepping, siemens — large enough
-/// to tame any reasonable MOS Jacobian, then relaxed geometrically.
-const DEFAULT_GMIN_START_S: f64 = 1e-3;
-
 impl RescuePolicy {
     /// Plain Newton only — no rescue rungs (the default).
     pub fn disabled() -> Self {
         Self {
             gmin_stepping: false,
             source_stepping: false,
-            ..Self::full()
         }
     }
 
@@ -93,11 +75,6 @@ impl RescuePolicy {
         Self {
             gmin_stepping: true,
             source_stepping: true,
-            gmin_start: DEFAULT_GMIN_START_S,
-            gmin_steps: 10,
-            source_steps: 10,
-            max_bisections: 40,
-            max_iter: 200,
         }
     }
 

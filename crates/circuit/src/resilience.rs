@@ -136,8 +136,7 @@ pub struct FrequencyRecovery {
     pub iterations: usize,
     /// Rescue rungs attempted (1 = initial only).
     pub rungs_attempted: usize,
-    /// Rung trajectory with per-rung outcomes (names the
-    /// preconditioner of escalation rungs), e.g.
+    /// Rung trajectory with per-rung outcomes, e.g.
     /// `"initial(stagnated) -> grown-restart(converged)"`.
     pub trajectory: String,
     /// Wall-clock seconds spent on this frequency.

@@ -617,7 +617,7 @@ pub(crate) mod tests {
         let t = tridiag(8);
         let s = Solver::build_with(&t, SolverBackend::Auto).unwrap();
         assert!(!s.is_sparse());
-        let x = s.solve(&vec![1.0; 8]).unwrap();
+        let x = s.solve(&[1.0; 8]).unwrap();
         let r = t.to_dense().matvec(&x).unwrap();
         for v in r {
             assert!((v - 1.0).abs() < 1e-12);

@@ -968,7 +968,7 @@ mod tests {
         let va = adaptive.voltage(out);
         for frac in [0.5, 1.0, 2.0, 4.0, 7.5] {
             let t = frac * tau;
-            let expect = 1.0 - (-frac as f64).exp();
+            let expect = 1.0 - (-frac).exp();
             assert!((va.sample(t) - expect).abs() < 5e-3, "t={t:e}: {}", va.sample(t));
             assert!((va.sample(t) - vf.sample(t)).abs() < 5e-3);
         }

@@ -121,6 +121,45 @@ fn injected_stagnation_is_rescued_by_the_ladder() {
 }
 
 #[test]
+fn default_ladder_climbs_to_dense_direct_when_grown_restart_stagnates() {
+    let _g = exclusive();
+    let (c, m, probe) = coupled(10);
+    let opts = freqs();
+    let ov: &[(usize, &dyn LinearOperator<Complex64>)] = &[(0, &m)];
+    let mf = MatrixFreeAcOptions::default();
+    let strict = c
+        .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &ResilienceOptions::strict())
+        .unwrap();
+    // Two stagnations: the initial rung's and the grown restart's. The
+    // default ladder's last rung, the dense-direct solve, must answer.
+    faults::inject_gmres_stagnation(2);
+    let sweep = c
+        .ac_sweep_matrix_free_resilient(&opts, ov, &mf, &ResilienceOptions::default())
+        .unwrap();
+    faults::reset();
+    let first = &sweep.report.frequencies[0];
+    assert_eq!(
+        first.trajectory,
+        "initial(stagnated) -> grown-restart(stagnated) -> dense-direct(converged)"
+    );
+    assert_eq!(
+        first.status,
+        FrequencyStatus::Rescued {
+            rung: KrylovRescueRung::DenseDirect
+        }
+    );
+    assert_eq!(sweep.report.solved_count(), opts.freqs_hz.len());
+    for idx in 0..opts.freqs_hz.len() {
+        let a = strict.ac.voltage(probe, idx);
+        let b = sweep.ac.voltage(probe, idx);
+        assert!(
+            (a - b).abs() <= 1e-8 * a.abs().max(1e-12),
+            "f[{idx}]: {a:?} vs {b:?}"
+        );
+    }
+}
+
+#[test]
 fn injected_matvec_nan_is_contained_and_rescued() {
     let _g = exclusive();
     let (c, m, _) = coupled(10);

@@ -175,8 +175,7 @@ pub fn build_testbench(
                         vdd_ext
                     } else {
                         // Ideal local rail.
-                        let n = circuit.node("vdd_ideal");
-                        n
+                        circuit.node("vdd_ideal")
                     }
                 } else {
                     Circuit::GND

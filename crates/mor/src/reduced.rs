@@ -113,7 +113,7 @@ impl ReducedModel {
         // (kĈ + Ĝ) z⁺ = (kĈ − Ĝ) z + B̂(u⁺ + u)
         let lhs = self.g.add_scaled(k, &self.c)?;
         let fac = lhs.lu()?;
-        let rhs_m = (&self.c).add_scaled(-1.0 / k, &self.g)?; // (Ĉ − Ĝ/k)
+        let rhs_m = self.c.add_scaled(-1.0 / k, &self.g)?; // (Ĉ − Ĝ/k)
         // We'll scale by k when applying: k·Ĉ − Ĝ = k·(Ĉ − Ĝ/k).
 
         let u_at = |t: f64| -> Vec<f64> { inputs.iter().map(|w| w.value_at(t)).collect() };

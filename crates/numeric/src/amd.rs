@@ -415,7 +415,7 @@ mod tests {
         let adj = grid_adj(7, 5);
         let p = approximate_minimum_degree(&adj, &[]);
         assert_eq!(p.len(), 35);
-        let mut seen = vec![false; 35];
+        let mut seen = [false; 35];
         for new in 0..35 {
             assert!(!seen[p.old_of(new)]);
             seen[p.old_of(new)] = true;

@@ -8,8 +8,9 @@
 //!
 //! * [`inject_gmres_stagnation`] — the next `n` GMRES solves report a
 //!   typed `Stagnation` at their first restart boundary, driving the
-//!   rescue ladder onto its escalation rungs (which consume one
-//!   injection each, so a rung count larger than `n` recovers);
+//!   rescue ladder onto its grown-restart rung (which consumes one
+//!   injection as well, so `n = 1` is rescued by the grown restart and
+//!   `n = 2` reaches the dense-direct rung);
 //! * [`inject_matvec_nan`] — the next `n` GMRES Arnoldi matvecs have a
 //!   NaN written into their output, exercising the typed non-finite
 //!   `Breakdown` path.

@@ -1,17 +1,13 @@
-//! Matrix-free Krylov solvers: restarted GMRES and conjugate gradients.
+//! Matrix-free Krylov solver: restarted GMRES.
 //!
 //! The matrix-free extraction path (block-Toeplitz partial-inductance
-//! operators, operator-stamped MNA systems) needs iterative solvers
-//! that touch the system only through matrix–vector products. Both
-//! solvers here are generic over [`Scalar`] like the dense kernels:
-//! `f64` for static inductance systems, [`crate::Complex64`] for AC.
-//!
-//! * [`gmres`] — restarted GMRES with modified Gram–Schmidt Arnoldi and
-//!   Givens-rotation least squares, **right**-preconditioned so the
-//!   monitored residual is the true residual of the original system.
-//! * [`conjugate_gradient`] — preconditioned CG with conjugated inner
-//!   products, valid for symmetric/Hermitian positive-definite
-//!   operators.
+//! operators, operator-stamped MNA systems) needs an iterative solver
+//! that touches the system only through matrix–vector products.
+//! [`gmres`] is restarted GMRES with modified Gram–Schmidt Arnoldi and
+//! Givens-rotation least squares, **right**-preconditioned so the
+//! monitored residual is the true residual of the original system. It
+//! is generic over [`Scalar`] like the dense kernels: `f64` for static
+//! inductance systems, [`crate::Complex64`] for AC.
 //!
 //! Convergence is residual-based (`‖b − A·x‖ ≤ tol·‖b‖`, checked on the
 //! true residual before returning), and every failure mode is a typed
@@ -19,7 +15,7 @@
 //! a silently wrong answer.
 
 use crate::vecops::{axpy, norm2};
-use crate::{CsrMatrix, LuFactors, Matrix, NumericError, Scalar};
+use crate::{CsrMatrix, Matrix, NumericError, Scalar};
 use std::fmt;
 
 /// Abstract matrix–vector product `y ← A·x` over a square operator.
@@ -117,9 +113,9 @@ pub enum KrylovError {
         /// Residual norm at which progress stopped.
         residual: f64,
     },
-    /// The recurrence broke down (e.g. an indefinite operator fed to
-    /// CG, a non-positive search-direction curvature, or a non-finite
-    /// value produced by the operator).
+    /// The solve broke down: the operator produced a non-finite value,
+    /// or the dense-direct rescue rung found its matrix singular or its
+    /// answer's residual above target.
     Breakdown {
         /// Matvecs performed.
         iterations: usize,
@@ -231,15 +227,14 @@ impl From<KrylovError> for NumericError {
     }
 }
 
-/// Tuning knobs for the Krylov solvers.
+/// Tuning knobs for [`gmres`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct KrylovOptions {
     /// Relative residual target: converged when `‖r‖ ≤ tol·‖b‖`.
     pub tol: f64,
     /// Cap on total matvecs across all restart cycles.
     pub max_iters: usize,
-    /// GMRES restart length (Krylov basis size per cycle). Ignored by
-    /// CG except as the stagnation window.
+    /// GMRES restart length (Krylov basis size per cycle).
     pub restart: usize,
 }
 
@@ -317,93 +312,6 @@ impl<T: Scalar> Preconditioner<T> for JacobiPreconditioner<T> {
     }
 }
 
-/// Block-diagonal preconditioner: contiguous diagonal blocks of the
-/// matrix, each LU-factored once and solved exactly per application.
-#[derive(Clone, Debug)]
-pub struct BlockJacobiPreconditioner<T: Scalar> {
-    block: usize,
-    n: usize,
-    factors: Vec<LuFactors<T>>,
-}
-
-impl<T: Scalar> BlockJacobiPreconditioner<T> {
-    /// Factors the `block`-sized diagonal blocks of `a` (the last block
-    /// may be smaller).
-    ///
-    /// # Errors
-    ///
-    /// Propagates a singular block factorization.
-    pub fn new(a: &Matrix<T>, block: usize) -> Result<Self, NumericError> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(NumericError::NotSquare {
-                rows: n,
-                cols: a.ncols(),
-            });
-        }
-        let block = block.clamp(1, n.max(1));
-        let mut factors = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let len = block.min(n - start);
-            let sub = Matrix::from_fn(len, len, |i, j| a[(start + i, start + j)]);
-            factors.push(sub.lu()?);
-            start += len;
-        }
-        Ok(Self { block, n, factors })
-    }
-
-    /// Factors the `block`-sized diagonal blocks of a sparse matrix —
-    /// the rescue-ladder escalation path for operators that are never
-    /// materialized densely. Entries outside the sparsity pattern are
-    /// zero in each block.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a singular block factorization and non-square shapes.
-    pub fn from_csr(a: &CsrMatrix<T>, block: usize) -> Result<Self, NumericError> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(NumericError::NotSquare {
-                rows: n,
-                cols: a.ncols(),
-            });
-        }
-        let block = block.clamp(1, n.max(1));
-        let mut factors = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let len = block.min(n - start);
-            let mut sub = Matrix::zeros(len, len);
-            for i in 0..len {
-                for (j, v) in a.row_iter(start + i) {
-                    if j >= start && j < start + len {
-                        sub[(i, j - start)] = v;
-                    }
-                }
-            }
-            factors.push(sub.lu()?);
-            start += len;
-        }
-        Ok(Self { block, n, factors })
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for BlockJacobiPreconditioner<T> {
-    fn apply(&self, r: &[T]) -> Vec<T> {
-        let mut z = Vec::with_capacity(self.n);
-        for (k, chunk) in r.chunks(self.block).enumerate() {
-            match self.factors[k].solve(chunk) {
-                Ok(zk) => z.extend_from_slice(&zk),
-                // Unreachable for a successfully factored block; degrade
-                // to the identity rather than panic.
-                Err(_) => z.extend_from_slice(chunk),
-            }
-        }
-        z
-    }
-}
-
 /// Conjugated dot product `Σ conj(xᵢ)·yᵢ` (the Hermitian inner product;
 /// plain dot for reals). [`crate::dot`] is deliberately unconjugated,
 /// which is wrong for complex Krylov recurrences.
@@ -444,6 +352,16 @@ fn rotate<T: Scalar>(c: f64, s: T, a: T, b: T) -> (T, T) {
 /// stagnation (a healthy preconditioned cycle reduces the residual by
 /// orders of magnitude; less than 0.1 % means the subspace is spent).
 const STAGNATION_IMPROVEMENT: f64 = 1e-3;
+
+/// The true residual `b − A·x`.
+pub(crate) fn true_residual<T: Scalar>(a: &dyn LinearOperator<T>, x: &[T], b: &[T]) -> Vec<T> {
+    let mut r = vec![T::zero(); b.len()];
+    a.apply(x, &mut r);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = *bi - *ri;
+    }
+    r
+}
 
 fn check_dims<T: Scalar>(
     a: &dyn LinearOperator<T>,
@@ -537,11 +455,7 @@ pub fn gmres_guarded<T: Scalar>(
             return Err(KrylovError::from_budget(e, iterations));
         }
         // True residual r = b − A·x at every cycle boundary.
-        let mut r = vec![T::zero(); n];
-        a.apply(&x, &mut r);
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = *bi - *ri;
-        }
+        let r = true_residual(a, &x, b);
         let beta = norm2(&r);
         if !beta.is_finite() {
             return Err(KrylovError::Breakdown {
@@ -678,133 +592,6 @@ pub fn gmres_guarded<T: Scalar>(
     }
 }
 
-/// Preconditioned conjugate gradients for symmetric/Hermitian
-/// positive-definite operators.
-///
-/// Uses conjugated inner products, so the same code is plain CG over
-/// `f64` and "complex CG" (Hermitian PD) over [`crate::Complex64`].
-/// The preconditioner must itself be symmetric/Hermitian positive
-/// definite (Jacobi and block-Jacobi of an HPD matrix are).
-///
-/// # Errors
-///
-/// [`KrylovError::Breakdown`] when a search direction shows
-/// non-positive curvature (the operator is not positive definite),
-/// [`KrylovError::IterationCap`] / [`KrylovError::Stagnation`] as in
-/// [`gmres`], and [`KrylovError::DimensionMismatch`] on shape errors.
-pub fn conjugate_gradient<T: Scalar>(
-    a: &dyn LinearOperator<T>,
-    b: &[T],
-    x0: Option<&[T]>,
-    m: &dyn Preconditioner<T>,
-    opts: &KrylovOptions,
-) -> Result<KrylovSolution<T>, KrylovError> {
-    conjugate_gradient_guarded(a, b, x0, m, opts, &crate::SolveGuard::unlimited())
-}
-
-/// [`conjugate_gradient`] with a [`crate::SolveGuard`] polled at every
-/// iteration — cancellation, wall-clock deadlines, and non-finite
-/// residual detection, with arithmetic identical to the plain entry
-/// point (which delegates here with an unlimited guard).
-///
-/// # Errors
-///
-/// As [`conjugate_gradient`], plus [`KrylovError::Cancelled`] /
-/// [`KrylovError::BudgetExceeded`].
-pub fn conjugate_gradient_guarded<T: Scalar>(
-    a: &dyn LinearOperator<T>,
-    b: &[T],
-    x0: Option<&[T]>,
-    m: &dyn Preconditioner<T>,
-    opts: &KrylovOptions,
-    guard: &crate::SolveGuard,
-) -> Result<KrylovSolution<T>, KrylovError> {
-    let n = check_dims(a, b, x0)?;
-    let bnorm = norm2(b);
-    let mut x = x0.map_or_else(|| vec![T::zero(); n], <[T]>::to_vec);
-    if bnorm == 0.0 {
-        return Ok(KrylovSolution {
-            x: vec![T::zero(); n],
-            iterations: 0,
-            residual: 0.0,
-        });
-    }
-    let target = opts.tol * bnorm;
-
-    let mut r = vec![T::zero(); n];
-    a.apply(&x, &mut r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = *bi - *ri;
-    }
-    let mut z = m.apply(&r);
-    let mut p = z.clone();
-    let mut rz = dot_conj(&r, &z);
-    let mut iterations = 0usize;
-    let mut best = f64::INFINITY;
-    let mut since_improvement = 0usize;
-    let window = opts.restart.max(10);
-    let mut ap = vec![T::zero(); n];
-
-    loop {
-        if let Err(e) = guard.check() {
-            return Err(KrylovError::from_budget(e, iterations));
-        }
-        let res = norm2(&r);
-        if !res.is_finite() {
-            return Err(KrylovError::Breakdown {
-                iterations,
-                what: "non-finite residual norm (operator produced NaN/Inf)",
-            });
-        }
-        if res <= target {
-            return Ok(KrylovSolution {
-                x,
-                iterations,
-                residual: res,
-            });
-        }
-        if iterations >= opts.max_iters {
-            return Err(KrylovError::IterationCap {
-                iterations,
-                residual: res,
-                target,
-            });
-        }
-        if res < best * (1.0 - STAGNATION_IMPROVEMENT) {
-            best = res;
-            since_improvement = 0;
-        } else {
-            since_improvement += 1;
-            if since_improvement >= window {
-                return Err(KrylovError::Stagnation {
-                    iterations,
-                    residual: res,
-                });
-            }
-        }
-
-        iterations += 1;
-        a.apply(&p, &mut ap);
-        let denom = dot_conj(&p, &ap);
-        if denom.real_part() <= 0.0 || !denom.real_part().is_finite() {
-            return Err(KrylovError::Breakdown {
-                iterations,
-                what: "non-positive curvature: operator is not positive definite",
-            });
-        }
-        let alpha = rz / denom;
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        z = m.apply(&r);
-        let rz_new = dot_conj(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for (pi, zi) in p.iter_mut().zip(&z) {
-            *pi = *zi + beta * *pi;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,19 +621,6 @@ mod tests {
             assert!((g - e).abs() < 1e-9, "{g} vs {e}");
         }
         assert!(sol.residual <= 1e-10 * norm2(&b));
-    }
-
-    #[test]
-    fn cg_matches_cholesky_with_jacobi() {
-        let n = 60;
-        let a = laplacian(n);
-        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-        let m = JacobiPreconditioner::from_matrix(&a);
-        let sol = conjugate_gradient(&a, &b, None, &m, &KrylovOptions::default()).unwrap();
-        let exact = a.cholesky().unwrap().solve(&b).unwrap();
-        for (g, e) in sol.x.iter().zip(&exact) {
-            assert!((g - e).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -924,42 +698,6 @@ mod tests {
             }
             other => panic!("expected Stagnation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn cg_rejects_indefinite_operator() {
-        let a = Matrix::from_fn(4, 4, |i, j| {
-            if i != j {
-                0.0
-            } else if i % 2 == 0 {
-                1.0
-            } else {
-                -1.0
-            }
-        });
-        let b = vec![1.0; 4];
-        match conjugate_gradient(&a, &b, None, &IdentityPreconditioner, &KrylovOptions::default())
-        {
-            Err(KrylovError::Breakdown { .. }) => {}
-            other => panic!("expected Breakdown, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn block_jacobi_accelerates_gmres() {
-        let n = 64;
-        let a = laplacian(n);
-        let b = vec![1.0; n];
-        let opts = KrylovOptions::default();
-        let plain = gmres(&a, &b, None, &IdentityPreconditioner, &opts).unwrap();
-        let m = BlockJacobiPreconditioner::new(&a, 8).unwrap();
-        let pre = gmres(&a, &b, None, &m, &opts).unwrap();
-        assert!(
-            pre.iterations < plain.iterations,
-            "block-Jacobi {} vs plain {}",
-            pre.iterations,
-            plain.iterations
-        );
     }
 
     #[test]

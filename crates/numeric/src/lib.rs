@@ -1,6 +1,6 @@
 //! Linear-algebra substrate for the `ind101` on-chip inductance toolkit.
 //!
-//! The 2001 paper this repository reproduces leans on three numerical
+//! The 2001 paper this repository reproduces leans on four numerical
 //! kernels, none of which exist in the approved offline dependency set:
 //!
 //! * **dense symmetric solvers** — partial-inductance matrices are dense
@@ -13,7 +13,12 @@
 //!   supernodal panels) factors them, dense LU what is left, and AC
 //!   analysis needs the same factorizations over complex numbers;
 //! * **block orthonormalization** — PRIMA model-order reduction is a block
-//!   Arnoldi process built on modified Gram–Schmidt.
+//!   Arnoldi process built on modified Gram–Schmidt;
+//! * **matrix-free iteration** — on regular filament grids the
+//!   inductance block is applied through an FFT (block-Toeplitz)
+//!   operator and never formed; one iterative solver, right-preconditioned
+//!   restarted GMRES, solves those systems, rescued first by a grown
+//!   restart and then by a dense-direct solve.
 //!
 //! Everything here is implemented from scratch and kept deliberately
 //! small: row-major dense matrices, CSR sparse matrices, and the
@@ -77,13 +82,12 @@ pub use error::NumericError;
 pub use fft::Fft;
 pub use gemm::gemm_into;
 pub use krylov::{
-    conjugate_gradient, conjugate_gradient_guarded, gmres, gmres_guarded,
-    BlockJacobiPreconditioner, IdentityPreconditioner, JacobiPreconditioner, KrylovError,
-    KrylovOptions, KrylovSolution, LinearOperator, Preconditioner,
+    gmres, gmres_guarded, IdentityPreconditioner, JacobiPreconditioner, KrylovError, KrylovOptions,
+    KrylovSolution, LinearOperator, Preconditioner,
 };
 pub use krylov_rescue::{
     solve_with_rescue, KrylovRescueFailure, KrylovRescuePolicy, KrylovRescueReport,
-    KrylovRescueRung, KrylovRungTrace, NoEscalation, PrecondEscalation, RescueProvider,
+    KrylovRescueRung, KrylovRungTrace, NoEscalation, RescueProvider,
 };
 pub use lu::{LuFactors, LU_BLOCK};
 pub use ordering::Permutation;

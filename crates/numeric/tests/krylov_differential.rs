@@ -1,16 +1,16 @@
-//! Oracle-differential wall for the Krylov solvers.
+//! Oracle-differential wall for the Krylov solver.
 //!
-//! Every GMRES/CG solve here is cross-checked against the blocked dense
-//! direct factorizations (LU / Cholesky) on the same system: random
-//! SPD, complex-symmetric, and deliberately ill-conditioned matrices.
+//! Every GMRES solve here is cross-checked against the blocked dense
+//! LU factorization on the same system: random SPD, complex-symmetric,
+//! and deliberately ill-conditioned matrices.
 //! Agreement is asserted to ≤ 1e-9 relative; deliberate
 //! non-convergence cases assert the *typed* `KrylovError` — an
 //! iterative path must fail loudly, never return a silently wrong
 //! answer.
 
 use ind101_numeric::{
-    conjugate_gradient, gmres, norm2, BlockJacobiPreconditioner, Complex64,
-    IdentityPreconditioner, JacobiPreconditioner, KrylovError, KrylovOptions, Matrix,
+    gmres, norm2, Complex64, IdentityPreconditioner, JacobiPreconditioner, KrylovError,
+    KrylovOptions, Matrix,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,19 +73,6 @@ fn gmres_matches_lu_on_random_spd() {
 }
 
 #[test]
-fn cg_matches_cholesky_on_random_spd() {
-    let mut rng = StdRng::seed_from_u64(62);
-    for n in [10usize, 47, 120] {
-        let a = random_spd(n, &mut rng);
-        let b = random_vec(n, &mut rng);
-        let oracle = a.cholesky().unwrap().solve(&b).unwrap();
-        let m = JacobiPreconditioner::from_matrix(&a);
-        let sol = conjugate_gradient(&a, &b, None, &m, &KrylovOptions::default()).unwrap();
-        assert_close_f64(&sol.x, &oracle, 1e-9, &format!("cg spd n={n}"));
-    }
-}
-
-#[test]
 fn gmres_matches_lu_on_complex_symmetric() {
     let mut rng = StdRng::seed_from_u64(63);
     for n in [6usize, 24, 64] {
@@ -134,26 +121,6 @@ fn preconditioned_gmres_handles_ill_conditioned_system() {
 }
 
 #[test]
-fn block_jacobi_matches_oracle_and_beats_identity() {
-    let n = 72usize;
-    let mut rng = StdRng::seed_from_u64(65);
-    let a = random_spd(n, &mut rng);
-    let b = random_vec(n, &mut rng);
-    let oracle = a.cholesky().unwrap().solve(&b).unwrap();
-    let m = BlockJacobiPreconditioner::new(&a, 12).unwrap();
-    let opts = KrylovOptions::default();
-    let pre = gmres(&a, &b, None, &m, &opts).unwrap();
-    let plain = gmres(&a, &b, None, &IdentityPreconditioner, &opts).unwrap();
-    assert_close_f64(&pre.x, &oracle, 1e-9, "block-jacobi gmres");
-    assert!(
-        pre.iterations <= plain.iterations,
-        "block-jacobi {} should not exceed identity {}",
-        pre.iterations,
-        plain.iterations
-    );
-}
-
-#[test]
 fn warm_start_cuts_iterations() {
     let n = 60usize;
     let mut rng = StdRng::seed_from_u64(66);
@@ -197,10 +164,6 @@ fn iteration_cap_returns_typed_error_not_wrong_answer() {
         }
         other => panic!("expected IterationCap, got {other:?}"),
     }
-    match conjugate_gradient(&a, &b, None, &IdentityPreconditioner, &opts) {
-        Err(KrylovError::IterationCap { .. }) => {}
-        other => panic!("expected cg IterationCap, got {other:?}"),
-    }
 }
 
 #[test]
@@ -226,27 +189,6 @@ fn singular_system_stagnates_with_typed_error() {
 }
 
 #[test]
-fn cg_on_indefinite_matrix_breaks_down_typed() {
-    let n = 16usize;
-    let a = Matrix::from_fn(n, n, |i, j| {
-        if i != j {
-            0.0
-        } else if i < n / 2 {
-            2.0
-        } else {
-            -2.0
-        }
-    });
-    let b = vec![1.0; n];
-    match conjugate_gradient(&a, &b, None, &IdentityPreconditioner, &KrylovOptions::default()) {
-        Err(KrylovError::Breakdown { what, .. }) => {
-            assert!(what.contains("positive definite"));
-        }
-        other => panic!("expected Breakdown, got {other:?}"),
-    }
-}
-
-#[test]
 fn residuals_are_true_residuals() {
     // The reported residual must equal ‖b − A·x‖ of the returned x —
     // not the preconditioned or least-squares estimate.
@@ -255,21 +197,17 @@ fn residuals_are_true_residuals() {
     let a = random_spd(n, &mut rng);
     let b = random_vec(n, &mut rng);
     let m = JacobiPreconditioner::from_matrix(&a);
-    for sol in [
-        gmres(&a, &b, None, &m, &KrylovOptions::default()).unwrap(),
-        conjugate_gradient(&a, &b, None, &m, &KrylovOptions::default()).unwrap(),
-    ] {
-        let mut r = vec![0.0f64; n];
-        ind101_numeric::LinearOperator::apply(&a, &sol.x, &mut r);
-        for (ri, bi) in r.iter_mut().zip(&b) {
-            *ri = bi - *ri;
-        }
-        let true_res = norm2(&r);
-        assert!(
-            (sol.residual - true_res).abs() <= 1e-12 + 1e-6 * true_res,
-            "reported {} vs true {}",
-            sol.residual,
-            true_res
-        );
+    let sol = gmres(&a, &b, None, &m, &KrylovOptions::default()).unwrap();
+    let mut r = vec![0.0f64; n];
+    ind101_numeric::LinearOperator::apply(&a, &sol.x, &mut r);
+    for (ri, bi) in r.iter_mut().zip(&b) {
+        *ri = bi - *ri;
     }
+    let true_res = norm2(&r);
+    assert!(
+        (sol.residual - true_res).abs() <= 1e-12 + 1e-6 * true_res,
+        "reported {} vs true {}",
+        sol.residual,
+        true_res
+    );
 }

@@ -50,7 +50,7 @@ fn main() {
     ] {
         let spec = TestbenchSpec {
             decap_total_f: decap_pf * 1e-12,
-            activity: (activity_ma > 0.0).then(|| ActivitySpec {
+            activity: (activity_ma > 0.0).then_some(ActivitySpec {
                 sites: 12,
                 total_peak_a: activity_ma * 1e-3,
                 period_s: 400e-12,
