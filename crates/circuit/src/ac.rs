@@ -12,12 +12,33 @@
 //! frequency (for `f > 0` every `jωC`/`jωM` stamp is structurally
 //! nonzero), so the first frequency's assembled matrix is planned — the
 //! rung decision and the sparse rung's symbolic analysis
-//! ([`crate::solver`]) — and then factored, and every
-//! later frequency runs only the numeric phase on that plan, shared
-//! read-only across the worker threads. A frequency whose pattern
-//! differs (a stamp that underflows to an exact zero is dropped) is
-//! planned again on its own, so every frequency gets exactly the
-//! factorization a fresh per-frequency build would give.
+//! ([`crate::solver`]) — and then factored; the plan is shared
+//! read-only across the worker threads.
+//!
+//! Later frequencies refactor in place. The assembly is one stamping
+//! routine over a sink ([`StampSink`]): the first frequency stamps into
+//! [`Triplets`], and when it lands on the sparse rung and more
+//! frequencies follow, a *stamp map* is recorded from its triplets: one
+//! `u32` per nonzero stamp naming the CSR value slot it lands in, with a
+//! tag bit on the first stamp into each slot. Each worker then holds one
+//! sparse solver (on the serial path, the first frequency's own) and per
+//! frequency stamps straight into that solver's CSR values ([`SlotFill`]):
+//! the first stamp into a slot overwrites it and later ones add to it in
+//! stamp order, as `Triplets::to_csr` sums duplicates, and exact zeros
+//! are skipped as `Triplets::push` skips them. Every stamp's coordinate
+//! is checked in O(1) against the CSR's own row pointers and column
+//! indices, and the stream's length against the map's. The held
+//! `SparseLu` is then refactored in place, its dense fallback dropped,
+//! and the frequency solved with the usual refinement: no triplets, no
+//! `to_csr` and no factor allocation per frequency, and the same bits.
+//!
+//! A frequency whose stream leaves the map (a stamp that underflows to
+//! an exact zero is dropped, so the stream shifts), or whose in-place
+//! refactor errs (a singular static pivot), is assembled again into
+//! triplets and factored through the plan, which plans a differing
+//! pattern afresh and gives `Auto` its dense retry. So every frequency
+//! gets exactly the factorization — and the error — a fresh
+//! per-frequency build would give. A one-frequency sweep records no map.
 
 use crate::elements::Element;
 use crate::error::CircuitError;
@@ -29,8 +50,10 @@ use crate::resilience::{
 use crate::solver::{SolvePlan, Solver, SolverBackend};
 use crate::dcop::DcOperatingPoint;
 use crate::Result;
-use ind101_numeric::partition::{collect_row_blocks_until, uniform_row_blocks};
-use ind101_numeric::{CancelToken, Complex64, ParallelConfig, SolveGuard, SymbolicLu, Triplets};
+use ind101_numeric::partition::{map_until, uniform_row_blocks};
+use ind101_numeric::{
+    CancelToken, Complex64, CsrMatrix, ParallelConfig, Scalar, SolveGuard, SymbolicLu, Triplets,
+};
 use std::sync::Arc;
 
 /// Most frequencies [`AcOptions::log_sweep`] builds. A deck is outside
@@ -305,12 +328,23 @@ impl Circuit {
                 Err(e) => FreqItem::Failed(e, elapsed),
             }
         };
-        // The first frequency plans the sweep, seeded by the hint.
+        // The first frequency plans the sweep, seeded by the hint, and
+        // records the stamp map when more frequencies follow.
         let (&f0, rest) = split_sweep(opts)?;
         let mut plan = None;
+        let mut refill = None;
         let first = attempt(&mut || {
-            let (p, x) = self.ac_plan_first(&layout, op.as_ref(), f0, backend, hint.as_ref());
+            let (p, x, kept) = self.ac_plan_first(
+                &layout,
+                op.as_ref(),
+                f0,
+                backend,
+                hint.as_ref(),
+                cfg,
+                !rest.is_empty(),
+            );
             plan = p;
+            refill = kept;
             x
         });
         // Its error is the first in frequency order: under `Abort` it is
@@ -320,15 +354,34 @@ impl Circuit {
             item => item,
         };
         let ranges = uniform_row_blocks(rest.len(), cfg.blocks_for(rest.len()));
-        let per_block: Vec<Option<Vec<FreqItem>>> =
-            collect_row_blocks_until(&ranges, &stop, |rows| {
-                rows.map(|i| {
-                    attempt(&mut || {
-                        self.ac_solve_planned(&layout, op.as_ref(), rest[i], plan.as_ref(), backend)
-                    })
+        // Each worker factors on its share of the threads: serially when
+        // the frequencies already fill them.
+        let par = cfg.share(ranges.len());
+        let (map, held) = refill.unzip();
+        // The first worker holds the first frequency's solver; the
+        // others take their own on their first frequency.
+        let workers: Vec<_> = ranges
+            .iter()
+            .cloned()
+            .zip(std::iter::once(held).chain(std::iter::repeat_with(|| None)))
+            .collect();
+        let per_block: Vec<Option<Vec<FreqItem>>> = map_until(workers, &stop, |(rows, mut held)| {
+            rows.map(|i| {
+                attempt(&mut || {
+                    self.ac_solve_frequency(
+                        &layout,
+                        op.as_ref(),
+                        rest[i],
+                        plan.as_ref(),
+                        backend,
+                        map.as_deref(),
+                        &mut held,
+                        &par,
+                    )
                 })
-                .collect()
-            });
+            })
+            .collect()
+        });
         // Per frequency, in order; `None` for a block that never started.
         let items = std::iter::once(Some(first)).chain(ranges.iter().zip(per_block).flat_map(
             |(range, block)| match block {
@@ -401,7 +454,7 @@ impl Circuit {
         } else {
             None
         };
-        let (t, _) = self.ac_assemble(&layout, op.as_ref(), probe_hz);
+        let (t, _) = self.ac_triplets(&layout, op.as_ref(), probe_hz, AcStampMode::Full);
         SolvePlan::new(&t, self.effective_backend())
             .ok()?
             .symbolic()
@@ -409,8 +462,12 @@ impl Circuit {
     }
 
     /// Plans a sweep from frequency `f`'s assembled system (seeding the
-    /// sparse rung with `hint`) and solves `f` with the new plan. The
-    /// plan is `None` when planning failed; the error is then `f`'s.
+    /// sparse rung with `hint`) and solves `f` with the new plan, factored
+    /// on `par`'s threads. The plan is `None` when planning failed; the
+    /// error is then `f`'s. When `keep` and `f` factored on the sparse
+    /// rung, its solver comes back with the stamp map of `f`'s triplets,
+    /// for the later frequencies to refill in place.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn ac_plan_first(
         &self,
         layout: &MnaLayout,
@@ -418,21 +475,89 @@ impl Circuit {
         f: f64,
         backend: SolverBackend,
         hint: Option<&Arc<SymbolicLu>>,
-    ) -> (Option<SolvePlan>, Result<Vec<Complex64>>) {
-        let (t, rhs) = self.ac_assemble(layout, op, f);
+        par: &ParallelConfig,
+        keep: bool,
+    ) -> (
+        Option<SolvePlan>,
+        Result<Vec<Complex64>>,
+        Option<(Vec<u32>, Solver<Complex64>)>,
+    ) {
+        let (t, rhs) = self.ac_triplets(layout, op, f, AcStampMode::Full);
         let annotate = |e| crate::mna::annotate_singular(self, layout, e);
-        match SolvePlan::first(&t, backend, hint) {
-            Ok((plan, solver)) => {
-                let x = solver.and_then(|s| s.solve(&rhs)).map_err(annotate);
-                (Some(plan), x)
+        match SolvePlan::first(&t, backend, hint, par) {
+            Ok((plan, Ok(solver))) => {
+                let x = solver.solve(&rhs).map_err(annotate);
+                let map = solver
+                    .sparse_parts()
+                    .filter(|_| keep)
+                    .and_then(|(a, _)| record_stamp_map(&t, a));
+                (Some(plan), x, map.map(|map| (map, solver)))
             }
-            Err(e) => (None, Err(annotate(e))),
+            Ok((plan, Err(e))) => (Some(plan), Err(annotate(e)), None),
+            Err(e) => (None, Err(annotate(e)), None),
         }
     }
 
-    /// Assembles and solves frequency `f` with the sweep's plan. A sweep
-    /// whose plan failed plans every frequency afresh, so each one
-    /// reports its own failure, as a per-frequency build would.
+    /// Solves frequency `f` with the sweep's plan, factoring on `par`'s
+    /// threads.
+    ///
+    /// With a stamp map and a held sparse solver, the stamps go straight
+    /// into the held solver's CSR values and its factor is refactored in
+    /// place. A stamp stream that leaves the map, or a refactor that
+    /// errs, falls back to triplets and [`SolvePlan::factor`], as does
+    /// every frequency of a sweep without a map; a sweep whose plan
+    /// failed plans every frequency afresh, so each one reports its own
+    /// failure. Either way a frequency gets the factorization, the dense
+    /// retry and the error a per-frequency build would give. A worker
+    /// that holds no solver yet keeps the first fallback solver on the
+    /// plan's analysis.
+    #[allow(clippy::too_many_arguments)]
+    fn ac_solve_frequency(
+        &self,
+        layout: &MnaLayout,
+        op: Option<&DcOperatingPoint>,
+        f: f64,
+        plan: Option<&SolvePlan>,
+        backend: SolverBackend,
+        map: Option<&[u32]>,
+        held: &mut Option<Solver<Complex64>>,
+        par: &ParallelConfig,
+    ) -> Result<Vec<Complex64>> {
+        let annotate = |e| crate::mna::annotate_singular(self, layout, e);
+        if let (Some(map), Some(solver)) = (map, held.as_mut()) {
+            let mut rhs = Vec::new();
+            let refilled = solver.refactor_in_place(par, |indptr, indices, values| {
+                let mut fill = SlotFill::new(map, indptr, indices, values);
+                rhs = self.ac_assemble_mode(layout, op, f, AcStampMode::Full, &mut fill);
+                fill.complete()
+            });
+            if refilled {
+                return solver.solve(&rhs).map_err(annotate);
+            }
+        }
+        let (t, rhs) = self.ac_triplets(layout, op, f, AcStampMode::Full);
+        let solver = match plan {
+            Some(plan) => plan.factor(&t, par),
+            None => Solver::build_with(&t, backend),
+        }
+        .map_err(annotate)?;
+        let x = solver.solve(&rhs).map_err(annotate);
+        let on_plan = |(_, sym): (_, &Arc<SymbolicLu>)| {
+            plan.and_then(SolvePlan::symbolic)
+                .is_some_and(|p| Arc::ptr_eq(p, sym))
+        };
+        if held.is_none() && map.is_some() && solver.sparse_parts().is_some_and(on_plan) {
+            *held = Some(solver);
+        }
+        x
+    }
+
+    /// The parent's per-frequency path, kept as the oracle the in-place
+    /// refill is pinned against: assemble triplets and factor them with
+    /// the sweep's plan. A sweep whose plan failed plans every frequency
+    /// afresh, so each one reports its own failure, as a per-frequency
+    /// build would.
+    #[cfg(test)]
     fn ac_solve_planned(
         &self,
         layout: &MnaLayout,
@@ -441,28 +566,32 @@ impl Circuit {
         plan: Option<&SolvePlan>,
         backend: SolverBackend,
     ) -> Result<Vec<Complex64>> {
-        let (t, rhs) = self.ac_assemble(layout, op, f);
+        let (t, rhs) = self.ac_triplets(layout, op, f, AcStampMode::Full);
         let annotate = |e| crate::mna::annotate_singular(self, layout, e);
         let solver = match plan {
-            Some(plan) => plan.factor(&t),
+            Some(plan) => plan.factor(&t, &ParallelConfig::default()),
             None => Solver::build_with(&t, backend),
         }
         .map_err(annotate)?;
         solver.solve(&rhs).map_err(annotate)
     }
 
-    /// Assembles the complex MNA triplets and RHS at one frequency
-    /// (full stamps — the direct-solver path).
-    fn ac_assemble(
+    /// Assembles the complex MNA triplets and RHS at one frequency, with
+    /// per-inductor-system stamp control (see [`AcStampMode`]).
+    pub(crate) fn ac_triplets(
         &self,
         layout: &MnaLayout,
         op: Option<&DcOperatingPoint>,
         f: f64,
+        mode: AcStampMode<'_>,
     ) -> (Triplets<Complex64>, Vec<Complex64>) {
-        self.ac_assemble_mode(layout, op, f, AcStampMode::Full)
+        let mut t = Triplets::new(layout.n, layout.n);
+        let rhs = self.ac_assemble_mode(layout, op, f, mode, &mut t);
+        (t, rhs)
     }
 
-    /// Assembles the complex MNA triplets and RHS at one frequency,
+    /// The one AC stamping routine: sends the complex MNA matrix stamps
+    /// at one frequency to `t`, in a fixed order, and returns the RHS,
     /// with per-inductor-system stamp control (see [`AcStampMode`]).
     pub(crate) fn ac_assemble_mode(
         &self,
@@ -470,33 +599,33 @@ impl Circuit {
         op: Option<&DcOperatingPoint>,
         f: f64,
         mode: AcStampMode<'_>,
-    ) -> (Triplets<Complex64>, Vec<Complex64>) {
+        t: &mut impl StampSink,
+    ) -> Vec<Complex64> {
         let omega = 2.0 * std::f64::consts::PI * f;
         let jw = Complex64::jomega(omega);
-        let mut t: Triplets<Complex64> = Triplets::new(layout.n, layout.n);
         let mut rhs = vec![Complex64::ZERO; layout.n];
         for i in 0..layout.n_nodes {
-            t.push(i, i, Complex64::from_real(GMIN));
+            t.stamp(i, i, Complex64::from_real(GMIN));
         }
         let mut vseq = 0usize;
         for e in self.elements() {
             match e {
                 Element::Resistor { a, b, ohms } => {
-                    stamp_admittance(&mut t, layout, *a, *b, Complex64::from_real(1.0 / ohms));
+                    stamp_admittance(t, layout, *a, *b, Complex64::from_real(1.0 / ohms));
                 }
                 Element::Capacitor { a, b, farads } => {
-                    stamp_admittance(&mut t, layout, *a, *b, jw * *farads);
+                    stamp_admittance(t, layout, *a, *b, jw * *farads);
                 }
                 Element::Vsrc { plus, minus, ac_mag, .. } => {
                     let row = layout.vsrc_rows[vseq];
                     vseq += 1;
                     if let Some(p) = layout.node(*plus) {
-                        t.push(p, row, Complex64::ONE);
-                        t.push(row, p, Complex64::ONE);
+                        t.stamp(p, row, Complex64::ONE);
+                        t.stamp(row, p, Complex64::ONE);
                     }
                     if let Some(m) = layout.node(*minus) {
-                        t.push(m, row, -Complex64::ONE);
-                        t.push(row, m, -Complex64::ONE);
+                        t.stamp(m, row, -Complex64::ONE);
+                        t.stamp(row, m, -Complex64::ONE);
                     }
                     rhs[row] = Complex64::from_real(*ac_mag);
                 }
@@ -521,13 +650,13 @@ impl Circuit {
                     for (row, sign) in [(d, 1.0), (s, -1.0)] {
                         let Some(r) = row else { continue };
                         if let Some(dc) = d {
-                            t.push(r, dc, Complex64::from_real(sign * lin.gds));
+                            t.stamp(r, dc, Complex64::from_real(sign * lin.gds));
                         }
                         if let Some(gc) = g {
-                            t.push(r, gc, Complex64::from_real(sign * lin.gm));
+                            t.stamp(r, gc, Complex64::from_real(sign * lin.gm));
                         }
                         if let Some(sc) = s {
-                            t.push(r, sc, Complex64::from_real(-sign * (lin.gm + lin.gds)));
+                            t.stamp(r, sc, Complex64::from_real(-sign * (lin.gm + lin.gds)));
                         }
                     }
                 }
@@ -539,33 +668,33 @@ impl Circuit {
             for (j, &(a, b)) in sys.branches.iter().enumerate() {
                 let row = off + j;
                 if let Some(ia) = layout.node(a) {
-                    t.push(ia, row, Complex64::ONE);
-                    t.push(row, ia, Complex64::ONE);
+                    t.stamp(ia, row, Complex64::ONE);
+                    t.stamp(row, ia, Complex64::ONE);
                 }
                 if let Some(ib) = layout.node(b) {
-                    t.push(ib, row, -Complex64::ONE);
-                    t.push(row, ib, -Complex64::ONE);
+                    t.stamp(ib, row, -Complex64::ONE);
+                    t.stamp(row, ib, -Complex64::ONE);
                 }
                 match stamps {
                     SysStamps::Every => {
                         for jj in 0..sys.len() {
                             let m = sys.m[(j, jj)];
                             if m != 0.0 {
-                                t.push(row, off + jj, -(jw * m));
+                                t.stamp(row, off + jj, -(jw * m));
                             }
                         }
                     }
                     SysStamps::DiagOnly => {
                         let m = sys.m[(j, j)];
                         if m != 0.0 {
-                            t.push(row, row, -(jw * m));
+                            t.stamp(row, row, -(jw * m));
                         }
                     }
                     SysStamps::Skip => {}
                 }
             }
         }
-        (t, rhs)
+        rhs
     }
 }
 
@@ -581,7 +710,7 @@ fn split_sweep(opts: &AcOptions) -> Result<(&f64, &[f64])> {
 
 #[inline]
 fn stamp_admittance(
-    t: &mut Triplets<Complex64>,
+    t: &mut impl StampSink,
     layout: &MnaLayout,
     a: NodeId,
     b: NodeId,
@@ -589,13 +718,121 @@ fn stamp_admittance(
 ) {
     match (layout.node(a), layout.node(b)) {
         (Some(i), Some(j)) => {
-            t.push(i, i, y);
-            t.push(j, j, y);
-            t.push(i, j, -y);
-            t.push(j, i, -y);
+            t.stamp(i, i, y);
+            t.stamp(j, j, y);
+            t.stamp(i, j, -y);
+            t.stamp(j, i, -y);
         }
-        (Some(i), None) | (None, Some(i)) => t.push(i, i, y),
+        (Some(i), None) | (None, Some(i)) => t.stamp(i, i, y),
         (None, None) => {}
+    }
+}
+
+/// Where [`Circuit::ac_assemble_mode`] sends its matrix stamps, one
+/// `(row, col, value)` at a time in a fixed order: [`Triplets`], or a
+/// [`SlotFill`] that writes them into a planned CSR matrix.
+pub(crate) trait StampSink {
+    /// Takes one stamp; duplicates sum.
+    fn stamp(&mut self, row: usize, col: usize, value: Complex64);
+}
+
+impl StampSink for Triplets<Complex64> {
+    #[inline]
+    fn stamp(&mut self, row: usize, col: usize, value: Complex64) {
+        self.push(row, col, value);
+    }
+}
+
+/// Tag bit of a stamp-map entry: the first stamp into its CSR slot,
+/// which overwrites the slot; later stamps add to it.
+const FIRST_STAMP: u32 = 1 << 31;
+
+/// The stamp map of `t`, whose CSR form is `a`: for each stamp `t` holds
+/// (its nonzero ones, in push order), the index of `a`'s value slot it
+/// was summed into, tagged [`FIRST_STAMP`] on the first stamp into each
+/// slot. `None` when a slot index reaches the tag bit.
+fn record_stamp_map(t: &Triplets<Complex64>, a: &CsrMatrix<Complex64>) -> Option<Vec<u32>> {
+    #[cfg(test)]
+    crate::solver::probe::note_stamp_map();
+    if a.nnz() > FIRST_STAMP as usize {
+        return None;
+    }
+    let (indptr, indices) = (a.indptr(), a.indices());
+    let mut seen = vec![false; a.nnz()];
+    t.entries()
+        .iter()
+        .map(|&(r, c, _)| {
+            let row = indptr[r]..indptr[r + 1];
+            let slot = row.start + indices[row].binary_search(&c).ok()?;
+            let first = !std::mem::replace(&mut seen[slot], true);
+            Some(slot as u32 | if first { FIRST_STAMP } else { 0 })
+        })
+        .collect()
+}
+
+/// A [`StampSink`] that writes each nonzero stamp straight into the CSR
+/// value slot the stamp map names, checking on the way that the stream
+/// is the recorded one: each stamp's `(row, col)` must be its slot's,
+/// read off the matrix's own row pointers and column indices, and the
+/// stream must end where the map does ([`SlotFill::complete`]). The first
+/// stamp into a slot overwrites it and later ones add to it in stream
+/// order, so a complete stream leaves exactly the values
+/// `Triplets::to_csr` would sum; exact zeros are skipped, as
+/// `Triplets::push` skips them. After the first stray stamp nothing more
+/// is written.
+struct SlotFill<'a> {
+    map: &'a [u32],
+    indptr: &'a [usize],
+    indices: &'a [usize],
+    values: &'a mut [Complex64],
+    /// Nonzero stamps taken so far.
+    next: usize,
+    /// No stamp has left the map yet.
+    on_map: bool,
+}
+
+impl<'a> SlotFill<'a> {
+    fn new(
+        map: &'a [u32],
+        indptr: &'a [usize],
+        indices: &'a [usize],
+        values: &'a mut [Complex64],
+    ) -> Self {
+        Self {
+            map,
+            indptr,
+            indices,
+            values,
+            next: 0,
+            on_map: true,
+        }
+    }
+
+    /// Whether the stream was the recorded one, stamp for stamp.
+    fn complete(&self) -> bool {
+        self.on_map && self.next == self.map.len()
+    }
+}
+
+impl StampSink for SlotFill<'_> {
+    #[inline]
+    fn stamp(&mut self, row: usize, col: usize, value: Complex64) {
+        if value.is_zero() || !self.on_map {
+            return;
+        }
+        let Some(&m) = self.map.get(self.next) else {
+            self.on_map = false;
+            return;
+        };
+        self.next += 1;
+        let slot = (m & !FIRST_STAMP) as usize;
+        if !(self.indptr[row]..self.indptr[row + 1]).contains(&slot) || self.indices[slot] != col {
+            self.on_map = false;
+        } else if m & FIRST_STAMP != 0 {
+            self.values[slot] = value;
+        } else {
+            self.values[slot] += value;
+        }
     }
 }
 
@@ -947,6 +1184,286 @@ mod tests {
         });
         assert_eq!(analyses, 1, "strict sweep: {strict_err}");
         assert_eq!(strict_err.to_string(), err.to_string());
+    }
+
+    /// The parent's sweep, frequency by frequency: the first frequency
+    /// plans (seeded by `hint`) and solves, and every later one is
+    /// assembled into triplets and factored through that plan
+    /// ([`Circuit::ac_solve_planned`]).
+    fn oracle_sweep(
+        c: &Circuit,
+        opts: &AcOptions,
+        hint: Option<&Arc<SymbolicLu>>,
+    ) -> Vec<Result<Vec<Complex64>>> {
+        let layout = MnaLayout::build(c);
+        let backend = c.effective_backend();
+        let par = ParallelConfig::default();
+        let (&f0, rest) = split_sweep(opts).unwrap();
+        let (plan, x0, kept) = c.ac_plan_first(&layout, None, f0, backend, hint, &par, false);
+        assert!(kept.is_none());
+        std::iter::once(x0)
+            .chain(
+                rest.iter()
+                    .map(|&f| c.ac_solve_planned(&layout, None, f, plan.as_ref(), backend)),
+            )
+            .collect()
+    }
+
+    fn bits(x: &[Complex64]) -> Vec<(u64, u64)> {
+        x.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// Asserts that `got` — a skipping sweep — solved every frequency
+    /// the oracle solved, to the bit, and skipped every other one with
+    /// the oracle's error.
+    fn assert_matches_oracle(got: &ResilientAcSweep, want: &[Result<Vec<Complex64>>], what: &str) {
+        let mut solved = got.ac.data.iter();
+        assert_eq!(got.report.frequencies.len(), want.len(), "{what}");
+        for (k, (rec, want)) in got.report.frequencies.iter().zip(want).enumerate() {
+            match (&rec.status, want) {
+                (FrequencyStatus::Solved, Ok(x)) => {
+                    assert_eq!(bits(solved.next().unwrap()), bits(x), "{what}: frequency {k}");
+                }
+                (FrequencyStatus::Skipped { error }, Err(e)) => {
+                    assert_eq!(error, &e.to_string(), "{what}: frequency {k}");
+                }
+                (status, want) => panic!("{what}: frequency {k}: {status:?} against {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn later_frequencies_refactor_in_place() {
+        // One map, one analysis, every later frequency refilled in place,
+        // and the parent's bits.
+        let mut c = coupled_ladder(40, 20, 0.3e-9);
+        c.set_solver_backend(SolverBackend::Sparse);
+        let opts = sweep();
+        let cfg = ParallelConfig::serial();
+        let ((res, maps), analyses, factors) = crate::solver::probe::record(|| {
+            crate::solver::probe::count_stamp_maps(|| {
+                c.ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default(), None)
+                    .unwrap()
+            })
+        });
+        assert_eq!(maps, 1);
+        assert_planned_once(analyses, &factors, opts.freqs_hz.len());
+        let (_, in_place) =
+            crate::solver::probe::count_in_place(|| strict(&c, &opts, &cfg).unwrap());
+        assert_eq!(in_place, opts.freqs_hz.len() - 1);
+        assert_matches_oracle(&res, &oracle_sweep(&c, &opts, None), "serial");
+    }
+
+    #[test]
+    fn one_frequency_sweep_records_no_map() {
+        let mut c = coupled_ladder(40, 20, 0.3e-9);
+        c.set_solver_backend(SolverBackend::Sparse);
+        let cfg = ParallelConfig::serial();
+        let one = AcOptions {
+            freqs_hz: vec![1e9],
+        };
+        let (_, maps) = crate::solver::probe::count_stamp_maps(|| strict(&c, &one, &cfg).unwrap());
+        assert_eq!(maps, 0);
+        let (_, maps) =
+            crate::solver::probe::count_stamp_maps(|| strict(&c, &sweep(), &cfg).unwrap());
+        assert_eq!(maps, 1);
+    }
+
+    /// A 64-bit xorshift stream seeded by `seed`.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    /// Smallest subnormal: `ω·M` underflows to an exact zero below
+    /// ω = 0.5, so its stamps vanish at 1 mHz and the stream shifts.
+    const UNDERFLOWING_MUTUAL: f64 = 5e-324;
+    /// A capacitance whose `jωC` overflows to infinity above ≈ 29 MHz:
+    /// the static pivot at its node is non-finite there, so the sparse
+    /// factor (and `Auto`'s dense retry) report a singular pivot.
+    const OVERFLOWING_CAP: f64 = 1e300;
+
+    /// A generated coupled RLC ladder: 40–69 nodes driven at the first
+    /// by a 1 A probe or, with `flags & 1`, a 1 V source on its own row;
+    /// random series resistors, some doubled by a parallel resistor or a
+    /// coupling capacitor (duplicate stamps); a dense mutual block of
+    /// 2–11 branches to ground and a banded one of 2–11 branches along
+    /// the ladder, whose first mutual is [`UNDERFLOWING_MUTUAL`] with
+    /// `flags & 2`; with `flags & 4` a side node on
+    /// [`OVERFLOWING_CAP`].
+    fn generated_ladder(seed: u64, flags: u32) -> Circuit {
+        use ind101_numeric::Matrix;
+        let mut next = xorshift(seed);
+        let mut pick = |lo: u64, n: u64| (lo + next() % n) as usize;
+        let nodes = pick(40, 30);
+        let mut c = Circuit::new();
+        let ids: Vec<NodeId> = (0..nodes).map(|i| c.node(format!("n{i}"))).collect();
+        if flags & 1 != 0 {
+            c.vsrc_ac(ids[0], Circuit::GND, SourceWave::dc(0.0), 1.0);
+        } else {
+            c.isrc_ac(Circuit::GND, ids[0], SourceWave::dc(0.0), 1.0);
+        }
+        for w in ids.windows(2) {
+            let r = 1.0 + pick(0, 1000) as f64 / 100.0;
+            c.resistor(w[0], w[1], r);
+            match pick(0, 4) {
+                0 => c.resistor(w[0], w[1], 2.0 * r),
+                1 => c.capacitor(w[0], w[1], 1e-14 * pick(1, 9) as f64),
+                _ => {}
+            }
+            c.capacitor(w[1], Circuit::GND, 1e-13 * pick(1, 9) as f64);
+        }
+        let k = pick(2, 10);
+        let dense = Matrix::from_fn(k, k, |i, j| 1e-9 * 0.45f64.powi(i.abs_diff(j) as i32));
+        let stride = nodes / k;
+        c.add_inductor_system(crate::netlist::InductorSystem {
+            branches: (0..k).map(|j| (ids[j * stride], Circuit::GND)).collect(),
+            m: dense,
+        })
+        .unwrap();
+        let k = pick(2, 10);
+        let mut banded = Matrix::from_fn(k, k, |i, j| match i.abs_diff(j) {
+            0 => 2e-9,
+            1 => 0.4e-9,
+            _ => 0.0,
+        });
+        if flags & 2 != 0 {
+            banded[(0, 1)] = UNDERFLOWING_MUTUAL;
+            banded[(1, 0)] = UNDERFLOWING_MUTUAL;
+        }
+        let start = pick(1, (nodes - k - 1) as u64);
+        c.add_inductor_system(crate::netlist::InductorSystem {
+            branches: (start..start + k).map(|i| (ids[i], ids[i + 1])).collect(),
+            m: banded,
+        })
+        .unwrap();
+        if flags & 4 != 0 {
+            let side = c.node("side");
+            c.resistor(ids[nodes / 2], side, 1e3);
+            c.capacitor(side, Circuit::GND, OVERFLOWING_CAP);
+        }
+        c
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The in-place sweep against the parent's per-frequency path,
+        /// to the bit: forced `Sparse` and `Auto`, 1 and 3 threads, with
+        /// and without a hint, strict and skipping. The frequency pool
+        /// holds 1 mHz (the underflowing mutual's stamps vanish) and
+        /// frequencies above the overflowing capacitor's singular pivot.
+        #[test]
+        fn in_place_sweep_is_bitwise_the_per_frequency_path(
+            seed in 0u64..1_000_000,
+            flags in 0u32..8,
+            len in 2usize..8,
+        ) {
+            const POOL: [f64; 8] = [1e-3, 1e3, 1e6, 1e7, 3e8, 1e9, 4e9, 2e10];
+            let mut next = xorshift(seed ^ 0x5EED);
+            let opts = AcOptions {
+                freqs_hz: (0..len).map(|_| POOL[(next() % 8) as usize]).collect(),
+            };
+            for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
+                let mut c = generated_ladder(seed, flags);
+                c.set_solver_backend(backend);
+                for hint in [None, c.ac_symbolic(opts.freqs_hz[0])] {
+                    let want = oracle_sweep(&c, &opts, hint.as_ref());
+                    for threads in [1, 3] {
+                        let cfg = ParallelConfig::with_threads(threads);
+                        let what = format!("{backend:?} threads {threads} hint {}", hint.is_some());
+                        let got = c
+                            .ac_sweep_resilient(&opts, &cfg, &ResilienceOptions::default(), hint.clone())
+                            .unwrap();
+                        assert_matches_oracle(&got, &want, &what);
+                        let strict = c.ac_sweep_resilient(
+                            &opts,
+                            &cfg,
+                            &ResilienceOptions::strict(),
+                            hint.clone(),
+                        );
+                        match (strict, want.iter().find_map(|x| x.as_ref().err())) {
+                            (Ok(sweep), None) => {
+                                for (x, w) in sweep.ac.data.iter().zip(&want) {
+                                    assert_eq!(bits(x), bits(w.as_ref().unwrap()), "{what}");
+                                }
+                            }
+                            (Err(e), Some(w)) => assert_eq!(e.to_string(), w.to_string(), "{what}"),
+                            (got, want) => panic!("{what}: strict {got:?} against {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The slot filler against `Triplets::to_csr`: replaying a stamp
+        /// stream through a map recorded from another completes exactly
+        /// when the two streams' nonzero coordinates agree, stamp for
+        /// stamp, and then leaves `to_csr`'s values to the bit. `edit`
+        /// perturbs the replayed stream: 0 keeps its coordinates, 1 moves
+        /// one stamp, 2 drops one, 3 adds one, 4 swaps two; about one
+        /// value in eight is an exact zero.
+        #[test]
+        fn slot_fill_is_to_csr_or_refuses(
+            seed in 0u64..1_000_000,
+            n in 1usize..10,
+            len in 1usize..60,
+            edit in 0u32..5,
+        ) {
+            let mut next = xorshift(seed);
+            let mut value = |zeros: bool| {
+                if zeros && next() % 8 == 0 {
+                    return Complex64::ZERO;
+                }
+                let mag = 10f64.powi((next() % 17) as i32 - 8);
+                Complex64::new(mag * (1.0 + (next() % 97) as f64), (next() % 5) as f64 - 2.0)
+            };
+            let coords: Vec<(usize, usize)> = (0..len)
+                .map(|k| ((k * 7 + seed as usize) % n, (k * 3 + (seed >> 8) as usize) % n.min(4)))
+                .collect();
+            let mut recorded = Triplets::new(n, n);
+            for &(r, c) in &coords {
+                recorded.push(r, c, value(false));
+            }
+            let a = recorded.to_csr();
+            let map = record_stamp_map(&recorded, &a).unwrap();
+            let mut stream: Vec<(usize, usize, Complex64)> =
+                coords.iter().map(|&(r, c)| (r, c, value(true))).collect();
+            let at = (seed as usize) % len;
+            match edit {
+                1 => stream[at].1 = (stream[at].1 + 1) % n,
+                2 => {
+                    stream.remove(at);
+                }
+                3 => stream.insert(at, (at % n, 0, value(false))),
+                4 => stream.swap(at, (at + 1) % len),
+                _ => {}
+            }
+            let mut b = a.clone();
+            let (indptr, indices, values) = b.pattern_and_values_mut();
+            let mut fill = SlotFill::new(&map, indptr, indices, values);
+            let mut replayed = Triplets::new(n, n);
+            for &(r, c, v) in &stream {
+                fill.stamp(r, c, v);
+                replayed.push(r, c, v);
+            }
+            let complete = fill.complete();
+            let positions = |t: &Triplets<Complex64>| -> Vec<(usize, usize)> {
+                t.entries().iter().map(|&(r, c, _)| (r, c)).collect()
+            };
+            proptest::prop_assert_eq!(complete, positions(&replayed) == positions(&recorded));
+            if complete {
+                let want = replayed.to_csr();
+                proptest::prop_assert_eq!(b.indptr(), want.indptr());
+                proptest::prop_assert_eq!(b.indices(), want.indices());
+                proptest::prop_assert_eq!(bits(b.data()), bits(want.data()));
+            }
+        }
     }
 
     #[test]

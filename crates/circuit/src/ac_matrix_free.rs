@@ -256,7 +256,7 @@ impl Circuit {
             }
 
             let jw = Complex64::jomega(2.0 * std::f64::consts::PI * f);
-            let (t_op, rhs) = self.ac_assemble_mode(
+            let (t_op, rhs) = self.ac_triplets(
                 &layout,
                 dc.as_ref(),
                 f,
@@ -264,7 +264,7 @@ impl Circuit {
                     overridden: &overridden,
                 },
             );
-            let (t_pre, _) = self.ac_assemble_mode(
+            let (t_pre, _) = self.ac_triplets(
                 &layout,
                 dc.as_ref(),
                 f,
@@ -273,7 +273,7 @@ impl Circuit {
                 },
             );
             let annotate = |e| crate::mna::annotate_singular(self, &layout, e);
-            let solver = match factor_planned(&mut plan, &t_pre, backend) {
+            let solver = match factor_planned(&mut plan, &t_pre, backend, None) {
                 Ok(s) => s,
                 Err(e) => {
                     let err = annotate(e);
@@ -386,7 +386,7 @@ impl RescueProvider<Complex64> for FullStampProvider<'_> {
     fn dense_matrix(&self) -> Option<Matrix<Complex64>> {
         let (t, _) =
             self.circuit
-                .ac_assemble_mode(self.layout, self.dc, self.f, AcStampMode::Full);
+                .ac_triplets(self.layout, self.dc, self.f, AcStampMode::Full);
         Some(t.to_dense())
     }
 }

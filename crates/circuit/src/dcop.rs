@@ -6,7 +6,10 @@
 //! Newton fails, escalates through gmin-stepping and source-stepping
 //! homotopies (see [`crate::rescue`] for the rationale), returning a
 //! [`RescueReport`] alongside the operating point so callers can see
-//! which rung converged and what it cost.
+//! which rung converged and what it cost. It also takes the symbolic
+//! analysis of a structurally identical circuit as a hint
+//! ([`Circuit::dc_symbolic`]), as the AC sweep does, so a job server
+//! analyzes each DC pattern once.
 
 use crate::elements::{Element, Mosfet};
 use crate::error::CircuitError;
@@ -14,9 +17,10 @@ use crate::mna::{annotate_singular, assemble_static, stamp_current, MnaLayout, S
 use crate::nonlinear::WoodburySolver;
 use crate::netlist::{Circuit, NodeId};
 use crate::rescue::{RescuePolicy, RescueReport, RescueRung, RungTrace};
-use crate::solver::factor_planned;
+use crate::solver::{factor_planned, SolvePlan};
 use crate::Result;
-use ind101_numeric::{norm_inf, Triplets};
+use ind101_numeric::{norm_inf, SymbolicLu, Triplets};
+use std::sync::Arc;
 
 /// Maximum Newton iterations for the operating point, and for each
 /// homotopy solve of the rescue rungs.
@@ -149,7 +153,22 @@ impl Circuit {
     /// [`CircuitError::SingularSystem`] for structurally singular
     /// circuits (with the offending node named).
     pub fn dc_op(&self) -> Result<DcOperatingPoint> {
-        self.dc_op_with(&RescuePolicy::disabled()).map(|(op, _)| op)
+        self.dc_op_with(&RescuePolicy::disabled(), None)
+            .map(|(op, _)| op)
+    }
+
+    /// The symbolic analysis a DC operating point of this circuit plans,
+    /// for reuse across structurally identical circuits as the `hint` of
+    /// [`Circuit::dc_op_with`]. `None` when that plan has no symbolic
+    /// analysis — its rung is dense — or when planning fails.
+    #[must_use]
+    pub fn dc_symbolic(&self) -> Option<Arc<SymbolicLu>> {
+        let layout = MnaLayout::build(self);
+        let t = assemble_static(self, &layout, Scheme::Dc, 0.0);
+        SolvePlan::new(&t, self.effective_backend())
+            .ok()?
+            .symbolic()
+            .cloned()
     }
 
     /// Computes the DC operating point, escalating through the rescue
@@ -159,12 +178,24 @@ impl Circuit {
     /// budget, so whenever it suffices the result is bit-identical to
     /// [`Circuit::dc_op`]. The report records every rung attempted.
     ///
+    /// `hint` seeds the analysis's one plan with a symbolic
+    /// factorization held from a structurally identical circuit
+    /// ([`Circuit::dc_symbolic`]), as the `hint` of
+    /// [`Circuit::ac_sweep_resilient`] does: it is used when the plan
+    /// lands on the sparse rung and its stored pattern equals this
+    /// circuit's exactly, and the pattern is analyzed afresh otherwise,
+    /// so the answer is the same bits either way.
+    ///
     /// # Errors
     ///
     /// [`CircuitError::NewtonDiverged`] when every enabled rung fails
     /// (carrying the iteration total and last update norm), or
     /// [`CircuitError::SingularSystem`] for singular circuits.
-    pub fn dc_op_with(&self, policy: &RescuePolicy) -> Result<(DcOperatingPoint, RescueReport)> {
+    pub fn dc_op_with(
+        &self,
+        policy: &RescuePolicy,
+        hint: Option<Arc<SymbolicLu>>,
+    ) -> Result<(DcOperatingPoint, RescueReport)> {
         let layout = MnaLayout::build(self);
         let static_t = assemble_static(self, &layout, Scheme::Dc, 0.0);
         // Static RHS: independent sources at t = 0.
@@ -190,7 +221,7 @@ impl Circuit {
         // the static matrix stamps. The rescue rungs refine their solves.
         let mut plan = None;
         let mut rung_solver = |t: &Triplets, refine: bool| {
-            let base = factor_planned(&mut plan, t, backend)?;
+            let base = factor_planned(&mut plan, t, backend, hint.as_ref())?;
             let base = if refine { base.with_refinement() } else { base };
             WoodburySolver::new(base, &layout, &mosfets)
         };
@@ -476,7 +507,7 @@ mod tests {
             vt: 0.5,
             lambda: 0.0,
         });
-        let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+        let (op, report) = c.dc_op_with(&RescuePolicy::full(), None).unwrap();
         assert!(report.plain_sufficed(), "{}", report.summary());
         assert_eq!(report.rungs.len(), 1);
         assert!(report.rungs[0].converged);
@@ -537,7 +568,7 @@ mod tests {
     #[test]
     fn rescue_ladder_solves_far_operating_point() {
         let (c, hi) = far_operating_point_circuit(1.0, 0);
-        let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+        let (op, report) = c.dc_op_with(&RescuePolicy::full(), None).unwrap();
         assert!(!report.plain_sufficed());
         // The plain rung must be recorded as attempted and failed.
         assert_eq!(report.rungs[0].rung, RescueRung::PlainNewton);
@@ -559,7 +590,7 @@ mod tests {
             let (mut c, hi) = far_operating_point_circuit(amps, 60);
             c.set_solver_backend(crate::solver::SolverBackend::Sparse);
             let (res, plans, analyses) =
-                crate::solver::probe::count_planning(|| c.dc_op_with(&RescuePolicy::full()));
+                crate::solver::probe::count_planning(|| c.dc_op_with(&RescuePolicy::full(), None));
             let (op, report) = res.unwrap();
             assert_eq!(report.converged_by, rung, "{}", report.summary());
             assert_eq!((plans, analyses), (1, 1), "{}", report.summary());
@@ -583,7 +614,7 @@ mod tests {
         c.capacitor(out, Circuit::GND, 50e-15);
         let diverged = |r: Result<_>| matches!(r, Err(CircuitError::NewtonDiverged { .. }));
         assert!(diverged(c.dc_op().map(drop)));
-        assert!(diverged(c.dc_op_with(&RescuePolicy::full()).map(drop)));
+        assert!(diverged(c.dc_op_with(&RescuePolicy::full(), None).map(drop)));
         let mut opts = crate::tran::TranOptions::new(1e-12, 10e-12);
         opts.start_from_dc = false;
         match c.transient(&opts) {
@@ -593,4 +624,44 @@ mod tests {
             other => panic!("expected divergence at the first step, got {other:?}"),
         }
     }
+    #[test]
+    fn dc_hint_skips_the_analysis_and_keeps_the_bits() {
+        // A resistive ladder past the small-dense floor, on the sparse
+        // rung, and a copy with other values but the same topology.
+        let ladder = |scale: f64| {
+            let mut c = Circuit::new();
+            let nodes: Vec<NodeId> = (0..80).map(|i| c.node(format!("n{i}"))).collect();
+            c.vsrc(nodes[0], Circuit::GND, SourceWave::dc(1.0));
+            for (i, w) in nodes.windows(2).enumerate() {
+                c.resistor(w[0], w[1], scale * (1.0 + 0.1 * i as f64));
+                c.resistor(w[1], Circuit::GND, 50.0 * scale);
+            }
+            c.set_solver_backend(crate::SolverBackend::Sparse);
+            c
+        };
+        let (a, b) = (ladder(1.0), ladder(2.5));
+        let hint = a.dc_symbolic().unwrap();
+        let policy = RescuePolicy::disabled();
+        let ((seeded, _), plans, analyses) = crate::solver::probe::count_planning(|| {
+            b.dc_op_with(&policy, Some(Arc::clone(&hint))).unwrap()
+        });
+        assert_eq!((plans, analyses), (1, 0));
+        let plain = b.dc_op().unwrap();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(seeded.unknowns()), bits(plain.unknowns()));
+        // A stale hint is analyzed away, to the same bits.
+        let mut other = ladder(1.0);
+        other.resistor(NodeId(3), NodeId(40), 7.0);
+        let ((stale, _), _, analyses) = crate::solver::probe::count_planning(|| {
+            other.dc_op_with(&policy, Some(Arc::clone(&hint))).unwrap()
+        });
+        assert_eq!(analyses, 1);
+        assert_eq!(bits(stale.unknowns()), bits(other.dc_op().unwrap().unknowns()));
+        // A dense plan has no analysis to hand out.
+        let mut small = Circuit::new();
+        let x = small.node("x");
+        small.resistor(x, Circuit::GND, 1.0);
+        assert!(small.dc_symbolic().is_none());
+    }
+
 }

@@ -52,6 +52,13 @@ pub(crate) fn take_singular_pivot() -> Option<usize> {
     (v != usize::MAX).then_some(v)
 }
 
+/// Whether a singular-pivot fault is armed, without taking it: an AC
+/// sweep's in-place refactor then leaves the frequency to the plan's
+/// factorization, which takes the fault.
+pub(crate) fn singular_pivot_armed() -> bool {
+    SINGULAR_PIVOT.load(Ordering::SeqCst) != usize::MAX
+}
+
 /// Makes the next `n` transient Newton solves report non-convergence.
 pub fn inject_tran_newton_stalls(n: usize) {
     TRAN_NEWTON_STALLS.store(n, Ordering::SeqCst);

@@ -120,7 +120,7 @@ mod tests {
         let a = ramp(0.0, 1.0, 0.0, 1.0, 101);
         // Response: same ramp but shifted to start at 0.2 in time axis.
         let time: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
-        let values: Vec<f64> = time.iter().map(|&t| ((t - 0.2).max(0.0)).min(1.0)).collect();
+        let values: Vec<f64> = time.iter().map(|&t| (t - 0.2).clamp(0.0, 1.0)).collect();
         let b = Trace::new(time, values);
         let d = delay_50(&a, &b, 0.0, 1.0).unwrap();
         assert!((d - 0.2).abs() < 1e-9);

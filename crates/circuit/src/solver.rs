@@ -62,8 +62,8 @@
 
 use crate::Result;
 use ind101_numeric::{
-    refine, BtfForm, CsrMatrix, CsrPattern, LuFactors, Matrix, NumericError, Scalar, SparseLu,
-    SymbolicLu, Triplets,
+    refine, BtfForm, CsrMatrix, CsrPattern, LuFactors, Matrix, NumericError, ParallelConfig,
+    Scalar, SolveBudget, SparseLu, SymbolicLu, Triplets,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -189,9 +189,10 @@ enum Numeric<T: Scalar> {
 
 impl SolvePlan {
     /// Plans `t`'s pattern under `backend`, and factors `t` with the new
-    /// plan. A `hint` becomes the sparse rung's symbolic analysis when
-    /// it matches `t`'s pattern (a stale one is dropped and the pattern
-    /// analyzed afresh). `t` is converted to CSR at most once.
+    /// plan on `par`'s threads. A `hint` becomes the sparse rung's
+    /// symbolic analysis when it matches `t`'s pattern (a stale one is
+    /// dropped and the pattern analyzed afresh). `t` is converted to CSR
+    /// at most once.
     ///
     /// # Errors
     ///
@@ -202,8 +203,9 @@ impl SolvePlan {
         t: &Triplets<T>,
         backend: SolverBackend,
         hint: Option<&Arc<SymbolicLu>>,
+        par: &ParallelConfig,
     ) -> Result<(Self, Result<Solver<T>>)> {
-        Self::first_from(t, None, backend, hint)
+        Self::first_from(t, None, backend, hint, par)
     }
 
     /// Plans `t`'s pattern without factoring it.
@@ -215,15 +217,19 @@ impl SolvePlan {
         Self::plan(t, None, backend, None).map(|(plan, _)| plan)
     }
 
-    /// Factors `t` under this plan: the numeric phase only when `t` has
-    /// the planned pattern. A matrix with another pattern — a stamp that
-    /// underflowed to an exact zero is dropped by `Triplets::push` — is
-    /// planned afresh, so the result is always the one a fresh
-    /// [`Solver::build_with`] would give.
-    pub(crate) fn factor<T: Scalar>(&self, t: &Triplets<T>) -> Result<Solver<T>> {
-        match self.numeric(t, None) {
+    /// Factors `t` under this plan on `par`'s threads: the numeric phase
+    /// only when `t` has the planned pattern. A matrix with another
+    /// pattern — a stamp that underflowed to an exact zero is dropped by
+    /// `Triplets::push` — is planned afresh, so the result is always the
+    /// one a fresh [`Solver::build_with`] would give.
+    pub(crate) fn factor<T: Scalar>(
+        &self,
+        t: &Triplets<T>,
+        par: &ParallelConfig,
+    ) -> Result<Solver<T>> {
+        match self.numeric(t, None, par) {
             Numeric::Done(solver) => solver,
-            Numeric::Mismatch(csr) => Self::first_from(t, Some(csr), self.backend, None)?.1,
+            Numeric::Mismatch(csr) => Self::first_from(t, Some(csr), self.backend, None, par)?.1,
         }
     }
 
@@ -241,10 +247,11 @@ impl SolvePlan {
         mut csr: Option<CsrMatrix<T>>,
         backend: SolverBackend,
         mut hint: Option<&Arc<SymbolicLu>>,
+        par: &ParallelConfig,
     ) -> Result<(Self, Result<Solver<T>>)> {
         loop {
             let (plan, planned_csr) = Self::plan(t, csr, backend, hint)?;
-            match plan.numeric(t, planned_csr) {
+            match plan.numeric(t, planned_csr, par) {
                 Numeric::Done(solver) => return Ok((plan, solver)),
                 // Only a stale hint gets here, and only once: a plan
                 // made from `t`'s own pattern always matches it.
@@ -314,7 +321,12 @@ impl SolvePlan {
     }
 
     /// The numeric phase of one matrix, with one pattern check.
-    fn numeric<T: Scalar>(&self, t: &Triplets<T>, csr: Option<CsrMatrix<T>>) -> Numeric<T> {
+    fn numeric<T: Scalar>(
+        &self,
+        t: &Triplets<T>,
+        csr: Option<CsrMatrix<T>>,
+        par: &ParallelConfig,
+    ) -> Numeric<T> {
         #[cfg(feature = "solver-faults")]
         if let Some(pivot) = crate::faults::take_singular_pivot() {
             return Numeric::Done(Err(NumericError::Singular { pivot }.into()));
@@ -331,8 +343,13 @@ impl SolvePlan {
         Numeric::Done(match &self.rung {
             Rung::Dense { .. } => Solver::build_dense(t),
             Rung::Sparse { sym, dense_retry } => {
-                // `factor_with` is the sparse rung's pattern check.
-                match SparseLu::factor_with(Arc::clone(sym), &csr) {
+                // `factor_with_budget` is the sparse rung's pattern check.
+                match SparseLu::factor_with_budget(
+                    Arc::clone(sym),
+                    &csr,
+                    &SolveBudget::unlimited(),
+                    par,
+                ) {
                     Ok(lu) => {
                         #[cfg(test)]
                         probe::note_sparse_factor(sym);
@@ -354,20 +371,23 @@ impl SolvePlan {
     }
 }
 
-/// Factors `t` with `plan`, or plans `t`'s pattern under `backend` and
-/// keeps that plan when there is none yet (the first matrix of an
-/// analysis, or every one so far failed to plan). A matrix whose
-/// pattern differs from the plan's is planned afresh inside
-/// [`SolvePlan::factor`] and leaves the kept plan as it was.
+/// Factors `t` with `plan`, or plans `t`'s pattern under `backend`
+/// (seeded with `hint`, as in [`SolvePlan::first`]) and keeps that plan
+/// when there is none yet (the first matrix of an analysis, or every one
+/// so far failed to plan). A matrix whose pattern differs from the
+/// plan's is planned afresh inside [`SolvePlan::factor`] and leaves the
+/// kept plan as it was. Factors run on the machine's default threads.
 pub(crate) fn factor_planned<T: Scalar>(
     plan: &mut Option<SolvePlan>,
     t: &Triplets<T>,
     backend: SolverBackend,
+    hint: Option<&Arc<SymbolicLu>>,
 ) -> Result<Solver<T>> {
+    let par = ParallelConfig::default();
     if let Some(plan) = plan {
-        return plan.factor(t);
+        return plan.factor(t, &par);
     }
-    let (first, solver) = SolvePlan::first(t, backend, None)?;
+    let (first, solver) = SolvePlan::first(t, backend, hint, &par)?;
     *plan = Some(first);
     solver
 }
@@ -415,7 +435,7 @@ impl<T: Scalar> Solver<T> {
     /// override first). Singular pivots are named in the original MNA
     /// unknown ordering, whatever permutation the rung applied.
     pub(crate) fn build_with(t: &Triplets<T>, backend: SolverBackend) -> Result<Self> {
-        SolvePlan::first(t, backend, None)?.1
+        SolvePlan::first(t, backend, None, &ParallelConfig::default())?.1
     }
 
     fn build_dense(t: &Triplets<T>) -> Result<Self> {
@@ -442,6 +462,59 @@ impl<T: Scalar> Solver<T> {
             *refine = true;
         }
         self
+    }
+
+    /// The sparse rung's retained matrix and its symbolic analysis;
+    /// `None` on the dense rung.
+    pub(crate) fn sparse_parts(&self) -> Option<(&CsrMatrix<T>, &Arc<SymbolicLu>)> {
+        match self {
+            Self::Sparse { lu, a, .. } => Some((a, lu.symbolic())),
+            Self::Dense { .. } => None,
+        }
+    }
+
+    /// Refactors the sparse rung in place for the next matrix of its
+    /// pattern. `fill` overwrites the retained CSR's values, given its
+    /// row pointers and column indices, and reports whether it wrote
+    /// the whole matrix; the retained [`SparseLu`] is then refactored on
+    /// `par`'s threads, and the previous matrix's dense fallback is
+    /// dropped. Nothing is allocated.
+    ///
+    /// Returns `false` on the dense rung, when `fill` fails, or when the
+    /// refactor errs (a singular static pivot, say). The values are then
+    /// unspecified until a later call succeeds, and the caller factors
+    /// the matrix through its plan instead, which reports an error or
+    /// retries densely exactly as a fresh factorization would.
+    pub(crate) fn refactor_in_place(
+        &mut self,
+        par: &ParallelConfig,
+        fill: impl FnOnce(&[usize], &[usize], &mut [T]) -> bool,
+    ) -> bool {
+        // An armed fault belongs to the plan's factorization.
+        #[cfg(feature = "solver-faults")]
+        if crate::faults::singular_pivot_armed() {
+            return false;
+        }
+        let Self::Sparse { lu, a, dense } = self else {
+            return false;
+        };
+        let (indptr, indices, values) = a.pattern_and_values_mut();
+        if !fill(indptr, indices, values)
+            || lu
+                .refactor_budgeted(a, &SolveBudget::unlimited(), par)
+                .is_err()
+        {
+            return false;
+        }
+        #[cfg(test)]
+        {
+            probe::note_sparse_factor(lu.symbolic());
+            probe::note_in_place();
+        }
+        if let Some(cell) = dense {
+            *cell = OnceLock::new();
+        }
+        true
     }
 
     /// Solves for one right-hand side. Dense solutions are iteratively
@@ -546,6 +619,8 @@ pub(crate) mod probe {
         analyses: usize,
         sparse_factors: Vec<Arc<SymbolicLu>>,
         dense_fallbacks: usize,
+        stamp_maps: usize,
+        in_place: usize,
     }
 
     thread_local! {
@@ -566,6 +641,30 @@ pub(crate) mod probe {
 
     pub(crate) fn note_dense_fallback() {
         LOG.with(|l| l.borrow_mut().dense_fallbacks += 1);
+    }
+
+    pub(crate) fn note_stamp_map() {
+        LOG.with(|l| l.borrow_mut().stamp_maps += 1);
+    }
+
+    pub(crate) fn note_in_place() {
+        LOG.with(|l| l.borrow_mut().in_place += 1);
+    }
+
+    /// Runs `f` and returns its result with the in-place refactors made
+    /// meanwhile on this thread.
+    pub(crate) fn count_in_place<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        LOG.with(|l| l.borrow_mut().in_place = 0);
+        let r = f();
+        (r, LOG.with(|l| l.borrow().in_place))
+    }
+
+    /// Runs `f` and returns its result with the AC stamp maps recorded
+    /// meanwhile.
+    pub(crate) fn count_stamp_maps<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        LOG.with(|l| l.borrow_mut().stamp_maps = 0);
+        let r = f();
+        (r, LOG.with(|l| l.borrow().stamp_maps))
     }
 
     /// Runs `f` and returns its result with the dense fallback
@@ -764,8 +863,8 @@ pub(crate) mod tests {
         }
         let mut plan = None;
         let (s2, plans, analyses) = probe::count_planning(|| {
-            factor_planned(&mut plan, &t, SolverBackend::Sparse).unwrap();
-            factor_planned(&mut plan, &t2, SolverBackend::Sparse).unwrap()
+            factor_planned(&mut plan, &t, SolverBackend::Sparse, None).unwrap();
+            factor_planned(&mut plan, &t2, SolverBackend::Sparse, None).unwrap()
         });
         assert_eq!((plans, analyses), (1, 1));
         let kept = Arc::clone(plan.as_ref().and_then(SolvePlan::symbolic).unwrap());
@@ -777,7 +876,7 @@ pub(crate) mod tests {
         coupled.push(0, t.nrows() - 1, -0.1);
         coupled.push(t.nrows() - 1, 0, -0.1);
         let (_, plans, analyses) = probe::count_planning(|| {
-            factor_planned(&mut plan, &coupled, SolverBackend::Sparse).unwrap()
+            factor_planned(&mut plan, &coupled, SolverBackend::Sparse, None).unwrap()
         });
         assert_eq!((plans, analyses), (1, 1));
         let still = plan.as_ref().and_then(SolvePlan::symbolic).unwrap();
@@ -917,6 +1016,42 @@ pub(crate) mod tests {
         }
         // The approximate solve hands back the refined iterate instead.
         assert_eq!(s.solve_approx(&b).unwrap(), miss.x);
+    }
+
+    /// An in-place refactor gives the bits of a fresh factorization of
+    /// the new matrix and drops the previous matrix's dense fallback; a
+    /// failed fill, a refactor that errs and the dense rung refuse.
+    #[test]
+    fn in_place_refactor_is_a_fresh_factor_without_the_old_fallback() {
+        let stalled = stalling_system::<f64>();
+        let n = stalled.nrows();
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (0.3 * i as f64).sin()).collect();
+        let mut s = Solver::build_with(&stalled, SolverBackend::Auto).unwrap();
+        let (_, fallbacks) = probe::count_dense_fallbacks(|| s.solve(&b).unwrap());
+        assert_eq!(fallbacks, 1, "premise: the stalled solve escalates");
+        // The same pattern with a benign block.
+        let mut benign = Triplets::new(n, n);
+        for &(i, j, v) in stalled.entries() {
+            benign.push(i, j, if (i, j) == (0, 0) { 3.0 } else { v });
+        }
+        let values = benign.to_csr().data().to_vec();
+        let serial = ParallelConfig::serial();
+        assert!(s.refactor_in_place(&serial, |_, _, v| {
+            v.copy_from_slice(&values);
+            true
+        }));
+        let fresh = Solver::build_with(&benign, SolverBackend::Auto).unwrap();
+        let (x, fallbacks) = probe::count_dense_fallbacks(|| s.solve(&b).unwrap());
+        assert_eq!(fallbacks, 0);
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&fresh.solve(&b).unwrap()));
+        assert!(!s.refactor_in_place(&serial, |_, _, _| false));
+        assert!(!s.refactor_in_place(&serial, |_, _, v| {
+            v.fill(0.0);
+            true
+        }));
+        let mut dense = Solver::build_with(&tridiag(8), SolverBackend::Auto).unwrap();
+        assert!(!dense.refactor_in_place(&serial, |_, _, _| true));
     }
 
     #[test]

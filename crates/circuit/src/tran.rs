@@ -582,7 +582,7 @@ impl Circuit {
         // Start from the DC operating point (rescued when the options
         // enable a ladder), or from all-zero state.
         let (mut x, rescue) = if opts.start_from_dc {
-            let (op, report) = self.dc_op_with(&opts.rescue)?;
+            let (op, report) = self.dc_op_with(&opts.rescue, None)?;
             (op.x, opts.rescue.any_enabled().then_some(report))
         } else {
             (vec![0.0; layout.n], None)
@@ -625,7 +625,7 @@ impl Circuit {
                     Some(i) => i,
                     None => {
                         let st = assemble_static(self, &layout, scheme, h);
-                        let wb = factor_planned(&mut plan, &st, backend)
+                        let wb = factor_planned(&mut plan, &st, backend, None)
                             .map(|b| if refine { b.with_refinement() } else { b })
                             .and_then(|b| WoodburySolver::new(b, &layout, &mosfets))
                             .map_err(annotate)?;

@@ -217,8 +217,8 @@ fn rescue_ladder_agrees_across_backends() {
 
     let cd = with_backend(&c, SolverBackend::Dense);
     let cs = with_backend(&c, SolverBackend::Sparse);
-    let (opd, repd) = cd.dc_op_with(&RescuePolicy::full()).expect("dense rescue");
-    let (ops, reps) = cs.dc_op_with(&RescuePolicy::full()).expect("sparse rescue");
+    let (opd, repd) = cd.dc_op_with(&RescuePolicy::full(), None).expect("dense rescue");
+    let (ops, reps) = cs.dc_op_with(&RescuePolicy::full(), None).expect("sparse rescue");
     assert!(!repd.plain_sufficed() && !reps.plain_sufficed());
     assert_vectors_close("rescue dc_op", opd.unknowns(), ops.unknowns());
     // The ladder must have climbed identically: same rungs attempted,

@@ -45,7 +45,7 @@ fn forced_plain_failure_escalates_to_gmin_stepping() {
     let _g = exclusive();
     let (c, out) = inverter_rc();
     faults::force_plain_newton_failure(true);
-    let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+    let (op, report) = c.dc_op_with(&RescuePolicy::full(), None).unwrap();
     faults::reset();
     assert!(!report.plain_sufficed());
     assert!(!report.rungs[0].converged);
@@ -164,7 +164,7 @@ fn singular_jacobian_mid_ladder_lets_later_rungs_run() {
     let (c, out) = inverter_rc();
     // The first update of the plain rung and of the first gmin step.
     faults::inject_singular_jacobians(2);
-    let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+    let (op, report) = c.dc_op_with(&RescuePolicy::full(), None).unwrap();
     faults::reset();
     assert_eq!(report.rungs[0].rung, RescueRung::PlainNewton);
     assert_eq!(report.rungs[1].rung, RescueRung::GminStepping);

@@ -66,7 +66,7 @@ fn plain_newton_trajectory_is_backend_independent() {
     let mut runs = Vec::new();
     for backend in [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto] {
         let (c, out) = inverter_ladder(backend);
-        let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+        let (op, report) = c.dc_op_with(&RescuePolicy::full(), None).unwrap();
         assert!(report.plain_sufficed(), "{backend:?}: {}", report.summary());
         runs.push((backend, trajectory(&report), op.voltage(out)));
     }
@@ -87,7 +87,7 @@ fn forced_failure_escalates_identically_across_backends() {
     for backend in [SolverBackend::Dense, SolverBackend::Sparse, SolverBackend::Auto] {
         let (c, out) = inverter_ladder(backend);
         faults::force_plain_newton_failure(true);
-        let solved = c.dc_op_with(&RescuePolicy::full());
+        let solved = c.dc_op_with(&RescuePolicy::full(), None);
         faults::reset();
         let (op, report) = solved.unwrap_or_else(|e| panic!("{backend:?}: {e}"));
         assert!(!report.plain_sufficed(), "{backend:?}");
@@ -124,7 +124,7 @@ fn gmin_disabled_falls_through_to_source_stepping_on_every_backend() {
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let (c, _) = inverter_ladder(backend);
         faults::force_plain_newton_failure(true);
-        let solved = c.dc_op_with(&policy);
+        let solved = c.dc_op_with(&policy, None);
         faults::reset();
         let (_, report) = solved.unwrap_or_else(|e| panic!("{backend:?}: {e}"));
         assert_eq!(

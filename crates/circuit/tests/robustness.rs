@@ -104,7 +104,7 @@ proptest! {
             matches!(c.dc_op(), Err(CircuitError::NewtonDiverged { .. })),
             "plain Newton unexpectedly converged"
         );
-        let (op, report) = c.dc_op_with(&RescuePolicy::full()).unwrap();
+        let (op, report) = c.dc_op_with(&RescuePolicy::full(), None).unwrap();
         prop_assert!(!report.plain_sufficed());
         prop_assert_eq!(report.rungs[0].rung, RescueRung::PlainNewton);
         prop_assert!(!report.rungs[0].converged);
@@ -184,7 +184,7 @@ fn rescue_does_not_mask_structural_singularity() {
         vt: 0.5,
         lambda: 0.0,
     });
-    let err = c.dc_op_with(&RescuePolicy::full()).unwrap_err();
+    let err = c.dc_op_with(&RescuePolicy::full(), None).unwrap_err();
     assert!(
         matches!(err, CircuitError::SingularSystem { .. }),
         "got {err:?}"

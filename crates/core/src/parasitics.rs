@@ -168,9 +168,11 @@ mod tests {
     #[test]
     fn coupling_window_prunes_far_pairs() {
         let tech = Technology::example_copper_6lm();
-        let mut spec = BusSpec::default();
-        spec.signals = 2;
-        spec.spacing_nm = um(100); // far apart
+        let spec = BusSpec {
+            signals: 2,
+            spacing_nm: um(100), // far apart
+            ..BusSpec::default()
+        };
         let bus = generate_bus(&tech, &spec);
         let p = PeecParasitics::extract(&bus, um(2000));
         assert!(p.coupling_caps.is_empty());

@@ -280,15 +280,19 @@ mod tests {
 
     fn clock_over_grid_par() -> PeecParasitics {
         let tech = Technology::example_copper_6lm();
-        let mut grid_spec = PowerGridSpec::default();
-        grid_spec.width_nm = um(200);
-        grid_spec.height_nm = um(200);
-        grid_spec.pitch_nm = um(50);
+        let grid_spec = PowerGridSpec {
+            width_nm: um(200),
+            height_nm: um(200),
+            pitch_nm: um(50),
+            ..PowerGridSpec::default()
+        };
         let mut layout = generate_power_grid(&tech, &grid_spec);
-        let mut clk_spec = ClockNetSpec::default();
-        clk_spec.width_nm = um(200);
-        clk_spec.height_nm = um(200);
-        clk_spec.fingers = 2;
+        let clk_spec = ClockNetSpec {
+            width_nm: um(200),
+            height_nm: um(200),
+            fingers: 2,
+            ..ClockNetSpec::default()
+        };
         let clock = generate_clock_spine(&tech, &clk_spec);
         layout.merge(&clock);
         PeecParasitics::extract(&layout, um(60))

@@ -6,7 +6,7 @@ use crate::error::{require_positive, ExtractError};
 pub const MU0: f64 = 4.0e-7 * std::f64::consts::PI;
 
 /// Vacuum permittivity ε₀, F/m.
-pub const EPS0: f64 = 8.854_187_8128e-12;
+pub const EPS0: f64 = 8.854_187_812_8e-12;
 
 /// Resistivity of on-chip copper (including barrier/liner overhead),
 /// Ω·m — slightly above bulk copper's 1.68e-8.

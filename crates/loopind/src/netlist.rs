@@ -300,8 +300,10 @@ mod tests {
 
     #[test]
     fn invalid_specs_rejected() {
-        let mut spec = LoopNetlistSpec::default();
-        spec.segments = 0;
+        let spec = LoopNetlistSpec {
+            segments: 0,
+            ..LoopNetlistSpec::default()
+        };
         assert!(build_loop_circuit(&spec).is_err());
         let spec = LoopNetlistSpec {
             interconnect: LoopInterconnect::SingleFrequency {

@@ -29,26 +29,25 @@ pub struct ParallelConfig {
     pub cache_capacity: usize,
 }
 
+/// GMD memoization capacity of every constructor, entries.
+const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
+
 impl Default for ParallelConfig {
     /// All available hardware threads, with a generously sized cache.
     fn default() -> Self {
-        Self {
-            threads: available_threads(),
-            cache_capacity: 1 << 20,
-        }
+        Self::with_threads(available_threads())
     }
 }
 
 impl ParallelConfig {
     /// Single-threaded configuration (still uses the cache).
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            ..Self::default()
-        }
+        Self::with_threads(1)
     }
 
-    /// Configuration with an explicit thread count.
+    /// Configuration with an explicit thread count. Unlike
+    /// [`ParallelConfig::default`] it does not query the machine's
+    /// parallelism, which reads cgroup files on Linux.
     ///
     /// # Panics
     ///
@@ -57,7 +56,19 @@ impl ParallelConfig {
         assert!(threads > 0, "thread count must be positive");
         Self {
             threads,
-            ..Self::default()
+            cache_capacity: DEFAULT_CACHE_CAPACITY,
+        }
+    }
+
+    /// The share of this configuration each of `workers` concurrent
+    /// workers may use: `threads / workers`, at least one. A worker of
+    /// a sweep that already spreads its items over every thread runs
+    /// its kernels serially rather than fanning out again.
+    #[must_use]
+    pub fn share(&self, workers: usize) -> Self {
+        Self {
+            threads: (self.threads / workers.max(1)).max(1),
+            cache_capacity: self.cache_capacity,
         }
     }
 
@@ -87,7 +98,8 @@ pub fn triangle_row_blocks(n: usize, blocks: usize) -> Vec<Range<usize>> {
     assert!(blocks > 0, "need at least one block");
     let blocks = blocks.min(n.max(1));
     if n == 0 {
-        return vec![0..0];
+        // One empty range, not the elements of `0..0`.
+        return std::iter::once(0..0).collect();
     }
     let total: u128 = (n as u128) * (n as u128 + 1) / 2;
     let mut out = Vec::with_capacity(blocks);
@@ -124,7 +136,8 @@ pub fn uniform_row_blocks(n: usize, blocks: usize) -> Vec<Range<usize>> {
     assert!(blocks > 0, "need at least one block");
     let blocks = blocks.min(n.max(1));
     if n == 0 {
-        return vec![0..0];
+        // One empty range, not the elements of `0..0`.
+        return std::iter::once(0..0).collect();
     }
     (0..blocks)
         .map(|b| (b * n / blocks)..((b + 1) * n / blocks))
@@ -224,28 +237,27 @@ where
     })
 }
 
-/// Like [`collect_row_blocks`], but polls a [`crate::CancelToken`]
-/// before every range: ranges whose work had not started when the token
-/// fired yield `None` instead of running. Positions are preserved — the
-/// result has exactly one entry per input range, in range order — so a
-/// partially cancelled sweep still reports deterministically *which*
-/// blocks completed. Blocks that were already running when the token
-/// fired finish normally (workers may additionally poll the token
-/// themselves for finer-grained cuts).
+/// Runs `f` on each item — on scoped worker threads when there is more
+/// than one — and returns the results in item order, but polls a
+/// [`crate::CancelToken`] before every item: items whose work had not
+/// started when the token fired yield `None` instead of running.
+/// Positions are preserved — the result has exactly one entry per item,
+/// in item order — so a partially cancelled sweep still reports
+/// deterministically *which* blocks completed. Items already running
+/// when the token fired finish normally (workers may additionally poll
+/// the token themselves for finer-grained cuts). An item carries what
+/// its worker owns: a row range, say, and the worker's own state.
 ///
 /// # Panics
 ///
 /// Panics if a worker panics.
-pub fn collect_row_blocks_until<T, F>(
-    ranges: &[Range<usize>],
-    cancel: &crate::CancelToken,
-    f: F,
-) -> Vec<Option<T>>
+pub fn map_until<I, T, F>(items: Vec<I>, cancel: &crate::CancelToken, f: F) -> Vec<Option<T>>
 where
+    I: Send,
     T: Send,
-    F: Fn(Range<usize>) -> T + Sync,
+    F: Fn(I) -> T + Sync,
 {
-    map_scoped(ranges.to_vec(), |r| (!cancel.is_cancelled()).then(|| f(r)))
+    map_scoped(items, |item| (!cancel.is_cancelled()).then(|| f(item)))
 }
 
 #[cfg(test)]
@@ -327,19 +339,19 @@ mod tests {
     }
 
     #[test]
-    fn collect_until_yields_all_when_not_cancelled() {
+    fn map_until_yields_all_when_not_cancelled() {
         let ranges = uniform_row_blocks(40, 4);
         let token = crate::CancelToken::new();
-        let got = collect_row_blocks_until(&ranges, &token, |rows| rows.len());
+        let got = map_until(ranges, &token, |rows| rows.len());
         assert_eq!(got, vec![Some(10); 4]);
     }
 
     #[test]
-    fn collect_until_skips_everything_when_pre_cancelled() {
+    fn map_until_skips_everything_when_pre_cancelled() {
         let ranges = uniform_row_blocks(40, 4);
         let token = crate::CancelToken::new();
         token.cancel();
-        let got = collect_row_blocks_until(&ranges, &token, |rows| rows.len());
+        let got = map_until(ranges, &token, |rows| rows.len());
         assert_eq!(got.len(), 4);
         assert!(got.iter().all(Option::is_none));
     }
@@ -352,5 +364,17 @@ mod tests {
         assert_eq!(ParallelConfig::with_threads(3).threads, 3);
         assert_eq!(cfg.blocks_for(2), 2.min(cfg.threads));
         assert_eq!(ParallelConfig::with_threads(8).blocks_for(4), 4);
+        assert_eq!(ParallelConfig::serial().cache_capacity, cfg.cache_capacity);
+    }
+
+    #[test]
+    fn share_splits_threads_among_workers() {
+        let cfg = ParallelConfig::with_threads(8);
+        assert_eq!(cfg.share(1), cfg);
+        assert_eq!(cfg.share(3).threads, 2);
+        assert_eq!(cfg.share(8).threads, 1);
+        assert_eq!(cfg.share(20).threads, 1);
+        assert_eq!(cfg.share(0), cfg);
+        assert_eq!(cfg.share(2).cache_capacity, cfg.cache_capacity);
     }
 }

@@ -173,6 +173,13 @@ impl<T: Scalar> CsrMatrix<T> {
         &self.data
     }
 
+    /// The row pointers and column indices, with the stored values
+    /// writable: a caller that knows the pattern refills the values in
+    /// place, and the pattern cannot change under it.
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[usize], &mut [T]) {
+        (&self.indptr, &self.indices, &mut self.data)
+    }
+
     /// Iterates over `(col, value)` pairs of row `i`.
     pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, T)> + '_ {
         let lo = self.indptr[i];

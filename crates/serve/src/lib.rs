@@ -11,10 +11,12 @@
 //!    through a SHA-256 collision, of which none is known;
 //! 2. a shared **GMD cache** — every filament-grid job draws from one
 //!    [`GmdCache`], so geometry repeated across jobs is computed once;
-//! 3. a **symbolic-LU pattern cache** — deck AC sweeps keyed by the
-//!    circuit's structural hash reuse the AMD analysis across jobs
-//!    whose matrices share a sparsity pattern (the solver compares the
-//!    analyzed pattern exactly, so a stale hint is merely replaced).
+//! 3. two **symbolic-LU pattern caches** — deck AC sweeps and deck
+//!    `.OP` solves, keyed by the circuit's structural hash, reuse the
+//!    AMD analysis across jobs whose matrices share a sparsity pattern
+//!    (the solver compares the analyzed pattern exactly, so a stale hint
+//!    is merely replaced). The AC and DC patterns of one circuit differ,
+//!    so each analysis has its own cache.
 //!
 //! Every deck is hardened through the [`ind101_verify`] gate before
 //! it is solved (unless the job opts out), and each job's
@@ -32,7 +34,7 @@
 )]
 #![warn(missing_docs)]
 
-use ind101_circuit::{Circuit, CircuitError, Element, ResilienceOptions};
+use ind101_circuit::{Circuit, CircuitError, Element, RescuePolicy, ResilienceOptions};
 use ind101_extract::{FilamentGridSpec, GmdCache, GmdCacheStats, GridInductanceOperator};
 use ind101_geom::generators::{generate_bus, BusSpec};
 use ind101_geom::Technology;
@@ -218,8 +220,11 @@ pub struct ServeStats {
     pub cache_misses: u64,
     /// Shared GMD-cache counters across all filament-grid jobs.
     pub gmd: GmdCacheStats,
-    /// Distinct MNA sparsity patterns with a cached symbolic analysis.
+    /// Distinct AC sparsity patterns with a cached symbolic analysis.
     pub lu_patterns: usize,
+    /// Distinct DC (`.OP`) sparsity patterns with a cached symbolic
+    /// analysis.
+    pub dc_patterns: usize,
 }
 
 enum CacheSlot {
@@ -301,8 +306,12 @@ pub struct JobServer {
     gmd: GmdCache,
     results: Mutex<ResultCache>,
     done: Condvar,
-    patterns: Mutex<HashMap<u64, Arc<SymbolicLu>>>,
+    patterns: PatternCache,
+    dc_patterns: PatternCache,
 }
+
+/// Symbolic analyses by circuit structure hash.
+type PatternCache = Mutex<HashMap<u64, Arc<SymbolicLu>>>;
 
 impl Default for JobServer {
     fn default() -> Self {
@@ -319,6 +328,7 @@ impl JobServer {
             results: Mutex::new(ResultCache::with_hasher(RandomState::new())),
             done: Condvar::new(),
             patterns: Mutex::new(HashMap::new()),
+            dc_patterns: Mutex::new(HashMap::new()),
         }
     }
 
@@ -327,12 +337,13 @@ impl JobServer {
     #[must_use]
     pub fn stats(&self) -> ServeStats {
         let r = self.results.lock().unwrap_or_else(PoisonError::into_inner);
-        let p = self.patterns.lock().unwrap_or_else(PoisonError::into_inner);
+        let count = |c: &PatternCache| c.lock().unwrap_or_else(PoisonError::into_inner).len();
         ServeStats {
             cache_hits: r.hits,
             cache_misses: r.misses,
             gmd: self.gmd.stats(),
-            lu_patterns: p.len(),
+            lu_patterns: count(&self.patterns),
+            dc_patterns: count(&self.dc_patterns),
         }
     }
 
@@ -514,7 +525,12 @@ impl JobServer {
         for plan in &lowered.analyses {
             match plan {
                 AnalysisPlan::Op => {
-                    let op = c.dc_op().map_err(|e| solve_err(name, e))?;
+                    let hint = cached_pattern(&self.dc_patterns, structure_hash(&c), || {
+                        c.dc_symbolic()
+                    });
+                    let (op, _) = c
+                        .dc_op_with(&RescuePolicy::disabled(), hint)
+                        .map_err(|e| solve_err(name, e))?;
                     report.op_max_v = Some(
                         lowered
                             .nodes
@@ -525,7 +541,10 @@ impl JobServer {
                 }
                 AnalysisPlan::Ac(opts) => {
                     let resilience = resilience_for(&job.options, cancel);
-                    let hint = self.symbolic_hint(&c, opts.freqs_hz.first().copied());
+                    let f0 = opts.freqs_hz.first().copied();
+                    let hint = cached_pattern(&self.patterns, structure_hash(&c), || {
+                        c.ac_symbolic(f0?)
+                    });
                     let sweep = c
                         .ac_sweep_resilient(opts, &cfg, &resilience, hint)
                         .map_err(|e| solve_err(name, e))?;
@@ -546,26 +565,6 @@ impl JobServer {
             }
         }
         Ok(JobOutcome::Deck(report))
-    }
-
-    /// Looks up (or computes and caches) the symbolic analysis for
-    /// this circuit's sparsity pattern; `None` when the circuit's AC
-    /// plan is dense. A structure-hash collision at worst
-    /// hands the sweep a non-matching hint, which the solver's exact
-    /// pattern comparison refuses before any numeric work.
-    fn symbolic_hint(&self, c: &Circuit, f0: Option<f64>) -> Option<Arc<SymbolicLu>> {
-        let key = structure_hash(c);
-        {
-            let patterns = self.patterns.lock().ok()?;
-            if let Some(sym) = patterns.get(&key) {
-                return Some(Arc::clone(sym));
-            }
-        }
-        let sym = c.ac_symbolic(f0?)?;
-        if let Ok(mut patterns) = self.patterns.lock() {
-            patterns.entry(key).or_insert_with(|| Arc::clone(&sym));
-        }
-        Some(sym)
     }
 
     fn run_grid(&self, job: &JobRequest, grid: &FilamentGridJob) -> Result<JobOutcome, ServeError> {
@@ -677,7 +676,27 @@ fn resilience_for(options: &JobOptions, cancel: Option<&CancelToken>) -> Resilie
     }
 }
 
-/// FNV-1a 64-bit (the pattern cache's structure hash).
+/// Looks up (or computes with `analyze` and caches) the symbolic
+/// analysis under structure hash `key`; `None` when the circuit's plan
+/// is dense. A structure-hash collision at worst hands the solve a
+/// non-matching hint, which the solver's exact pattern comparison
+/// refuses before any numeric work.
+fn cached_pattern(
+    cache: &PatternCache,
+    key: u64,
+    analyze: impl FnOnce() -> Option<Arc<SymbolicLu>>,
+) -> Option<Arc<SymbolicLu>> {
+    if let Some(sym) = cache.lock().ok()?.get(&key) {
+        return Some(Arc::clone(sym));
+    }
+    let sym = analyze()?;
+    if let Ok(mut patterns) = cache.lock() {
+        patterns.entry(key).or_insert_with(|| Arc::clone(&sym));
+    }
+    Some(sym)
+}
+
+/// FNV-1a 64-bit (the pattern caches' structure hash).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

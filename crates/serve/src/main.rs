@@ -124,12 +124,13 @@ fn main() {
     }
     let stats = server.stats();
     println!(
-        "cache: {} hits, {} misses; gmd: {} hits, {} misses; {} LU patterns",
+        "cache: {} hits, {} misses; gmd: {} hits, {} misses; {} LU patterns, {} DC patterns",
         stats.cache_hits,
         stats.cache_misses,
         stats.gmd.hits,
         stats.gmd.misses,
-        stats.lu_patterns
+        stats.lu_patterns,
+        stats.dc_patterns
     );
     if failed > 0 {
         std::process::exit(1);

@@ -215,6 +215,46 @@ fn symbolic_patterns_are_shared_by_topology() {
     assert_eq!(server.stats().lu_patterns, 2, "new topology, new pattern");
 }
 
+/// Two decks with one topology and different values: the second
+/// deck's `.OP` takes the DC analysis the first one cached (the solver
+/// then analyzes nothing, see `dc_op_with`'s hint), and its outcome is
+/// the one a fresh server, which analyzes, returns. DC patterns are
+/// cached apart from AC ones, and a new topology adds one.
+#[test]
+fn op_reuses_the_dc_pattern_of_an_identical_topology() {
+    let ladder = |r: u32, extra: bool| {
+        let mut d = String::from("ladder\nV1 n0 0 DC 1\n");
+        for i in 0..60 {
+            d += &format!("R{i} n{i} n{} {r}\n", i + 1);
+            d += &format!("RG{i} n{} 0 {}\n", i + 1, 40 * r);
+        }
+        if extra {
+            d += "R999 n60 n3 1k\n";
+        }
+        d += ".OP\n";
+        d
+    };
+    let mk = |name: &str, deck: &str| {
+        let mut j = deck_job(name, deck);
+        j.options.backend = SolverBackend::Sparse;
+        j
+    };
+    let op_max = |server: &JobServer, job: &JobRequest| match server.run_job(job).0.unwrap().as_ref() {
+        JobOutcome::Deck(report) => report.op_max_v.unwrap(),
+        other => panic!("expected a deck outcome, got {other:?}"),
+    };
+    let server = JobServer::new();
+    op_max(&server, &mk("a", &ladder(100, false)));
+    assert_eq!(server.stats().dc_patterns, 1);
+    let second = mk("b", &ladder(220, false));
+    let reused = op_max(&server, &second);
+    let stats = server.stats();
+    assert_eq!((stats.dc_patterns, stats.lu_patterns), (1, 0), "one DC pattern, no AC one");
+    assert_eq!(reused.to_bits(), op_max(&JobServer::new(), &second).to_bits());
+    op_max(&server, &mk("c", &ladder(100, true)));
+    assert_eq!(server.stats().dc_patterns, 2, "new topology, new pattern");
+}
+
 /// End-to-end through the JSON job-file front door: mixed job kinds,
 /// submission-order results. (Inline decks need `\n` escapes, which
 /// the TOML subset deliberately rejects — JSON is the inline route.)
