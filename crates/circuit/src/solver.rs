@@ -1018,6 +1018,29 @@ pub(crate) mod tests {
         assert_eq!(s.solve_approx(&b).unwrap(), miss.x);
     }
 
+    /// A NaN right-hand side makes a NaN answer, which is a typed
+    /// accuracy miss, not an answer that passes as accurate: under forced
+    /// `Sparse` at once, under `Auto` after the dense retry misses too.
+    #[test]
+    fn nan_answer_is_a_typed_error() {
+        let mut b = vec![1.0; 60];
+        b[3] = f64::NAN;
+        for backend in [SolverBackend::Sparse, SolverBackend::Auto] {
+            let s = Solver::build_with(&tridiag(60), backend).unwrap();
+            assert!(s.is_sparse(), "{backend:?}");
+            match s.solve(&b) {
+                Err(crate::CircuitError::Numeric(NumericError::BackwardErrorAboveTolerance {
+                    berr,
+                    tol,
+                })) => {
+                    assert!(berr.is_nan(), "{backend:?}: berr {berr:e}");
+                    assert_eq!(tol, ind101_numeric::REFINE_TOL);
+                }
+                other => panic!("{backend:?}: expected the typed accuracy error, got {other:?}"),
+            }
+        }
+    }
+
     /// An in-place refactor gives the bits of a fresh factorization of
     /// the new matrix and drops the previous matrix's dense fallback; a
     /// failed fill, a refactor that errs and the dense rung refuse.

@@ -22,7 +22,9 @@
 //! residual (every `aᵢⱼ·xⱼ` and `bᵢ` vanish), so it contributes 0;
 //! xGERFS's `safe1` guard would score it 1. The guard stays for tiny
 //! nonzero denominators, where underflow could otherwise inflate the
-//! ratio.
+//! ratio. A row whose residual or denominator is not finite (a NaN or
+//! infinite `b`, `A` or `x`) scores NaN, and a NaN `berr` is kept over
+//! every later row, so such a solve is a miss, never a met tolerance.
 
 use crate::scalar::Scalar;
 use crate::sparse::CsrMatrix;
@@ -175,17 +177,20 @@ fn residual_and_berr<T: Scalar>(
             den += v.abs1() * x_abs[c];
         }
         *ri = acc;
-        // An exactly zero denominator means an exactly zero residual:
-        // the row contributes nothing.
-        let ratio = if den > safe2 {
-            acc.abs1() / den
+        let res = acc.abs1();
+        let ratio = if !(res.is_finite() && den.is_finite()) {
+            f64::NAN
+        } else if den > safe2 {
+            res / den
         } else if den > 0.0 {
-            (acc.abs1() + safe1) / (den + safe1)
+            (res + safe1) / (den + safe1)
         } else {
+            // An exactly zero denominator means an exactly zero
+            // residual: the row contributes nothing.
             0.0
         };
-        // `max` would drop a NaN ratio; keep it so the solve misses.
-        if !(ratio <= berr) {
+        // `max` would drop a NaN; keep the first so the solve misses.
+        if !(ratio <= berr || berr.is_nan()) {
             berr = ratio;
         }
     }
@@ -325,6 +330,35 @@ mod tests {
         let want = 2.0 * delta / (2.0 * (2.0 + delta) + 2.0);
         let got = a.backward_error(&b, &x).unwrap();
         assert!((got - want).abs() <= 1e-15 * want, "{got:e} vs {want:e}");
+    }
+
+    /// A NaN in `b` makes the unknowns it reaches NaN; their rows must
+    /// score NaN, and a later finite row must not hide it.
+    #[test]
+    fn nan_solutions_miss_the_tolerance() {
+        // A 60 × 1 grid is tridiagonal: the NaN spreads to every unknown.
+        let tridiagonal = (grid_laplacian(60, 1).to_csr(), vec![1.0; 60]);
+        for (name, (a, mut b), at) in [
+            ("tridiagonal", tridiagonal, 3),
+            ("diagonal", diagonal_system(6), 0),
+        ] {
+            b[at] = f64::NAN;
+            let lu = SparseLu::factor(&a).unwrap();
+            let got = lu.solve_refined(&a, &b).unwrap();
+            assert!(got.x.iter().any(|v| v.is_nan()), "{name}: premise");
+            assert!(got.berr.is_nan(), "{name}: berr {:e}", got.berr);
+            assert!(!got.met(), "{name}");
+            assert_eq!(got.rounds, 0, "{name}");
+            assert!(matches!(
+                got.into_met(),
+                Err(NumericError::BackwardErrorAboveTolerance { berr, .. }) if berr.is_nan()
+            ));
+        }
+        // An infinite right-hand side entry is no better.
+        let (a, mut b) = diagonal_system(6);
+        b[5] = f64::INFINITY;
+        let x: Vec<f64> = (0..6).map(|i| b[i] / a.get(i, i)).collect();
+        assert!(a.backward_error(&b, &x).unwrap().is_nan());
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! worker pool and three layers of reuse:
 //!
 //! 1. a **content-addressed result cache** — jobs are keyed by the
-//!    SHA-256 digest of their canonical payload (kind tag, deck text or
-//!    spec, and [`JobOptions::cache_token`]), compared whole, so
-//!    identical submissions solve once, changing a single token
-//!    re-solves, and two different payloads could share a slot only
-//!    through a SHA-256 collision, of which none is known;
+//!    BLAKE2b-256 digest (RFC 7693) of their canonical payload (kind
+//!    tag, deck text or spec, and [`JobOptions::cache_token`]), compared
+//!    whole, so identical submissions solve once, changing a single
+//!    token re-solves, and two different payloads could share a slot
+//!    only through a BLAKE2b collision, of which none is known. Only
+//!    complete answers are kept: a failure, or a sweep that a cancel
+//!    token or an exhausted budget stopped early, reaches its own caller
+//!    and is solved afresh by the next identical job;
 //! 2. a shared **GMD cache** — every filament-grid job draws from one
 //!    [`GmdCache`], so geometry repeated across jobs is computed once;
 //! 3. two **symbolic-LU pattern caches** — deck AC sweeps and deck
@@ -52,7 +55,7 @@ use std::fmt;
 use std::hash::BuildHasher;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-mod sha256;
+mod blake2b;
 
 pub use ind101_circuit::{FailurePolicy, SolverBackend};
 pub use ind101_core::PeecParasitics;
@@ -234,9 +237,9 @@ enum CacheSlot {
     Done(Arc<JobOutcome>),
 }
 
-/// A job's content key: the SHA-256 digest of its canonical payload
-/// (see [`payload_key`]). The map compares whole digests with `Eq`;
-/// its own hash only picks the bucket.
+/// A job's content key: the BLAKE2b-256 digest of its canonical payload
+/// (see [`payload_key`]), 128-bit collision resistant. The map compares
+/// whole digests with `Eq`; its own hash only picks the bucket.
 type PayloadKey = [u8; 32];
 
 /// What a result-cache lookup found.
@@ -282,14 +285,15 @@ impl<S: BuildHasher> ResultCache<S> {
         }
     }
 
-    /// Settles a claim: a result is stored for later identical jobs; a
-    /// failure frees the slot, so a later identical job retries.
-    fn settle(&mut self, key: PayloadKey, res: &Result<Arc<JobOutcome>, ServeError>) {
-        match res {
-            Ok(outcome) => {
+    /// Settles a claim: a complete result is stored for later identical
+    /// jobs; `None` (a failure, or a sweep stopped early) frees the slot,
+    /// so a later identical job retries.
+    fn settle(&mut self, key: PayloadKey, complete: Option<&Arc<JobOutcome>>) {
+        match complete {
+            Some(outcome) => {
                 self.slots.insert(key, CacheSlot::Done(Arc::clone(outcome)));
             }
-            Err(_) => {
+            None => {
                 self.slots.remove(&key);
             }
         }
@@ -433,6 +437,11 @@ impl JobServer {
     /// A `path` deck is read once: the job is keyed and solved from that
     /// one text, so a file that changes mid-job cannot file one
     /// content's answer under another's key.
+    ///
+    /// A deck AC sweep or a loop-bus extraction that `cancel` or an
+    /// exhausted wall or memory budget stopped early is returned but not
+    /// cached, as a failure is not: the key includes neither the token
+    /// nor how much of the budget was left.
     pub fn run_job_with(
         &self,
         job: &JobRequest,
@@ -450,9 +459,10 @@ impl JobServer {
             };
             (Err(err), false)
         };
-        // Claim the key or wait for whoever holds it. Failures are
-        // handed to current waiters by dropping the claim, so a later
-        // identical submission retries instead of caching the failure.
+        // Claim the key or wait for whoever holds it. Failures and
+        // stopped sweeps are handed to current waiters by dropping the
+        // claim, so a later identical submission retries instead of
+        // caching them.
         {
             let Ok(mut cache) = self.results.lock() else {
                 return poisoned();
@@ -470,25 +480,27 @@ impl JobServer {
         }
         let res = self.solve(job, &payload, cancel);
         if let Ok(mut cache) = self.results.lock() {
-            cache.settle(key, &res);
+            let complete = res.as_ref().ok().filter(|(_, stopped)| !stopped);
+            cache.settle(key, complete.map(|(outcome, _)| outcome));
         }
         self.done.notify_all();
-        (res, false)
+        (res.map(|(outcome, _)| outcome), false)
     }
 
+    /// Solves a claimed job; the flag is whether a sweep stopped early.
     fn solve(
         &self,
         job: &JobRequest,
         payload: &str,
         cancel: Option<&CancelToken>,
-    ) -> Result<Arc<JobOutcome>, ServeError> {
-        let outcome = match &job.spec {
+    ) -> Result<(Arc<JobOutcome>, bool), ServeError> {
+        let (outcome, stopped) = match &job.spec {
             // A deck job's payload is the deck text it was keyed by.
             JobSpec::Deck(_) => self.run_deck(job, payload, cancel)?,
-            JobSpec::FilamentGrid(grid) => self.run_grid(job, grid)?,
+            JobSpec::FilamentGrid(grid) => (self.run_grid(job, grid)?, false),
             JobSpec::LoopBus(bus) => self.run_loop_bus(job, bus, cancel)?,
         };
-        Ok(Arc::new(outcome))
+        Ok((Arc::new(outcome), stopped))
     }
 
     fn run_deck(
@@ -496,7 +508,7 @@ impl JobServer {
         job: &JobRequest,
         src: &str,
         cancel: Option<&CancelToken>,
-    ) -> Result<JobOutcome, ServeError> {
+    ) -> Result<(JobOutcome, bool), ServeError> {
         let name = &job.name;
         let parse_err = |err: NetlistError| ServeError::Parse {
             job: name.clone(),
@@ -522,6 +534,7 @@ impl JobServer {
             ac_peak: None,
             tran_steps: None,
         };
+        let mut stopped = false;
         for plan in &lowered.analyses {
             match plan {
                 AnalysisPlan::Op => {
@@ -548,6 +561,7 @@ impl JobServer {
                     let sweep = c
                         .ac_sweep_resilient(opts, &cfg, &resilience, hint)
                         .map_err(|e| solve_err(name, e))?;
+                    stopped |= sweep.report.stopped.is_some();
                     let solved = sweep.ac.freqs_hz.len();
                     report.ac_solved = Some((solved, opts.freqs_hz.len()));
                     report.ac_peak = (solved > 0).then(|| {
@@ -564,7 +578,7 @@ impl JobServer {
                 }
             }
         }
-        Ok(JobOutcome::Deck(report))
+        Ok((JobOutcome::Deck(report), stopped))
     }
 
     fn run_grid(&self, job: &JobRequest, grid: &FilamentGridJob) -> Result<JobOutcome, ServeError> {
@@ -612,7 +626,7 @@ impl JobServer {
         job: &JobRequest,
         bus: &LoopBusJob,
         cancel: Option<&CancelToken>,
-    ) -> Result<JobOutcome, ServeError> {
+    ) -> Result<(JobOutcome, bool), ServeError> {
         let tech = Technology::example_copper_6lm();
         let layout = generate_bus(
             &tech,
@@ -643,11 +657,12 @@ impl JobServer {
             &resilience,
         )
         .map_err(|e| solve_err(&job.name, e))?;
-        Ok(JobOutcome::LoopBus(LoopBusReport {
+        let outcome = JobOutcome::LoopBus(LoopBusReport {
             freqs_hz: got.extraction.freqs_hz,
             r_ohm: got.extraction.r_ohm,
             l_h: got.extraction.l_h,
-        }))
+        });
+        Ok((outcome, got.report.stopped.is_some()))
     }
 }
 
@@ -738,15 +753,17 @@ fn payload(job: &JobRequest) -> Result<(&'static str, Cow<'_, str>), ServeError>
     })
 }
 
-/// Content key: the SHA-256 digest of the job's canonical payload —
+/// Content key: the BLAKE2b-256 digest of the job's canonical payload —
 /// kind tag, payload text (the deck text for deck jobs, whether inline
 /// or read from a file, so a `path` deck and an inline deck with the
 /// same text share one entry; or the spec's debug form) and the options
-/// token, each length-prefixed so the encoding is unambiguous. The job
-/// name is deliberately excluded: two differently named but identical
-/// jobs share one solve. No I/O: [`payload`] obtained the text.
+/// token, each prefixed by its byte length as a little-endian `u64` so
+/// the encoding is unambiguous. The fields stream into the hash in
+/// place; the payload is not copied. The job name is deliberately
+/// excluded: two differently named but identical jobs share one solve.
+/// No I/O: [`payload`] obtained the text.
 fn payload_key(kind: &str, payload: &str, options: &JobOptions) -> PayloadKey {
-    let mut h = sha256::Sha256::new();
+    let mut h = blake2b::Blake2b::new();
     for field in [kind, payload, &options.cache_token()] {
         h.update(&(field.len() as u64).to_le_bytes());
         h.update(field.as_bytes());
@@ -825,6 +842,31 @@ mod tests {
         assert_ne!(key(&a), key(&b));
     }
 
+    /// The key is BLAKE2b-256 over three length-prefixed fields, as
+    /// this Python computes it:
+    ///
+    /// ```text
+    /// import hashlib, struct
+    /// h = hashlib.blake2b(digest_size=32)
+    /// for f in [b"deck", b"t\nR1 x 0 1\n.OP\n",
+    ///           b"backend=Auto;policy=abort;wall=None;mem=None;verify=true"]:
+    ///     h.update(struct.pack("<Q", len(f)) + f)
+    /// print(h.hexdigest())
+    /// ```
+    #[test]
+    fn payload_key_matches_the_length_prefixed_construction() {
+        let job = deck_job("golden", "t\nR1 x 0 1\n.OP\n");
+        assert_eq!(
+            job.options.cache_token(),
+            "backend=Auto;policy=abort;wall=None;mem=None;verify=true"
+        );
+        let hex: String = key(&job).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "710740c0f44cc46391fd5939ad7000ea9bf9c77c0ff93853ef4ae81ada5afa6c"
+        );
+    }
+
     #[test]
     fn options_change_the_key() {
         let mut b = deck_job("a", "t\nR1 x 0 1\n.OP\n");
@@ -864,11 +906,11 @@ mod tests {
         };
         let mut cache = ResultCache::with_hasher(hasher);
         assert!(matches!(cache.lookup(a), Lookup::Claimed));
-        cache.settle(a, &Ok(outcome(1)));
+        cache.settle(a, Some(&outcome(1)));
         // `b` hashes like `a` but is another payload: a miss, not `a`'s
         // result.
         assert!(matches!(cache.lookup(b), Lookup::Claimed));
-        cache.settle(b, &Ok(outcome(2)));
+        cache.settle(b, Some(&outcome(2)));
         for (key, nodes) in [(a, 1), (b, 2)] {
             match cache.lookup(key) {
                 Lookup::Hit(res) => assert_eq!(*res, *outcome(nodes)),
@@ -881,16 +923,7 @@ mod tests {
         let c = key(&deck_job("c", "t\nR1 x 0 3\n.OP\n"));
         assert!(matches!(cache.lookup(c), Lookup::Claimed));
         assert!(matches!(cache.lookup(c), Lookup::InFlight));
-        cache.settle(
-            c,
-            &Err(ServeError::Solve {
-                job: "c".to_owned(),
-                err: CircuitError::SingularSystem {
-                    unknown: 0,
-                    what: "node 'x'".to_owned(),
-                },
-            }),
-        );
+        cache.settle(c, None);
         assert!(matches!(cache.lookup(c), Lookup::Claimed));
         assert!(matches!(cache.lookup(a), Lookup::Hit(_)));
     }

@@ -4,6 +4,7 @@
 
 use ind101_netlist::{
     jobs_from_str, DeckSource, FilamentGridJob, JobFile, JobOptions, JobRequest, JobSpec,
+    LoopBusJob,
 };
 use ind101_serve::{JobOutcome, JobServer, ServeError, SolverBackend};
 use ind101_numeric::CancelToken;
@@ -154,30 +155,59 @@ fn tiny_memory_budget_refuses_grid_job() {
 }
 
 /// A pre-cancelled token stops the AC sweep before any frequency is
-/// solved; the partial result reports zero solved points.
+/// solved: the caller gets the partial result (zero solved points), but
+/// the cache does not keep it. The key does not include the token, so
+/// the next identical job without one is a miss that solves every
+/// frequency, and only that complete answer is reused.
 #[test]
-fn pre_cancelled_token_yields_empty_sweep() {
+fn pre_cancelled_sweep_is_returned_but_not_cached() {
+    let ac_solved = |outcome: &JobOutcome| match outcome {
+        JobOutcome::Deck(d) => d.ac_solved.unwrap(),
+        other => panic!("expected deck outcome, got {other:?}"),
+    };
     let server = JobServer::new();
     let token = CancelToken::new();
     token.cancel();
-    let mut job = deck_job("cancelled", RC_DECK);
+    let mut job = deck_job("sweep", RC_DECK);
     // Skip-and-report turns budget/cancel stops into partial results.
     job.options.policy = ind101_serve::FailurePolicy::SkipAndReport;
-    let (res, _) = server.run_job_with(&job, Some(&token));
-    match res {
-        Ok(outcome) => match outcome.as_ref() {
-            JobOutcome::Deck(d) => {
-                let (solved, requested) = d.ac_solved.unwrap();
-                assert_eq!(solved, 0, "cancelled sweep must not solve");
-                assert!(requested > 0);
-            }
-            other => panic!("expected deck outcome, got {other:?}"),
-        },
-        // An abort-style typed failure is equally acceptable — the
-        // contract is "no hang, no partial garbage".
-        Err(ServeError::Solve { .. } | ServeError::Budget { .. }) => {}
-        Err(other) => panic!("unexpected failure {other:?}"),
-    }
+    let (res, cached) = server.run_job_with(&job, Some(&token));
+    assert!(!cached);
+    assert_eq!(ac_solved(&res.unwrap()), (0, 5));
+    let (res, cached) = server.run_job(&job);
+    assert!(!cached, "a stopped sweep must not be served from the cache");
+    let complete = res.unwrap();
+    assert_eq!(ac_solved(&complete), (5, 5));
+    let (res, cached) = server.run_job(&job);
+    assert!(cached, "the complete sweep is cached");
+    assert!(Arc::ptr_eq(&res.unwrap(), &complete));
+    let stats = server.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
+
+    // The same for a loop-bus extraction.
+    let bus = JobRequest {
+        name: "bus".to_owned(),
+        spec: JobSpec::LoopBus(LoopBusJob {
+            signals: 2,
+            length_nm: 200_000,
+            spacing_nm: 1000,
+            freqs_hz: vec![1e8, 1e9],
+        }),
+        options: job.options.clone(),
+    };
+    let freqs = |outcome: &JobOutcome| match outcome {
+        JobOutcome::LoopBus(b) => b.freqs_hz.len(),
+        other => panic!("expected loop-bus outcome, got {other:?}"),
+    };
+    let (res, _) = server.run_job_with(&bus, Some(&token));
+    assert_eq!(freqs(&res.unwrap()), 0);
+    let (res, cached) = server.run_job(&bus);
+    assert!(
+        !cached,
+        "a stopped extraction must not be served from the cache"
+    );
+    assert_eq!(freqs(&res.unwrap()), 2);
+    assert!(server.run_job(&bus).1);
 }
 
 /// Decks with the same topology but different values share one

@@ -9,6 +9,9 @@
 //! * Energy: a lossless coupled LC ladder under trapezoidal steps gains
 //!   exactly the work its source does, on the dense and forced sparse
 //!   solvers.
+//! * Passivity: the extracted partial-inductance matrices of the Table-1
+//!   clock net and the Section-4 bus are symmetric positive definite
+//!   before any sparsification.
 //!
 //! Every circuit has more unknowns than the solver's small-system floor
 //! (48), so a forced sparse backend really runs the sparse rung and its
@@ -18,8 +21,10 @@ use ind101::circuit::{
     AcOptions, Circuit, InductorSystem, MatrixFreeAcOptions, NodeId, ResilienceOptions,
     SolverBackend, SourceWave, TranOptions,
 };
+use ind101::geom::Technology;
 use ind101::loopind::{extract_loop_rl_resilient, ExtractionBackend, LoopPortSpec};
-use ind101::numeric::{Complex64, LinearOperator, Matrix, ParallelConfig};
+use ind101::numeric::{extreme_eigenvalues, Complex64, LinearOperator, Matrix, ParallelConfig};
+use ind101_bench::scenarios::sec4_bus_inductance;
 use ind101_bench::{clock_case, Scale};
 
 /// Sections per ladder of the reciprocity two-port (2 ladders → 34
@@ -289,5 +294,40 @@ fn lossless_lc_ladder_conserves_energy_under_trapezoidal_steps() {
             backend.name(),
             worst / peak
         );
+    }
+}
+
+/// A partial-inductance matrix stores the magnetic energy `½·iᵀ·L·i` of
+/// any current pattern, so before sparsification it must be symmetric
+/// (bit for bit: extraction mirrors each mutual) and positive definite
+/// (Cholesky succeeds and the smallest eigenvalue is positive).
+#[test]
+fn partial_inductance_is_symmetric_positive_definite_before_sparsification() {
+    let small = clock_case(Scale::Small);
+    let medium = clock_case(Scale::Medium);
+    let bus = sec4_bus_inductance(&Technology::example_copper_6lm());
+    for (name, l) in [
+        ("Table-1 Small", small.par.partial_l.matrix()),
+        ("Table-1 Medium", medium.par.partial_l.matrix()),
+        ("Section-4 bus", bus.matrix()),
+    ] {
+        let n = l.nrows();
+        assert!(n > 1 && l.ncols() == n, "{name}: {n}×{}", l.ncols());
+        for i in 0..n {
+            for j in 0..i {
+                assert_eq!(
+                    l[(i, j)].to_bits(),
+                    l[(j, i)].to_bits(),
+                    "{name}: L[{i}][{j}] = {:e} but L[{j}][{i}] = {:e}",
+                    l[(i, j)],
+                    l[(j, i)]
+                );
+            }
+        }
+        if let Err(e) = l.cholesky() {
+            panic!("{name}: Cholesky fails: {e}");
+        }
+        let (lo, hi) = extreme_eigenvalues(l).unwrap();
+        assert!(lo > 0.0 && hi >= lo, "{name}: λ ∈ [{lo:e}, {hi:e}] H");
     }
 }
